@@ -6,9 +6,9 @@ an incompressible Carreau fluid coupled to ion transport with finite-size
 convergence order, energy decay, mass conservation and positivity.
 """
 
-from .errors import (CompatibilityError, ConfigError, ConvergenceFailure,
-                     NonFiniteError, PositivityError, SingularMatrixError,
-                     SolverError, StructuralViolation)
+from .errors import (CompatibilityError, ConfigError, NonFiniteError,
+                     PositivityError, SingularMatrixError, SolverError,
+                     StructuralViolation)
 from .fem import (Field, QuadRule, RefElement, apply_dirichlet, assemble,
                   assemble_vector, error_norm_l2, interpolate, quad_rule,
                   solve_zero_mean)
@@ -17,7 +17,6 @@ from .model import (DiagnosticsRecord, Params, State, carreau_viscosity,
                     discrete_energy, energy_spnp, min_concentration,
                     nondimensionalize, species_mass)
 from .scheme import SourcePack, Stepper
-from .sparse import (SolveReport, SparseMatrix, factorize, solve_direct,
-                     solve_iterative, spmv)
+from .sparse import SolveReport, SparseMatrix, factorize, solve_direct
 
 __version__ = "0.1.0"

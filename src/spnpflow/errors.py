@@ -9,17 +9,6 @@ class SingularMatrixError(SolverError):
     """Factorization hit a (numerically) singular matrix."""
 
 
-class ConvergenceFailure(SolverError):
-    """Iterative solver exhausted its iteration budget.
-
-    Carries the final :class:`~spnpflow.sparse.SolveReport` as ``report``.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class CompatibilityError(Exception):
     """Pure-Neumann right-hand side is not orthogonal to constants.
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CompatibilityError
-from .sparse import SparseMatrix, solve_direct
+from .sparse import SparseMatrix, factorize
 
 # Symmetric 12-point rule on the reference triangle, exact through degree 6.
 # Parameters refined to machine precision against the monomial integrals
@@ -445,30 +445,41 @@ def zero_mean_system(A, weight):
     return SparseMatrix.from_coo(n + 1, n + 1, rows, cols, vals)
 
 
-def solve_zero_mean(A, b, weight, subtract_mean=False, comp_rtol=1e-8):
-    """Solve a pure-Neumann system subject to a zero-mean constraint.
+class ZeroMeanSolver:
+    """Pure-Neumann solver under a zero-mean constraint, factored once.
 
-    The compatibility pairing of the right-hand side with the constant
-    function is ``sum(b)``; when it exceeds ``comp_rtol * ||b||`` and
-    ``subtract_mean`` is False a CompatibilityError is raised (for the
-    potential equation this signals a net-charge imbalance).  With
-    ``subtract_mean=True`` the multiplier absorbs the imbalance and its value
-    is returned for logging.
-
-    Returns (x, multiplier, SolveReport).
+    Factors ``zero_mean_system(A, weight)``; the layout of the augmented
+    vectors (the multiplier as last entry) is known only here.
     """
-    b = np.asarray(b, dtype=np.float64)
-    imbalance = float(np.sum(b))
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.zeros(A.n_rows), 0.0, None
-    if not subtract_mean and abs(imbalance) > comp_rtol * nb:
-        raise CompatibilityError(
-            f"right-hand side pairing with constants is {imbalance:.3e} "
-            f"(tolerance {comp_rtol * nb:.3e}); net-charge imbalance")
-    aug = zero_mean_system(A, weight)
-    x, report = solve_direct(aug, np.concatenate([b, [0.0]]))
-    return x[:-1], float(x[-1]), report
+
+    def __init__(self, A, weight, comp_rtol=1e-8):
+        self.comp_rtol = comp_rtol
+        self._lu = factorize(zero_mean_system(A, weight))
+
+    def solve(self, b, subtract_mean=False):
+        """Solve for right-hand side ``b``; returns (x, multiplier, report).
+
+        The compatibility pairing of ``b`` with the constant function is
+        ``sum(b)``; when it exceeds ``comp_rtol * ||b||`` and
+        ``subtract_mean`` is False a CompatibilityError is raised (for the
+        potential equation this signals a net-charge imbalance).  With
+        ``subtract_mean=True`` the multiplier absorbs the imbalance.
+        """
+        b = np.asarray(b, dtype=np.float64)
+        imbalance = float(np.sum(b))
+        tol = self.comp_rtol * np.linalg.norm(b)
+        if not subtract_mean and abs(imbalance) > tol:
+            raise CompatibilityError(
+                f"right-hand side pairing with constants is {imbalance:.3e} "
+                f"(tolerance {tol:.3e}); net-charge imbalance")
+        sol, report = self._lu.solve(np.append(b, 0.0))
+        return sol[:-1], float(sol[-1]), report
+
+
+def solve_zero_mean(A, b, weight, subtract_mean=False, comp_rtol=1e-8):
+    """One-shot :class:`ZeroMeanSolver` solve; returns (x, multiplier,
+    SolveReport)."""
+    return ZeroMeanSolver(A, weight, comp_rtol).solve(b, subtract_mean)
 
 
 def error_norm_l2(field, exact, mesh):

@@ -45,10 +45,7 @@ class RunConfig:
     k: float | None = None
     b_shift: float | None = None
     w: tuple | None = None          # row-major steric matrix entries
-    solver: str = "direct"
-    solver_tol: float = 1e-10
     clamp_viscosity: bool = True
-    sigma_diffusion_coeff_one: bool = False
     strict_energy: bool = False
     xi_scales_dirichlet_potential: bool = True
     neutralize_net_charge: bool | None = None
@@ -56,14 +53,14 @@ class RunConfig:
     snapshot_times: tuple = ()
 
 
-_BOOL_KEYS = {"clamp_viscosity", "sigma_diffusion_coeff_one", "strict_energy",
+_BOOL_KEYS = {"clamp_viscosity", "strict_energy",
               "xi_scales_dirichlet_potential", "neutralize_net_charge"}
 _INT_KEYS = {"nx", "ny"}
 _FLOAT_KEYS = {"dt", "t_final", "re", "pe", "co", "lam", "mu0", "mu_inf",
-               "lambda1", "k", "b_shift", "solver_tol"}
+               "lambda1", "k", "b_shift"}
 _POSITIVE_KEYS = {"dt", "t_final", "re", "pe", "co", "lam", "mu0", "mu_inf",
-                  "k", "b_shift", "solver_tol"}
-_STR_KEYS = {"scenario", "solver", "out_dir"}
+                  "k", "b_shift"}
+_STR_KEYS = {"scenario", "out_dir"}
 _TUPLE_KEYS = {"w", "snapshot_times"}
 _ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _TUPLE_KEYS
 
@@ -127,9 +124,6 @@ def _validate(cfg):
     if cfg.mu0 is not None and cfg.mu_inf is not None \
             and not cfg.mu0 > cfg.mu_inf:
         raise ConfigError("'mu0' must exceed 'mu_inf'")
-    if cfg.solver not in ("direct", "iterative"):
-        raise ConfigError(f"'solver' must be direct or iterative, got "
-                          f"{cfg.solver!r}")
     if cfg.w is not None:
         n = int(round(len(cfg.w) ** 0.5))
         if n * n != len(cfg.w):
@@ -178,21 +172,6 @@ def _parse_scenario_name(name):
             raise ConfigError("exponent k must be positive")
         return ("exponent-k", k)
     raise ConfigError(f"unknown scenario {name!r}")
-
-
-def worker_cap():
-    """Worker count cap from SPNP_THREADS (the solver itself is sequential)."""
-    raw = os.environ.get("SPNP_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SPNP_THREADS must be an integer, got {raw!r}") \
-            from exc
-    if cap < 1:
-        raise ConfigError("SPNP_THREADS must be >= 1")
-    return cap
 
 
 # ----------------------------------------------------------------------
@@ -337,10 +316,8 @@ def run_config(cfg):
     stepper = scen.make_stepper(
         mesh=mesh,
         clamp_viscosity=cfg.clamp_viscosity,
-        sigma_diffusion_coeff_one=cfg.sigma_diffusion_coeff_one,
         strict_energy=cfg.strict_energy,
-        xi_scales_dirichlet_potential=cfg.xi_scales_dirichlet_potential,
-        solver=cfg.solver, solver_tol=cfg.solver_tol)
+        xi_scales_dirichlet_potential=cfg.xi_scales_dirichlet_potential)
     snaps = []
 
     def snapshot_cb(state, t):
@@ -396,7 +373,6 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        worker_cap()
         return _dispatch(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, model
-from .errors import (CompatibilityError, NonFiniteError, PositivityError,
-                     StructuralViolation)
+from .errors import NonFiniteError, PositivityError, StructuralViolation
 from .mesh import dof_map
-from .sparse import factorize, solve_iterative
+from .sparse import factorize
 
 MASS_RTOL = 1e-10
 ENERGY_RTOL = 1e-10
@@ -87,10 +86,6 @@ class Stepper:
         Clamp the extrapolated viscosity below at mu_inf; required by the
         discrete energy estimate, switch off to reproduce the raw
         extrapolation formula.
-    sigma_diffusion_coeff_one : bool
-        Use a unit diffusion coefficient in the transport system instead of
-        1/Pe; only the 1/Pe form is consistent with the continuous model,
-        the flag exists to reproduce the alternative bracketing.
     neutralize_net_charge : bool
         Let the potential solve absorb a net-charge imbalance into its
         multiplier (logged) instead of raising.
@@ -103,21 +98,17 @@ class Stepper:
     """
 
     def __init__(self, mesh, params, *, bc_mode="zero_mean",
-                 clamp_viscosity=True, sigma_diffusion_coeff_one=False,
-                 strict_energy=False, neutralize_net_charge=False,
+                 clamp_viscosity=True, strict_energy=False,
+                 neutralize_net_charge=False,
                  xi_scales_dirichlet_potential=True,
                  check_mass=True, check_energy=True,
-                 sources=None, mass_schedule=None,
-                 solver="direct", solver_tol=1e-10):
+                 sources=None, mass_schedule=None):
         if bc_mode not in ("zero_mean", "dirichlet_lr"):
             raise ValueError(f"unknown bc_mode {bc_mode!r}")
-        if solver not in ("direct", "iterative"):
-            raise ValueError(f"unknown solver {solver!r}")
         self.mesh = mesh
         self.params = params
         self.bc_mode = bc_mode
         self.clamp_viscosity = clamp_viscosity
-        self.sigma_diffusion_coeff_one = sigma_diffusion_coeff_one
         self.strict_energy = strict_energy
         self.neutralize_net_charge = neutralize_net_charge
         self.xi_scales_dirichlet_potential = xi_scales_dirichlet_potential
@@ -125,8 +116,6 @@ class Stepper:
         self.check_energy = check_energy
         self.sources = sources
         self.mass_schedule = mass_schedule
-        self.solver = solver
-        self.solver_tol = solver_tol
 
         self.p2 = dof_map(mesh, 2)
         self.p1 = dof_map(mesh, 1)
@@ -154,12 +143,12 @@ class Stepper:
         self._CyTs = self._Cys.T.tocsr()
         self._Ddivs = self.Ddiv.to_scipy()
 
-        self._psi_solver = factorize(fem.zero_mean_system(self.K1, self.m1))
+        self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1)
         self._m2_solver = factorize(self.M2)
 
         lamK2 = self.K2.scaled(params.lam)
         if bc_mode == "zero_mean":
-            self._pot_solver = factorize(fem.zero_mean_system(lamK2, self.m2))
+            self._pot_solver = fem.ZeroMeanSolver(lamK2, self.m2)
             self._pot_dofs = None
             self._pot_vals = None
         else:
@@ -208,7 +197,7 @@ class Stepper:
             p0 = fem.interpolate(p0_fn, self.p1)
             p0.coefficients -= fem.mean_value(p0, mesh)
 
-        vbar0 = self._potential_solve(c0, t=0.0)
+        vbar0 = self.solve_potential(c0, t=0.0)
         e0 = model.energy_spnp(c0, vbar0, params, mesh)
         self.b_shift = model.resolve_b_shift(params, e0)
         r0 = np.sqrt(e0 + self.b_shift)
@@ -231,12 +220,6 @@ class Stepper:
     # ------------------------------------------------------------------
     # individual scheme steps
     # ------------------------------------------------------------------
-
-    def _solve(self, A, b, spd=False):
-        if self.solver == "direct":
-            return factorize(A).solve(b)[0]
-        return solve_iterative(A, b, spd=spd, tol=self.solver_tol,
-                               maxit=20 * A.n_rows)[0]
 
     def make_workspace(self, bdf1=False):
         """Extrapolated fields for the next step (level-0 values when bdf1)."""
@@ -293,10 +276,9 @@ class Stepper:
                 b = b - (w[species, j] / pe) \
                     * c_star_vals[j][..., None] * grad_sig_star[j]
 
-        diff_coeff = 1.0 if self.sigma_diffusion_coeff_one else 1.0 / pe
         A = self.M2.scaled(a0 / dt) \
             + fem.assemble("advection", p2, p2, mesh, b) \
-            + self.K2.scaled(diff_coeff)
+            + self.K2.scaled(1.0 / pe)
         wii = w[species, species]
         if wii != 0.0:
             A = A + fem.assemble("stiffness", p2, p2, mesh,
@@ -315,7 +297,7 @@ class Stepper:
             f = self.sources.f_sigma[species]
             rhs += fem.assemble_vector("source", p2, mesh,
                                        lambda x, y: f(x, y, t_new))
-        return fem.Field(p2, self._solve(A, rhs))
+        return fem.Field(p2, factorize(A).solve(rhs)[0])
 
     def renormalize_concentration(self, sigma_new, mass_target):
         """Exponentiate pointwise and rescale to the target mass."""
@@ -336,7 +318,8 @@ class Stepper:
         rhs[self._pot_dofs] = self._pot_vals
         return rhs
 
-    def _potential_solve(self, c_fields, t):
+    def solve_potential(self, c_fields, t):
+        """Electric potential before auxiliary-variable scaling."""
         params = self.params
         charge = None
         for i, c in enumerate(c_fields):
@@ -348,22 +331,12 @@ class Stepper:
             rhs += fem.assemble_vector("source", self.p2, self.mesh,
                                        lambda x, y: fv(x, y, t))
         if self.bc_mode == "zero_mean":
-            imbalance = float(np.sum(rhs))
             subtract = self.neutralize_net_charge or self.sources is not None
-            if not subtract and abs(imbalance) > 1e-8 * max(
-                    np.linalg.norm(rhs), 1e-300):
-                raise CompatibilityError(
-                    f"net charge {imbalance:.3e} incompatible with the "
-                    f"pure-Neumann potential problem")
-            sol, _ = self._pot_solver.solve(np.concatenate([rhs, [0.0]]))
-            self.potential_multiplier_log.append(float(sol[-1]))
-            return fem.Field(self.p2, sol[:-1])
+            sol, mult, _ = self._pot_solver.solve(rhs, subtract_mean=subtract)
+            self.potential_multiplier_log.append(mult)
+            return fem.Field(self.p2, sol)
         sol, _ = self._pot_solver.solve(self._dirichlet_rhs(rhs))
         return fem.Field(self.p2, sol)
-
-    def solve_potential(self, c_fields, t):
-        """Electric potential before auxiliary-variable scaling."""
-        return self._potential_solve(c_fields, t)
 
     def solve_velocity_split(self, ws, c_new, vbar_new, a0, hist_u, t_new):
         """Solve the two split momentum systems (shared matrix)."""
@@ -395,13 +368,9 @@ class Stepper:
         rhs2 = rhs2.copy()
         rhs2[self.vec_bdofs] = 0.0
 
-        if self.solver == "direct":
-            solver = factorize(A_bc)
-            u1 = solver.solve(rhs1)[0]
-            u2 = solver.solve(rhs2)[0]
-        else:
-            u1 = self._solve(A_bc, rhs1)
-            u2 = self._solve(A_bc, rhs2)
+        solver = factorize(A_bc)
+        u1 = solver.solve(rhs1)[0]
+        u2 = solver.solve(rhs2)[0]
         ws.u1_tilde = fem.Field(p2, u1, components=2)
         ws.u2_tilde = fem.Field(p2, u2, components=2)
         self._Kdef_s = Kdef.to_scipy()
@@ -494,8 +463,8 @@ class Stepper:
         ux = u_tilde.component(0)
         uy = u_tilde.component(1)
         rhs = (a0 / dt) * (self._CxTs @ ux + self._CyTs @ uy)
-        sol, _ = self._psi_solver.solve(np.concatenate([rhs, [0.0]]))
-        return fem.Field(self.p1, sol[:-1])
+        sol, _, _ = self._psi_solver.solve(rhs, subtract_mean=True)
+        return fem.Field(self.p1, sol)
 
     def correct(self, ws, psi, a0):
         """Project the corrected velocity, update pressure and viscosity."""

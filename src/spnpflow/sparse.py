@@ -1,9 +1,7 @@
-"""Compressed-row sparse matrices and the linear solvers used by the scheme.
+"""Compressed-row sparse matrices and the direct solver used by the scheme.
 
-Storage is plain CSR held in numpy arrays.  Direct solves are delegated to
-SuperLU through scipy; the iterative path is a small Jacobi-preconditioned
-CG / BiCGStab pair kept in-process so iteration counts and residual history
-stay deterministic.
+Storage is plain CSR held in numpy arrays.  Every linear system is solved by
+sparse LU (SuperLU through scipy), with each solution's residual checked.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceFailure, SingularMatrixError, SolverError
+from .errors import SingularMatrixError, SolverError
 
 
 @dataclass
@@ -98,30 +96,12 @@ class SparseMatrix:
     def toarray(self):
         return self.to_scipy().toarray()
 
-    def transpose(self):
-        return SparseMatrix.from_scipy(self.to_scipy().T)
-
     def __add__(self, other):
         return SparseMatrix.from_scipy(self.to_scipy() + other.to_scipy())
 
     def scaled(self, alpha):
         return SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
                             self.col_indices, alpha * self.values)
-
-    def diagonal(self):
-        return self.to_scipy().diagonal()
-
-
-def spmv(A, x):
-    """Matrix-vector product y = A x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.n_cols,):
-        raise ValueError(f"dimension mismatch: matrix has {A.n_cols} columns, "
-                         f"vector has shape {x.shape}")
-    counts = np.diff(A.row_offsets)
-    row_of = np.repeat(np.arange(A.n_rows), counts)
-    return np.bincount(row_of, weights=A.values * x[A.col_indices],
-                       minlength=A.n_rows)
 
 
 class Factorization:
@@ -130,9 +110,9 @@ class Factorization:
     def __init__(self, A):
         if A.n_rows != A.n_cols:
             raise ValueError("direct solver needs a square matrix")
-        self.A = A
+        self._As = A.to_scipy()
         try:
-            self._lu = spla.splu(A.to_scipy().tocsc())
+            self._lu = spla.splu(self._As.tocsc())
         except RuntimeError as exc:  # SuperLU reports exact singularity this way
             raise SingularMatrixError(str(exc)) from exc
 
@@ -140,11 +120,11 @@ class Factorization:
         b = np.asarray(b, dtype=np.float64)
         nb = np.linalg.norm(b)
         if nb == 0.0:
-            return np.zeros(self.A.n_rows), SolveReport(0, 0.0, "direct")
+            return np.zeros_like(b), SolveReport(0, 0.0, "direct")
         x = self._lu.solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("direct solve produced non-finite values")
-        rel = np.linalg.norm(spmv(self.A, x) - b) / nb
+        rel = np.linalg.norm(self._As @ x - b) / nb
         if check and rel > 1e-10:
             raise SolverError(f"direct solve residual {rel:.3e} exceeds 1e-10")
         return x, SolveReport(0, float(rel), "direct")
@@ -162,89 +142,3 @@ def solve_direct(A, b):
     matrices and SolverError when the residual check fails.
     """
     return Factorization(A).solve(b)
-
-
-def solve_iterative(A, b, spd=False, tol=1e-10, maxit=2000):
-    """Solve A x = b with Jacobi-preconditioned CG (spd) or BiCGStab.
-
-    The relative residual ||A x - b|| / ||b|| is driven below ``tol``;
-    exceeding ``maxit`` raises ConvergenceFailure carrying the report.
-    """
-    if A.n_rows != A.n_cols:
-        raise ValueError("iterative solver needs a square matrix")
-    b = np.asarray(b, dtype=np.float64)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.zeros(A.n_rows), SolveReport(0, 0.0, "cg" if spd else "bicgstab")
-    diag = A.diagonal()
-    inv_d = np.where(np.abs(diag) > 1e-300, 1.0 / np.where(diag == 0, 1.0, diag), 1.0)
-    As = A.to_scipy()
-    if spd:
-        x, it, rel = _pcg(As, b, inv_d, tol, maxit, nb)
-        method = "cg"
-    else:
-        x, it, rel = _bicgstab(As, b, inv_d, tol, maxit, nb)
-        method = "bicgstab"
-    report = SolveReport(it, float(rel), method)
-    if rel > tol:
-        raise ConvergenceFailure(
-            f"{method} stalled at residual {rel:.3e} after {it} iterations",
-            report=report)
-    return x, report
-
-
-def _pcg(A, b, inv_d, tol, maxit, nb):
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = inv_d * r
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, maxit + 1):
-        Ap = A @ p
-        denom = p @ Ap
-        if denom == 0.0:
-            return x, it, np.linalg.norm(r) / nb
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
-        rel = np.linalg.norm(r) / nb
-        if rel <= tol:
-            return x, it, rel
-        z = inv_d * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, maxit, np.linalg.norm(r) / nb
-
-
-def _bicgstab(A, b, inv_d, tol, maxit, nb):
-    x = np.zeros_like(b)
-    r = b.copy()
-    r0 = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    for it in range(1, maxit + 1):
-        rho_new = r0 @ r
-        if rho_new == 0.0 or omega == 0.0:
-            return x, it, np.linalg.norm(r) / nb
-        beta = (rho_new / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
-        ph = inv_d * p
-        v = A @ ph
-        denom = r0 @ v
-        if denom == 0.0:
-            return x, it, np.linalg.norm(r) / nb
-        alpha = rho_new / denom
-        s = r - alpha * v
-        sh = inv_d * s
-        t = A @ sh
-        tt = t @ t
-        omega = (t @ s) / tt if tt > 0.0 else 0.0
-        x += alpha * ph + omega * sh
-        r = s - omega * t
-        rho = rho_new
-        rel = np.linalg.norm(r) / nb
-        if rel <= tol:
-            return x, it, rel
-    return x, maxit, np.linalg.norm(r) / nb

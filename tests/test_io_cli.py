@@ -7,8 +7,7 @@ from spnpflow import fem, model
 from spnpflow.errors import ConfigError
 from spnpflow.io_cli import (CSV_HEADER, RunConfig, build_scenario, cli_main,
                              emit_config, parse_config, read_diagnostics_csv,
-                             run_config, worker_cap, write_diagnostics_csv,
-                             write_snapshot)
+                             run_config, write_diagnostics_csv, write_snapshot)
 from spnpflow.mesh import build_rect_mesh, dof_map
 
 
@@ -50,6 +49,11 @@ def test_parse_unknown_key_has_line_number():
     with pytest.raises(ConfigError) as exc:
         parse_config("scenario = energy-decay\nbogus = 3\n")
     assert "line 2" in str(exc.value)
+    # keys of the removed solver options are unknown keys too
+    for line in ("solver = direct", "solver_tol = 1e-9",
+                 "sigma_diffusion_coeff_one = true"):
+        with pytest.raises(ConfigError, match="line 2: unknown key"):
+            parse_config(f"scenario = energy-decay\n{line}\n")
 
 
 def test_parse_bad_value_reports_line():
@@ -78,8 +82,7 @@ def test_parse_bad_scenario_names():
 
 def test_config_roundtrip():
     cfg = RunConfig(scenario="exponent-k:0.4", nx=24, dt=2e-3, t_final=0.75,
-                    co=10.0, w=(2.0, 1.0, 1.0, 2.0), solver="iterative",
-                    solver_tol=1e-9, clamp_viscosity=False,
+                    co=10.0, w=(2.0, 1.0, 1.0, 2.0), clamp_viscosity=False,
                     neutralize_net_charge=True, out_dir="out",
                     snapshot_times=(0.1, 0.5))
     text = emit_config(cfg)
@@ -89,19 +92,6 @@ def test_config_roundtrip():
 def test_mu_ordering_validated():
     with pytest.raises(ConfigError):
         parse_config("mu0 = 0.4\nmu_inf = 0.5\n")
-
-
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.delenv("SPNP_THREADS", raising=False)
-    assert worker_cap() is None
-    monkeypatch.setenv("SPNP_THREADS", "4")
-    assert worker_cap() == 4
-    monkeypatch.setenv("SPNP_THREADS", "0")
-    with pytest.raises(ConfigError):
-        worker_cap()
-    monkeypatch.setenv("SPNP_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        worker_cap()
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +238,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg.write_text("re = -2\n")
     assert cli_main(["run", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+    cfg.write_text("solver = direct\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    assert "unknown key 'solver'" in capsys.readouterr().err
 
 
 def test_cli_missing_config_is_config_error(tmp_path):

@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
-from spnpflow.errors import ConvergenceFailure, SingularMatrixError
-from spnpflow.fem import assemble, basis_integrals, zero_mean_system
-from spnpflow.mesh import build_rect_mesh, dof_map
-from spnpflow.sparse import (SparseMatrix, solve_direct, solve_iterative,
-                             spmv)
+from spnpflow.errors import SingularMatrixError
+from spnpflow.sparse import SparseMatrix, solve_direct
 
 
-def random_sparse(n, density, seed, spd=False):
+def random_sparse(n, density, seed):
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n, n))
     dense[rng.random((n, n)) > density] = 0.0
-    if spd:
-        dense = dense @ dense.T + n * np.eye(n)
-    else:
-        dense += n * np.eye(n)   # diagonally dominant, safely nonsingular
+    dense += n * np.eye(n)   # diagonally dominant, safely nonsingular
     rows, cols = np.nonzero(dense)
     return SparseMatrix.from_coo(n, n, rows, cols, dense[rows, cols]), dense
 
@@ -35,30 +29,6 @@ def test_csr_invariants():
     for r in range(A.n_rows):
         cols = A.col_indices[A.row_offsets[r]:A.row_offsets[r + 1]]
         assert (np.diff(cols) > 0).all()
-
-
-def test_spmv_identity():
-    A = SparseMatrix.identity(5)
-    x = np.arange(5.0)
-    assert np.array_equal(spmv(A, x), x)
-
-
-def test_spmv_hand_case():
-    A = SparseMatrix.from_coo(2, 2, [0, 0, 1], [0, 1, 1], [2.0, 1.0, 3.0])
-    assert np.array_equal(spmv(A, np.ones(2)), [3.0, 3.0])
-
-
-def test_spmv_against_dense():
-    A, dense = random_sparse(50, 0.1, seed=11)
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(50)
-    assert np.abs(spmv(A, x) - dense @ x).max() <= 1e-13
-
-
-def test_spmv_dimension_mismatch():
-    A = SparseMatrix.identity(4)
-    with pytest.raises(ValueError):
-        spmv(A, np.ones(5))
 
 
 def test_solve_direct_identity():
@@ -99,62 +69,10 @@ def test_solve_direct_zero_rhs():
     assert report.residual == 0.0
 
 
-def test_iterative_diagonal_spd():
-    A = SparseMatrix.from_coo(5, 5, range(5), range(5),
-                              np.arange(1.0, 6.0))
-    x, report = solve_iterative(A, np.ones(5), spd=True, tol=1e-12)
-    assert np.allclose(x, 1.0 / np.arange(1.0, 6.0), atol=1e-12)
-    assert report.method == "cg"
-    assert report.residual <= 1e-12
-
-
-def test_iterative_neumann_laplacian_matches_direct():
-    mesh = build_rect_mesh(0, 1, 0, 1, 6, 6)
-    p1 = dof_map(mesh, 1)
-    K = assemble("stiffness", p1, p1, mesh)
-    w = basis_integrals(p1, mesh)
-    aug = zero_mean_system(K, w)
-    rng = np.random.default_rng(2)
-    b = rng.standard_normal(p1.n_dofs)
-    b -= b.mean()
-    rhs = np.concatenate([b, [0.0]])
-    x_direct, _ = solve_direct(aug, rhs)
-    x_iter, _ = solve_iterative(aug, rhs, spd=False, tol=1e-12, maxit=5000)
-    assert np.abs(x_iter - x_direct).max() <= 1e-9
-
-
-def test_iterative_maxit_exceeded():
-    A, _ = random_sparse(40, 0.3, seed=9)
-    with pytest.raises(ConvergenceFailure) as exc:
-        solve_iterative(A, np.ones(40), spd=False, tol=1e-14, maxit=1)
-    assert exc.value.report.iterations == 1
-    assert exc.value.report.residual > 0
-
-
 def test_direct_then_spmv_roundtrip():
     for seed in range(4):
         A, _ = random_sparse(25, 0.25, seed=seed)
         rng = np.random.default_rng(100 + seed)
         b = rng.standard_normal(25)
         x, _ = solve_direct(A, b)
-        assert np.linalg.norm(spmv(A, x) - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_iterative_agrees_with_direct_on_scheme_system():
-    # transport-like system: mass + stiffness, nonsymmetric advection
-    mesh = build_rect_mesh(0, 1, 0, 1, 8, 8)
-    p2 = dof_map(mesh, 2)
-    from spnpflow import fem
-    b_adv = np.broadcast_to(np.array([1.0, 0.5]),
-                            fem.quad_points_physical(mesh).shape).copy()
-    A = assemble("mass", p2, p2, mesh) \
-        + assemble("stiffness", p2, p2, mesh) \
-        + assemble("advection", p2, p2, mesh, b_adv)
-    assert A.n_rows <= 2000
-    rng = np.random.default_rng(4)
-    b = rng.standard_normal(A.n_rows)
-    tol = 1e-11
-    x_dir, _ = solve_direct(A, b)
-    x_it, _ = solve_iterative(A, b, spd=False, tol=tol, maxit=10000)
-    assert np.linalg.norm(x_it - x_dir) \
-        <= 10 * tol * max(np.linalg.norm(x_dir), 1.0)
+        assert np.linalg.norm(A.to_scipy() @ x - b) <= 1e-10 * np.linalg.norm(b)
