@@ -17,6 +17,6 @@ from .model import (DiagnosticsRecord, Params, State, carreau_viscosity,
                     discrete_energy, energy_spnp, min_concentration,
                     nondimensionalize, species_mass)
 from .scheme import SourcePack, Stepper
-from .sparse import SolveReport, SparseMatrix, factorize, solve_direct
+from .sparse import SolveReport, factorize, solve_direct
 
 __version__ = "0.1.0"

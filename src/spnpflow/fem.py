@@ -3,8 +3,8 @@
 Assembly is vectorized over all triangles at once: basis values are tabulated
 on the reference triangle, pushed to physical gradients per cell through the
 (affine) Jacobian, and contracted with quadrature weights via einsum.  Every
-matrix is accumulated as coordinate triplets and compressed to CSR once, with
-duplicates summed.
+matrix is accumulated as coordinate triplets and compressed to SciPy CSR once,
+with duplicates summed.
 
 Nonlinear coefficients are always point values at quadrature points, taken
 from the finite-element expansions of their fields.
@@ -252,15 +252,20 @@ def _coeff_array(coeff, mesh):
     return np.asarray(coeff)
 
 
+def _csr(n_rows, n_cols, rows, cols, values):
+    """Canonical SciPy CSR matrix from triplets, duplicates summed."""
+    return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, values).to_scipy()
+
+
 def _scatter_matrix(local, test_cells, trial_cells, n_test, n_trial):
     n_el, nb_t, nb_s = local.shape
     rows = np.repeat(test_cells, nb_s, axis=1).ravel()
     cols = np.tile(trial_cells, (1, nb_t)).ravel()
-    return SparseMatrix.from_coo(n_test, n_trial, rows, cols, local.ravel())
+    return _csr(n_test, n_trial, rows, cols, local.ravel())
 
 
 def assemble(form, trial, test, mesh, coeff=None):
-    """Assemble a bilinear form into a sparse matrix (rows = test dofs).
+    """Assemble a bilinear form into a SciPy CSR matrix (rows = test dofs).
 
     Supported forms
     ---------------
@@ -326,7 +331,7 @@ def assemble(form, trial, test, mesh, coeff=None):
         rows = np.concatenate([rows_x, rows_y])
         cols2 = np.concatenate([cols, cols])
         vals = np.concatenate([bx.ravel(), by.ravel()])
-        return SparseMatrix.from_coo(2 * n_t, n_s, rows, cols2, vals)
+        return _csr(2 * n_t, n_s, rows, cols2, vals)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -334,17 +339,12 @@ def _vector_blocks(blocks, trial, test):
     n_t, n_s = test.n_dofs, trial.n_dofs
     nb_t = test.cell_to_dofs.shape[1]
     nb_s = trial.cell_to_dofs.shape[1]
-    rows_all, cols_all, vals_all = [], [], []
-    for (r, c), local in blocks.items():
-        rows = np.repeat(test.cell_to_dofs + r * n_t, nb_s, axis=1).ravel()
-        cols = np.tile(trial.cell_to_dofs + c * n_s, (1, nb_t)).ravel()
-        rows_all.append(rows)
-        cols_all.append(cols)
-        vals_all.append(local.ravel())
-    return SparseMatrix.from_coo(2 * n_t, 2 * n_s,
-                                 np.concatenate(rows_all),
-                                 np.concatenate(cols_all),
-                                 np.concatenate(vals_all))
+    rows = np.concatenate([np.repeat(test.cell_to_dofs + r * n_t, nb_s,
+                                     axis=1).ravel() for r, _ in blocks])
+    cols = np.concatenate([np.tile(trial.cell_to_dofs + c * n_s,
+                                   (1, nb_t)).ravel() for _, c in blocks])
+    vals = np.concatenate([local.ravel() for local in blocks.values()])
+    return _csr(2 * n_t, 2 * n_s, rows, cols, vals)
 
 
 def _functional_array(coeff, mesh, vector=False):
@@ -400,7 +400,7 @@ def assemble_vector(functional, test, mesh, coeff):
 
 
 def apply_dirichlet(A, b, dofs, values, symmetric=False):
-    """Impose Dirichlet values by row replacement.
+    """Impose Dirichlet values on a SciPy CSR matrix by row replacement.
 
     Rows listed in ``dofs`` become identity rows and the matching entries of
     ``b`` are set to ``values``.  With ``symmetric=True`` the columns are
@@ -412,14 +412,14 @@ def apply_dirichlet(A, b, dofs, values, symmetric=False):
     if dofs.size == 0:
         return A, b
     values = np.broadcast_to(np.asarray(values, dtype=np.float64), dofs.shape)
-    m = A.to_scipy().tocsr(copy=True)
+    m = A.tocsr(copy=True)
     if symmetric:
-        xk = np.zeros(A.n_cols)
+        xk = np.zeros(m.shape[1])
         xk[dofs] = values
         b -= m @ xk
         mask_cols = np.isin(m.indices, dofs)
         m.data[mask_cols] = 0.0
-    row_mask = np.zeros(A.n_rows, dtype=bool)
+    row_mask = np.zeros(m.shape[0], dtype=bool)
     row_mask[dofs] = True
     nnz_rows = np.repeat(row_mask, np.diff(m.indptr))
     m.data[nnz_rows] = 0.0
@@ -428,7 +428,7 @@ def apply_dirichlet(A, b, dofs, values, symmetric=False):
     m = (m + eye.tocsr()).tocsr()
     m.sort_indices()
     b[dofs] = values
-    return SparseMatrix.from_scipy(m), b
+    return m, b
 
 
 def zero_mean_system(A, weight):
@@ -437,12 +437,12 @@ def zero_mean_system(A, weight):
     ``weight`` is the vector of basis-function integrals, so the constraint
     enforces a zero quadrature mean exactly.
     """
-    n = A.n_rows
-    s = A.to_scipy().tocoo()
+    n = A.shape[0]
+    s = A.tocoo()
     rows = np.concatenate([s.row, np.full(n, n), np.arange(n)])
     cols = np.concatenate([s.col, np.arange(n), np.full(n, n)])
     vals = np.concatenate([s.data, weight, weight])
-    return SparseMatrix.from_coo(n + 1, n + 1, rows, cols, vals)
+    return _csr(n + 1, n + 1, rows, cols, vals)
 
 
 class ZeroMeanSolver:

@@ -45,21 +45,16 @@ class RunConfig:
     k: float | None = None
     b_shift: float | None = None
     w: tuple | None = None          # row-major steric matrix entries
-    clamp_viscosity: bool = True
     strict_energy: bool = False
-    xi_scales_dirichlet_potential: bool = True
     neutralize_net_charge: bool | None = None
     out_dir: str = "."
     snapshot_times: tuple = ()
 
 
-_BOOL_KEYS = {"clamp_viscosity", "strict_energy",
-              "xi_scales_dirichlet_potential", "neutralize_net_charge"}
+_BOOL_KEYS = {"strict_energy", "neutralize_net_charge"}
 _INT_KEYS = {"nx", "ny"}
 _FLOAT_KEYS = {"dt", "t_final", "re", "pe", "co", "lam", "mu0", "mu_inf",
                "lambda1", "k", "b_shift"}
-_POSITIVE_KEYS = {"dt", "t_final", "re", "pe", "co", "lam", "mu0", "mu_inf",
-                  "k", "b_shift"}
 _STR_KEYS = {"scenario", "out_dir"}
 _TUPLE_KEYS = {"w", "snapshot_times"}
 _ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _TUPLE_KEYS
@@ -111,24 +106,18 @@ def parse_config(text):
 
 
 def _validate(cfg):
-    for key in _POSITIVE_KEYS:
-        v = getattr(cfg, key)
-        if v is not None and v <= 0:
-            raise ConfigError(f"'{key}' must be positive, got {v}")
-    if cfg.lambda1 is not None and cfg.lambda1 < 0:
-        raise ConfigError(f"'lambda1' must be nonnegative, got {cfg.lambda1}")
+    """Check a config by building its scenario; ``Params`` validates the
+    parameter values."""
     for key in _INT_KEYS:
         v = getattr(cfg, key)
         if v is not None and v < 1:
             raise ConfigError(f"'{key}' must be >= 1, got {v}")
-    if cfg.mu0 is not None and cfg.mu_inf is not None \
-            and not cfg.mu0 > cfg.mu_inf:
-        raise ConfigError("'mu0' must exceed 'mu_inf'")
-    if cfg.w is not None:
-        n = int(round(len(cfg.w) ** 0.5))
-        if n * n != len(cfg.w):
-            raise ConfigError("'w' must hold a square matrix row-major")
-    _parse_scenario_name(cfg.scenario)
+    try:
+        build_scenario(cfg)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"invalid parameters: {exc}") from exc
 
 
 def emit_config(cfg):
@@ -313,11 +302,7 @@ def run_config(cfg):
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     mesh = scen.build_mesh()
-    stepper = scen.make_stepper(
-        mesh=mesh,
-        clamp_viscosity=cfg.clamp_viscosity,
-        strict_energy=cfg.strict_energy,
-        xi_scales_dirichlet_potential=cfg.xi_scales_dirichlet_potential)
+    stepper = scen.make_stepper(mesh=mesh, strict_energy=cfg.strict_energy)
     snaps = []
 
     def snapshot_cb(state, t):

@@ -82,25 +82,16 @@ class Stepper:
         "zero_mean" (homogeneous Neumann potential, unique up to the mean) or
         "dirichlet_lr" (potential fixed to 1 at x=xmin and 0 at x=xmax,
         natural elsewhere).
-    clamp_viscosity : bool
-        Clamp the extrapolated viscosity below at mu_inf; required by the
-        discrete energy estimate, switch off to reproduce the raw
-        extrapolation formula.
     neutralize_net_charge : bool
         Let the potential solve absorb a net-charge imbalance into its
         multiplier (logged) instead of raising.
-    xi_scales_dirichlet_potential : bool
-        In dirichlet_lr mode, scale the full potential by the auxiliary
-        ratio; when False only the part above the harmonic lift is scaled.
     check_mass / check_energy : bool
         Per-step structure assertions; manufactured runs disable the mass
         check because renormalization follows the forced exact mass.
     """
 
     def __init__(self, mesh, params, *, bc_mode="zero_mean",
-                 clamp_viscosity=True, strict_energy=False,
-                 neutralize_net_charge=False,
-                 xi_scales_dirichlet_potential=True,
+                 strict_energy=False, neutralize_net_charge=False,
                  check_mass=True, check_energy=True,
                  sources=None, mass_schedule=None):
         if bc_mode not in ("zero_mean", "dirichlet_lr"):
@@ -108,10 +99,8 @@ class Stepper:
         self.mesh = mesh
         self.params = params
         self.bc_mode = bc_mode
-        self.clamp_viscosity = clamp_viscosity
         self.strict_energy = strict_energy
         self.neutralize_net_charge = neutralize_net_charge
-        self.xi_scales_dirichlet_potential = xi_scales_dirichlet_potential
         self.check_mass = check_mass
         self.check_energy = check_energy
         self.sources = sources
@@ -131,22 +120,13 @@ class Stepper:
         self.Ddiv = fem.assemble("div_coupling", self.p1, self.p2, mesh)
         self.m2 = fem.basis_integrals(self.p2, mesh)
         self.m1 = fem.basis_integrals(self.p1, mesh)
-
-        # scipy views for the repeated products in the time loop
-        self._M2s = self.M2.to_scipy()
-        self._K2s = self.K2.to_scipy()
-        self._Mvs = self.Mv.to_scipy()
-        self._K1s = self.K1.to_scipy()
-        self._Cxs = self.Cx.to_scipy()
-        self._Cys = self.Cy.to_scipy()
-        self._CxTs = self._Cxs.T.tocsr()
-        self._CyTs = self._Cys.T.tocsr()
-        self._Ddivs = self.Ddiv.to_scipy()
+        self._CxT = self.Cx.T.tocsr()
+        self._CyT = self.Cy.T.tocsr()
 
         self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1)
         self._m2_solver = factorize(self.M2)
 
-        lamK2 = self.K2.scaled(params.lam)
+        lamK2 = params.lam * self.K2
         if bc_mode == "zero_mean":
             self._pot_solver = fem.ZeroMeanSolver(lamK2, self.m2)
             self._pot_dofs = None
@@ -160,10 +140,6 @@ class Stepper:
             A_V, _ = fem.apply_dirichlet(lamK2, np.zeros(n2),
                                          self._pot_dofs, self._pot_vals)
             self._pot_solver = factorize(A_V)
-            # harmonic lift, used when xi only scales the homogeneous part
-            lift, _ = self._pot_solver.solve(
-                self._dirichlet_rhs(np.zeros(n2)))
-            self._v_lift = fem.Field(self.p2, lift)
 
         bd = self.p2.boundary_dofs
         self.vec_bdofs = np.concatenate([bd, bd + n2])
@@ -242,9 +218,9 @@ class Stepper:
                 vals = 2.0 * vals - model.conc_values(o.c[i], mesh)
             c_star_quad.append(vals)
         v_star = extrap(n.v, o.v if o else None)
-        mu_star = n.mu_q if bdf1 else 2.0 * n.mu_q - o.mu_q
-        if self.clamp_viscosity:
-            mu_star = np.maximum(mu_star, self.params.mu_inf)
+        # clamped at mu_inf, as the discrete energy estimate requires
+        mu_star = np.maximum(n.mu_q if bdf1 else 2.0 * n.mu_q - o.mu_q,
+                             self.params.mu_inf)
         return StepWorkspace(
             u_star_vals=fem.eval_values(u_star, mesh),
             u_star_grads=fem.eval_grads(u_star, mesh),
@@ -276,16 +252,16 @@ class Stepper:
                 b = b - (w[species, j] / pe) \
                     * c_star_vals[j][..., None] * grad_sig_star[j]
 
-        A = self.M2.scaled(a0 / dt) \
+        A = (a0 / dt) * self.M2 \
             + fem.assemble("advection", p2, p2, mesh, b) \
-            + self.K2.scaled(1.0 / pe)
+            + (1.0 / pe) * self.K2
         wii = w[species, species]
         if wii != 0.0:
-            A = A + fem.assemble("stiffness", p2, p2, mesh,
-                                 coeff=c_star_vals[species]).scaled(wii / pe)
+            A = A + (wii / pe) * fem.assemble("stiffness", p2, p2, mesh,
+                                              coeff=c_star_vals[species])
 
-        rhs = self._M2s @ hist[species] / dt
-        rhs -= (zi / pe) * (self._K2s @ ws.v_star.coefficients)
+        rhs = self.M2 @ hist[species] / dt
+        rhs -= (zi / pe) * (self.K2 @ ws.v_star.coefficients)
         flux = None
         for j in range(params.n_species):
             if j != species and w[species, j] != 0.0:
@@ -345,7 +321,7 @@ class Stepper:
         p2 = self.p2
 
         Kdef = fem.assemble("deformation", p2, p2, mesh, coeff=ws.mu_star)
-        A = self.Mv.scaled(a0 / dt) + Kdef.scaled(1.0 / params.re)
+        A = (a0 / dt) * self.Mv + (1.0 / params.re) * Kdef
 
         adv = np.einsum("eqj,eqkj->eqk", ws.u_star_vals, ws.u_star_grads)
         adv_vec = fem.assemble_vector("vector_source", p2, mesh, adv)
@@ -357,7 +333,7 @@ class Stepper:
         coul = rho_c[..., None] * fem.eval_grads(vbar_new, mesh)
         coul_vec = fem.assemble_vector("vector_source", p2, mesh, coul)
 
-        rhs1 = self._Mvs @ hist_u / dt + self._Ddivs @ self.curr.p.coefficients
+        rhs1 = self.Mv @ hist_u / dt + self.Ddiv @ self.curr.p.coefficients
         if self.sources is not None and self.sources.f_u is not None:
             fu = self.sources.f_u
             rhs1 += fem.assemble_vector("vector_source", p2, mesh,
@@ -373,7 +349,7 @@ class Stepper:
         u2 = solver.solve(rhs2)[0]
         ws.u1_tilde = fem.Field(p2, u1, components=2)
         ws.u2_tilde = fem.Field(p2, u2, components=2)
-        self._Kdef_s = Kdef.to_scipy()
+        self._Kdef = Kdef
         self._adv_vec = adv_vec
         self._coul_vec = coul_vec
         return ws.u1_tilde, ws.u2_tilde
@@ -445,12 +421,7 @@ class Stepper:
         """Recombine: r, scaled potential, and the composite velocity."""
         xi = ws.xi
         r_new = xi * sqrt_eb
-        if self.bc_mode == "dirichlet_lr" and not self.xi_scales_dirichlet_potential:
-            v_new = fem.Field(self.p2, self._v_lift.coefficients
-                              + xi * (vbar_new.coefficients
-                                      - self._v_lift.coefficients))
-        else:
-            v_new = fem.Field(self.p2, xi * vbar_new.coefficients)
+        v_new = fem.Field(self.p2, xi * vbar_new.coefficients)
         u_tilde = fem.Field(self.p2,
                             ws.u1_tilde.coefficients
                             + xi * ws.u2_tilde.coefficients, components=2)
@@ -462,7 +433,7 @@ class Stepper:
         dt = self.params.dt
         ux = u_tilde.component(0)
         uy = u_tilde.component(1)
-        rhs = (a0 / dt) * (self._CxTs @ ux + self._CyTs @ uy)
+        rhs = (a0 / dt) * (self._CxT @ ux + self._CyT @ uy)
         sol, _, _ = self._psi_solver.solve(rhs, subtract_mean=True)
         return fem.Field(self.p1, sol)
 
@@ -472,9 +443,9 @@ class Stepper:
         dt = params.dt
         scale = dt / a0
         ux = self._m2_solver.solve(
-            self._M2s @ ws.u_tilde.component(0) - scale * (self._Cxs @ psi.coefficients))[0]
+            self.M2 @ ws.u_tilde.component(0) - scale * (self.Cx @ psi.coefficients))[0]
         uy = self._m2_solver.solve(
-            self._M2s @ ws.u_tilde.component(1) - scale * (self._Cys @ psi.coefficients))[0]
+            self.M2 @ ws.u_tilde.component(1) - scale * (self.Cy @ psi.coefficients))[0]
         u_new = fem.Field(self.p2, np.concatenate([ux, uy]), components=2)
         p_new = fem.Field(self.p1, psi.coefficients + self.curr.p.coefficients)
         p_new.coefficients -= fem.mean_value(p_new, self.mesh)
@@ -525,7 +496,7 @@ class Stepper:
                           r=r_new, xi=float(xi))
 
         visc = float(u_tilde.coefficients
-                     @ (self._Kdef_s @ u_tilde.coefficients)) / params.re
+                     @ (self._Kdef @ u_tilde.coefficients)) / params.re
         ionic = xi ** 2 * (params.co / params.pe) * g_total
         self._log_identities(ws, psi, hist_u, a0, t_new)
         self._run_checks(new, targets)
@@ -593,14 +564,14 @@ class Stepper:
         params = self.params
         dt = params.dt
         ut = ws.u_tilde
-        div_vec = self._CxTs @ ut.component(0) + self._CyTs @ ut.component(1)
-        d = div_vec - (dt / a0) * (self._K1s @ psi.coefficients)
+        div_vec = self._CxT @ ut.component(0) + self._CyT @ ut.component(1)
+        d = div_vec - (dt / a0) * (self.K1 @ psi.coefficients)
         div_rel = np.linalg.norm(d) / max(np.linalg.norm(div_vec), 1e-300)
 
-        lhs = (a0 / dt) * (self._Mvs @ ut.coefficients) \
-            + (self._Kdef_s @ ut.coefficients) / params.re
-        rhs = self._Mvs @ hist_u / dt \
-            + self._Ddivs @ self.curr.p.coefficients \
+        lhs = (a0 / dt) * (self.Mv @ ut.coefficients) \
+            + (self._Kdef @ ut.coefficients) / params.re
+        rhs = self.Mv @ hist_u / dt \
+            + self.Ddiv @ self.curr.p.coefficients \
             - ws.xi * self._adv_vec - params.co * ws.xi * self._coul_vec
         if self.sources is not None and self.sources.f_u is not None:
             fu = self.sources.f_u
@@ -636,7 +607,7 @@ class Stepper:
             e_ref = abs(self.records[0].e_total)
             if e_new > e_old + ENERGY_RTOL * e_ref:
                 msg = (f"discrete energy increased at step {step}: "
-                       f"{e_old!r} -> {e_new!r}")
+                       f"{float(e_old)!r} -> {float(e_new)!r}")
                 if self.strict_energy:
                     raise StructuralViolation(msg, step=step,
                                               quantity="energy")

@@ -1,7 +1,7 @@
-"""Compressed-row sparse matrices and the direct solver used by the scheme.
+"""COO-to-CSR compression for assembly, and the direct solver of the scheme.
 
-Storage is plain CSR held in numpy arrays.  Every linear system is solved by
-sparse LU (SuperLU through scipy), with each solution's residual checked.
+Every linear system, a SciPy sparse matrix, is solved by sparse LU (SuperLU
+through scipy), with each solution's residual checked.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ class SolveReport:
 
 
 class SparseMatrix:
-    """Square or rectangular sparse matrix in compressed-row form.
+    """Compressed-row form of assembled coordinate triplets.
 
     Invariants: ``row_offsets`` is nondecreasing with
     ``row_offsets[n_rows] == nnz`` and column indices are strictly increasing
-    within each row.  Instances are immutable after construction.
+    within each row.  Instances are immutable after construction, and
+    :meth:`to_scipy` shares the read-only arrays.
     """
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
@@ -56,30 +57,25 @@ class SparseMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
+        # temporaries are dropped as soon as they are used: on large meshes
+        # they set the peak memory of assembly
         order = np.lexsort((cols, rows))
         rows, cols, values = rows[order], cols[order], values[order]
+        del order
         if rows.size:
             keep = np.empty(rows.size, dtype=bool)
             keep[0] = True
             keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            idx = np.cumsum(keep) - 1
+            idx = np.cumsum(keep)
+            idx -= 1
             summed = np.zeros(idx[-1] + 1)
             np.add.at(summed, idx, values)
+            del idx, values
             rows, cols, values = rows[keep], cols[keep], summed
         offsets = np.zeros(n_rows + 1, dtype=np.int64)
         np.add.at(offsets, rows + 1, 1)
         offsets = np.cumsum(offsets)
         return cls(n_rows, n_cols, offsets, cols, values)
-
-    @classmethod
-    def from_scipy(cls, m):
-        m = m.tocsr()
-        m.sort_indices()
-        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, np.arange(n + 1), np.arange(n), np.ones(n))
 
     @property
     def nnz(self):
@@ -93,24 +89,14 @@ class SparseMatrix:
         return sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
                              shape=self.shape)
 
-    def toarray(self):
-        return self.to_scipy().toarray()
-
-    def __add__(self, other):
-        return SparseMatrix.from_scipy(self.to_scipy() + other.to_scipy())
-
-    def scaled(self, alpha):
-        return SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
-                            self.col_indices, alpha * self.values)
-
 
 class Factorization:
     """Direct LU factorization reusable for several right-hand sides."""
 
     def __init__(self, A):
-        if A.n_rows != A.n_cols:
+        if A.shape[0] != A.shape[1]:
             raise ValueError("direct solver needs a square matrix")
-        self._As = A.to_scipy()
+        self._As = A.tocsr()
         try:
             self._lu = spla.splu(self._As.tocsc())
         except RuntimeError as exc:  # SuperLU reports exact singularity this way

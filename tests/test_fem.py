@@ -188,7 +188,7 @@ def test_vecflux_matches_stiffness_product(unit_mesh):
     p2 = dof_map(unit_mesh, 2)
     V = interpolate(lambda x, y: x, p2)
     K = assemble("stiffness", p2, p2, unit_mesh)
-    expected = K.to_scipy() @ V.coefficients
+    expected = K @ V.coefficients
     gradv = fem.eval_grads(V, unit_mesh)
     b = assemble_vector("vecflux", p2, unit_mesh, gradv)
     assert np.abs(b - expected).max() <= 1e-13
@@ -211,7 +211,7 @@ def test_mass_row_sums_are_basis_integrals(unit_mesh):
     for order in (1, 2):
         dm = dof_map(unit_mesh, order)
         M = assemble("mass", dm, dm, unit_mesh)
-        row_sums = M.to_scipy() @ np.ones(dm.n_dofs)
+        row_sums = M @ np.ones(dm.n_dofs)
         assert np.abs(row_sums - basis_integrals(dm, unit_mesh)).max() <= 1e-13
         assert abs(row_sums.sum() - unit_mesh.area) <= 1e-13
 
@@ -223,7 +223,7 @@ def test_advection_skew_on_divergence_free_field(unit_mesh):
     b_field = interpolate(lambda x, y: (x * x, -2.0 * x * y), p2,
                           components=2)
     b = fem.eval_values(b_field, unit_mesh)
-    A = assemble("advection", p2, p2, unit_mesh, b).to_scipy()
+    A = assemble("advection", p2, p2, unit_mesh, b)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(p2.n_dofs)
     x[p2.boundary_dofs] = 0.0
@@ -279,6 +279,44 @@ def test_apply_dirichlet_symmetric_elimination(unit_mesh):
     x1, _ = solve_direct(A1, b1)
     x2, _ = solve_direct(A2, b2)
     assert np.abs(x1 - x2).max() <= 1e-11
+
+
+def _assert_canonical_csr(A, shape):
+    assert A.format == "csr"
+    assert A.has_canonical_format
+    assert A.shape == shape
+
+
+@pytest.mark.parametrize("form,trial_order,test_order,block", [
+    ("mass", 2, 2, (1, 1)),
+    ("stiffness", 1, 1, (1, 1)),
+    ("grad_x", 1, 2, (1, 1)),
+    ("vector_mass", 2, 2, (2, 2)),
+    ("deformation", 2, 2, (2, 2)),
+    ("div_coupling", 1, 2, (2, 1)),
+])
+def test_matrix_contract_assemble(unit_mesh, form, trial_order, test_order,
+                                  block):
+    # assembled matrices are canonical SciPy CSR and stay read-only
+    trial = dof_map(unit_mesh, trial_order)
+    test = dof_map(unit_mesh, test_order)
+    A = assemble(form, trial, test, unit_mesh)
+    _assert_canonical_csr(A, (block[0] * test.n_dofs,
+                              block[1] * trial.n_dofs))
+    assert not A.data.flags.writeable
+
+
+def test_matrix_contract_constraints(unit_mesh):
+    p2 = dof_map(unit_mesh, 2)
+    n = p2.n_dofs
+    K = assemble("stiffness", p2, p2, unit_mesh)
+    for symmetric in (False, True):
+        A, _ = apply_dirichlet(K, np.ones(n), p2.boundary_dofs, 0.5,
+                               symmetric=symmetric)
+        _assert_canonical_csr(A, (n, n))
+    Z = fem.zero_mean_system(K, basis_integrals(p2, unit_mesh))
+    _assert_canonical_csr(Z, (n + 1, n + 1))
+    assert np.array_equal(Z[:n, :n].toarray(), K.toarray())
 
 
 def test_solve_zero_mean_zero_rhs(unit_mesh):

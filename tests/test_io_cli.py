@@ -35,7 +35,6 @@ def test_parse_defaults_energy_decay():
 def test_parse_empty_document_defaults():
     cfg = parse_config("")
     assert cfg.scenario == "energy-decay"
-    assert cfg.clamp_viscosity is True
     assert cfg.strict_energy is False
 
 
@@ -49,9 +48,11 @@ def test_parse_unknown_key_has_line_number():
     with pytest.raises(ConfigError) as exc:
         parse_config("scenario = energy-decay\nbogus = 3\n")
     assert "line 2" in str(exc.value)
-    # keys of the removed solver options are unknown keys too
+    # keys of removed options are unknown keys too
     for line in ("solver = direct", "solver_tol = 1e-9",
-                 "sigma_diffusion_coeff_one = true"):
+                 "sigma_diffusion_coeff_one = true",
+                 "clamp_viscosity = false",
+                 "xi_scales_dirichlet_potential = false"):
         with pytest.raises(ConfigError, match="line 2: unknown key"):
             parse_config(f"scenario = energy-decay\n{line}\n")
 
@@ -82,7 +83,7 @@ def test_parse_bad_scenario_names():
 
 def test_config_roundtrip():
     cfg = RunConfig(scenario="exponent-k:0.4", nx=24, dt=2e-3, t_final=0.75,
-                    co=10.0, w=(2.0, 1.0, 1.0, 2.0), clamp_viscosity=False,
+                    co=10.0, w=(2.0, 1.0, 1.0, 2.0), strict_energy=True,
                     neutralize_net_charge=True, out_dir="out",
                     snapshot_times=(0.1, 0.5))
     text = emit_config(cfg)
@@ -241,6 +242,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg.write_text("solver = direct\n")
     assert cli_main(["run", "--config", str(cfg)]) == 1
     assert "unknown key 'solver'" in capsys.readouterr().err
+
+
+def test_cli_params_rejection_is_config_error(tmp_path, capsys):
+    # values only the parameter set can judge still exit 1 as config errors
+    cfg = tmp_path / "bad.cfg"
+    for body in ("mu0 = 0.4\n",            # energy-decay has mu_inf = 0.5
+                 "w = 1,2,3,4\n",          # not symmetric
+                 "w = 1,0,0,0,1,0,0,0,1\n"):   # 3x3 for two species
+        cfg.write_text(body)
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_cli_missing_config_is_config_error(tmp_path):

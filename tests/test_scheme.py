@@ -3,7 +3,8 @@ import pytest
 
 import oracles
 from spnpflow import fem, model
-from spnpflow.errors import CompatibilityError, PositivityError
+from spnpflow.errors import (CompatibilityError, PositivityError,
+                             StructuralViolation)
 from spnpflow.mesh import build_rect_mesh, dof_map
 from spnpflow.scheme import Stepper
 
@@ -313,9 +314,9 @@ def test_velocity_system_matches_dense_oracle():
     mu_poly = lambda x, y: 0.8 + 0.2 * x + 0.1 * y
     xy = fem.quad_points_physical(mesh)
     mu_q = mu_poly(xy[..., 0], xy[..., 1])
-    A = st.Mv.scaled(1.5 / params.dt) \
-        + fem.assemble("deformation", st.p2, st.p2, mesh,
-                       coeff=mu_q).scaled(1.0 / params.re)
+    A = (1.5 / params.dt) * st.Mv \
+        + (1.0 / params.re) * fem.assemble("deformation", st.p2, st.p2, mesh,
+                                           coeff=mu_q)
     dense = oracles.dense_mass(mesh, st.p2, st.p2) * (1.5 / params.dt)
     n = st.p2.n_dofs
     dense_vec = np.zeros((2 * n, 2 * n))
@@ -382,28 +383,38 @@ def test_bootstrap_required_before_step():
     st.step()
 
 
-def test_strict_energy_mode_raises_on_violation():
-    # forcing an energy rise through a manufactured-state perturbation is
-    # awkward; instead check the warning path stays silent on a clean run
+def test_strict_energy_mode_raises_on_violation(monkeypatch):
     import warnings
+    # a clean run stays silent
     st = uniform_stepper(n=3, strict_energy=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         st.run(n_steps=3)
 
+    # an energy that rises with time: strict mode raises, the default warns
+    exact_energy = model.discrete_energy
 
-def test_dirichlet_potential_scaling_variants():
-    # with the ratio pinned to 1 both policies coincide; with the
-    # homogeneous-only policy the lift never gets scaled
+    def rising_energy(new, old, params, mesh):
+        return exact_energy(new, old, params, mesh) + new.t
+
+    strict = uniform_stepper(n=3, strict_energy=True)
+    default = uniform_stepper(n=3)
+    monkeypatch.setattr(model, "discrete_energy", rising_energy)
+    with pytest.raises(StructuralViolation) as exc:
+        strict.run(n_steps=2)
+    assert exc.value.quantity == "energy"
+    assert exc.value.step == 1
+    assert "np.float64" not in str(exc.value)
+    with pytest.warns(RuntimeWarning, match="discrete energy increased"):
+        default.run(n_steps=2)
+
+
+def test_dirichlet_potential_scaled_by_xi():
+    # in dirichlet_lr mode the auxiliary ratio scales the full potential,
+    # boundary values included
     from spnpflow.scenarios import scenario_exponent_k
     scen = scenario_exponent_k(0.4, nx=6, dt=1e-3, t_final=2e-3)
-    st_full = scen.make_stepper()
-    st_hom = scen.make_stepper(xi_scales_dirichlet_potential=False)
-    st_full.run()
-    st_hom.run()
-    xi = st_hom.curr.xi
-    lift = st_hom._v_lift.coefficients
-    expected = lift + xi * (st_hom.curr.vbar.coefficients - lift)
-    assert np.abs(st_hom.curr.v.coefficients - expected).max() <= 1e-13
-    full_expected = st_full.curr.xi * st_full.curr.vbar.coefficients
-    assert np.abs(st_full.curr.v.coefficients - full_expected).max() <= 1e-13
+    st = scen.make_stepper()
+    st.run()
+    expected = st.curr.xi * st.curr.vbar.coefficients
+    assert np.abs(st.curr.v.coefficients - expected).max() <= 1e-13
