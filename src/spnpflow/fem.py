@@ -28,6 +28,7 @@ _W2, _A2 = 0.050844906370207305, 0.06308901449150253
 _W3, _A3, _B3 = 0.08285107561837142, 0.31035245103378606, 0.05314504984481544
 
 MAX_QUAD_DEGREE = 6
+COMP_RTOL = 1e-8   # allowed pairing of a zero-mean rhs with constants / ||b||
 
 
 @dataclass
@@ -452,22 +453,21 @@ class ZeroMeanSolver:
     vectors (the multiplier as last entry) is known only here.
     """
 
-    def __init__(self, A, weight, comp_rtol=1e-8):
-        self.comp_rtol = comp_rtol
+    def __init__(self, A, weight):
         self._lu = factorize(zero_mean_system(A, weight))
 
     def solve(self, b, subtract_mean=False):
         """Solve for right-hand side ``b``; returns (x, multiplier, report).
 
         The compatibility pairing of ``b`` with the constant function is
-        ``sum(b)``; when it exceeds ``comp_rtol * ||b||`` and
+        ``sum(b)``; when it exceeds ``COMP_RTOL * ||b||`` and
         ``subtract_mean`` is False a CompatibilityError is raised (for the
         potential equation this signals a net-charge imbalance).  With
         ``subtract_mean=True`` the multiplier absorbs the imbalance.
         """
         b = np.asarray(b, dtype=np.float64)
         imbalance = float(np.sum(b))
-        tol = self.comp_rtol * np.linalg.norm(b)
+        tol = COMP_RTOL * np.linalg.norm(b)
         if not subtract_mean and abs(imbalance) > tol:
             raise CompatibilityError(
                 f"right-hand side pairing with constants is {imbalance:.3e} "
@@ -476,10 +476,10 @@ class ZeroMeanSolver:
         return sol[:-1], float(sol[-1]), report
 
 
-def solve_zero_mean(A, b, weight, subtract_mean=False, comp_rtol=1e-8):
+def solve_zero_mean(A, b, weight, subtract_mean=False):
     """One-shot :class:`ZeroMeanSolver` solve; returns (x, multiplier,
     SolveReport)."""
-    return ZeroMeanSolver(A, weight, comp_rtol).solve(b, subtract_mean)
+    return ZeroMeanSolver(A, weight).solve(b, subtract_mean)
 
 
 def error_norm_l2(field, exact, mesh):

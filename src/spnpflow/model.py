@@ -43,16 +43,20 @@ class Params:
     t_final: float = 1.0
 
     def __post_init__(self):
+        # every test is written so that NaN fails it
         for name in ("re", "pe", "co", "lam", "dt", "t_final", "k"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not (self.mu0 > self.mu_inf > 0):
-            raise ValueError("need mu0 > mu_inf > 0")
-        if self.lambda1 < 0:
-            raise ValueError("lambda1 must be nonnegative")
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        if not (np.isfinite(self.mu0) and self.mu0 > self.mu_inf > 0):
+            raise ValueError("need finite mu0 > mu_inf > 0")
+        if not (np.isfinite(self.lambda1) and self.lambda1 >= 0):
+            raise ValueError("lambda1 must be nonnegative and finite")
         w = np.asarray(self.w_steric, dtype=np.float64)
         if w.shape != (self.n_species, self.n_species):
             raise ValueError("steric matrix shape must match species count")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("steric matrix entries must be finite")
         if not np.allclose(w, w.T, atol=1e-12):
             raise ValueError("steric matrix must be symmetric")
         if np.any(w < 0):
@@ -60,8 +64,9 @@ class Params:
         if np.linalg.eigvalsh(w).min() < -1e-12:
             raise ValueError("steric matrix must be positive semidefinite")
         object.__setattr__(self, "w_steric", w)
-        if self.b_shift is not None and self.b_shift <= 0:
-            raise ValueError("b_shift must be positive")
+        if self.b_shift is not None \
+                and not (np.isfinite(self.b_shift) and self.b_shift > 0):
+            raise ValueError("b_shift must be positive and finite")
 
     @property
     def n_species(self):
@@ -95,7 +100,9 @@ class State:
 
 @dataclass
 class DiagnosticsRecord:
-    """Per-step structure diagnostics."""
+    """Per-step structure diagnostics.  ``multiplier`` (the potential's
+    net-charge multiplier) is NaN with a Dirichlet potential; the identity
+    residuals and ``zeta2`` are NaN at level 0."""
 
     t: float
     e_total: float
@@ -106,27 +113,31 @@ class DiagnosticsRecord:
     r: float
     visc_dissip: float
     ionic_dissip: float
+    multiplier: float = np.nan
+    div_residual: float = np.nan
+    split_residual: float = np.nan
+    zeta2: float = np.nan
 
 
 class Concentration:
     """Strictly positive concentration stored as scale * exp(log-field).
 
     Nodal coefficients are materialized for dof-level access, but every
-    quadrature-point evaluation goes through the log field, so point values
-    stay positive even where a direct quadratic interpolant of a sharp front
-    would undershoot.
+    quadrature-point value goes through the log field, so point values stay
+    positive even where a direct quadratic interpolant of a sharp front
+    would undershoot.  The quadrature values ``quad`` are computed once, at
+    construction, and are read-only.
     """
 
-    def __init__(self, sigma, scale=1.0):
+    def __init__(self, sigma, scale, mesh):
         self.sigma = sigma
         self.scale = float(scale)
         self.dofmap = sigma.dofmap
         self.components = 1
         with np.errstate(over="ignore"):
             self.coefficients = self.scale * np.exp(sigma.coefficients)
-
-    def copy(self):
-        return Concentration(self.sigma.copy(), self.scale)
+        self.quad = self.scale * np.exp(fem.eval_values(sigma, mesh))
+        self.quad.setflags(write=False)
 
 
 def concentration_from_callable(fn, dofmap, mesh):
@@ -145,13 +156,13 @@ def concentration_from_callable(fn, dofmap, mesh):
         fn(xy[..., 0], xy[..., 1]), dtype=np.float64), xy.shape[:2]), mesh)
     sigma = fem.Field(dofmap, np.log(field.coefficients))
     raw_mass = fem.integrate(np.exp(fem.eval_values(sigma, mesh)), mesh)
-    return Concentration(sigma, target / raw_mass)
+    return Concentration(sigma, target / raw_mass, mesh)
 
 
 def conc_values(c, mesh):
     """Concentration values at quadrature points."""
     if isinstance(c, Concentration):
-        return c.scale * np.exp(fem.eval_values(c.sigma, mesh))
+        return c.quad
     return fem.eval_values(c, mesh)
 
 

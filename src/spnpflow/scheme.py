@@ -5,7 +5,7 @@ species), the mass renormalization, the electric potential, the two split
 velocity systems sharing one matrix, the auxiliary-variable ratio, the
 recombination updates, the pressure Poisson problem and the final
 correction.  The two-level method is bootstrapped with a single first-order
-step whose extrapolants are the level-0 values.
+step: the same formulas with the older level weighted zero.
 
 Structure checks (positivity, mass, solvability, energy decay) run after
 every step; mass and positivity violations abort, the energy check warns
@@ -53,15 +53,22 @@ class StepWorkspace:
     ``c_star_quad`` holds the extrapolated concentration values at
     quadrature points (differences of the positive point values; the
     extrapolant itself may dip negative, which is harmless since it only
-    ever appears as an explicit coefficient).
+    ever appears as an explicit coefficient).  ``rhs_u`` is the first split
+    momentum system's right-hand side before its boundary rows are set.
     """
 
     u_star_vals: np.ndarray
     u_star_grads: np.ndarray
     sigma_star: list
+    grad_sigma_star: list
     c_star_quad: list
     v_star: fem.Field
+    grad_v_star: np.ndarray
     mu_star: np.ndarray
+    Kdef: object = None
+    rhs_u: np.ndarray = None
+    adv_vec: np.ndarray = None
+    coul_vec: np.ndarray = None
     u1_tilde: fem.Field = None
     u2_tilde: fem.Field = None
     u_tilde: fem.Field = None
@@ -84,7 +91,7 @@ class Stepper:
         natural elsewhere).
     neutralize_net_charge : bool
         Let the potential solve absorb a net-charge imbalance into its
-        multiplier (logged) instead of raising.
+        multiplier (recorded per step) instead of raising.
     check_mass / check_energy : bool
         Per-step structure assertions; manufactured runs disable the mass
         check because renormalization follows the forced exact mass.
@@ -150,8 +157,6 @@ class Stepper:
         self.mass0 = None
         self.step_index = 0
         self.records = []
-        self.identity_log = []
-        self.potential_multiplier_log = []
 
     # ------------------------------------------------------------------
     # setup
@@ -173,7 +178,7 @@ class Stepper:
             p0 = fem.interpolate(p0_fn, self.p1)
             p0.coefficients -= fem.mean_value(p0, mesh)
 
-        vbar0 = self.solve_potential(c0, t=0.0)
+        vbar0, multiplier = self.solve_potential(c0, t=0.0)
         e0 = model.energy_spnp(c0, vbar0, params, mesh)
         self.b_shift = model.resolve_b_shift(params, e0)
         r0 = np.sqrt(e0 + self.b_shift)
@@ -185,7 +190,8 @@ class Stepper:
         self.prev = None
         self.step_index = 0
         self.records = [self._record(self.curr, self.curr, xi=1.0,
-                                     visc=0.0, ionic=0.0, e_spnp=e0)]
+                                     visc_dissip=0.0, ionic_dissip=0.0,
+                                     e_spnp=e0, multiplier=multiplier)]
         return self.curr
 
     def _mass_targets(self, t):
@@ -198,35 +204,35 @@ class Stepper:
     # ------------------------------------------------------------------
 
     def make_workspace(self, bdf1=False):
-        """Extrapolated fields for the next step (level-0 values when bdf1)."""
+        """Extrapolated fields 2 f^n - f^{n-1} for the next step; the
+        bootstrap (``bdf1``) weights the older level zero, giving f^n."""
         mesh = self.mesh
-        n, o = self.curr, self.prev
+        n = self.curr
+        o, e = (n, 0.0) if bdf1 else (self.prev, 1.0)
 
         def extrap(fn, fo):
-            if bdf1:
-                return fn.copy()
-            return fem.Field(fn.dofmap, 2.0 * fn.coefficients - fo.coefficients,
-                             fn.components)
+            return (1.0 + e) * fn - e * fo
 
-        u_star = extrap(n.u, o.u if o else None)
-        sigma_star = [extrap(n.sigma[i], o.sigma[i] if o else None)
-                      for i in range(self.params.n_species)]
-        c_star_quad = []
-        for i in range(self.params.n_species):
-            vals = model.conc_values(n.c[i], mesh)
-            if not bdf1:
-                vals = 2.0 * vals - model.conc_values(o.c[i], mesh)
-            c_star_quad.append(vals)
-        v_star = extrap(n.v, o.v if o else None)
+        def extrap_field(f, fo):
+            return fem.Field(f.dofmap, extrap(f.coefficients, fo.coefficients),
+                             f.components)
+
+        u_star = extrap_field(n.u, o.u)
+        sigma_star = [extrap_field(s, so) for s, so in zip(n.sigma, o.sigma)]
+        v_star = extrap_field(n.v, o.v)
+        c_star_quad = [extrap(model.conc_values(c, mesh),
+                              model.conc_values(co, mesh))
+                       for c, co in zip(n.c, o.c)]
         # clamped at mu_inf, as the discrete energy estimate requires
-        mu_star = np.maximum(n.mu_q if bdf1 else 2.0 * n.mu_q - o.mu_q,
-                             self.params.mu_inf)
+        mu_star = np.maximum(extrap(n.mu_q, o.mu_q), self.params.mu_inf)
         return StepWorkspace(
             u_star_vals=fem.eval_values(u_star, mesh),
             u_star_grads=fem.eval_grads(u_star, mesh),
             sigma_star=sigma_star,
+            grad_sigma_star=[fem.eval_grads(s, mesh) for s in sigma_star],
             c_star_quad=c_star_quad,
             v_star=v_star,
+            grad_v_star=fem.eval_grads(v_star, mesh),
             mu_star=mu_star,
         )
 
@@ -239,14 +245,13 @@ class Stepper:
         w = params.w_steric
         dt = params.dt
 
-        grad_sig_star = [fem.eval_grads(s, mesh) for s in ws.sigma_star]
+        grad_sig_star = ws.grad_sigma_star
         c_star_vals = ws.c_star_quad
-        grad_v_star = fem.eval_grads(ws.v_star, mesh)
 
         # all first-order terms collapse into one transport coefficient
         b = (ws.u_star_vals
              - grad_sig_star[species] / pe
-             - (zi / pe) * grad_v_star)
+             - (zi / pe) * ws.grad_v_star)
         for j in range(params.n_species):
             if w[species, j] != 0.0:
                 b = b - (w[species, j] / pe) \
@@ -287,21 +292,24 @@ class Stepper:
         mbar = fem.integrate(quad, self.mesh)
         if not mbar > 0.0:
             raise PositivityError(f"renormalization mass {mbar:.3e} <= 0")
-        return model.Concentration(sigma_new, mass_target / mbar)
+        return model.Concentration(sigma_new, mass_target / mbar, self.mesh)
 
-    def _dirichlet_rhs(self, rhs):
-        rhs = rhs.copy()
-        rhs[self._pot_dofs] = self._pot_vals
-        return rhs
+    def _charge(self, c_fields):
+        """Charge density sum_i z_i c_i at quadrature points."""
+        charge = None
+        for zi, c in zip(self.params.z, c_fields):
+            term = zi * model.conc_values(c, self.mesh)
+            charge = term if charge is None else charge + term
+        return charge
 
     def solve_potential(self, c_fields, t):
-        """Electric potential before auxiliary-variable scaling."""
-        params = self.params
-        charge = None
-        for i, c in enumerate(c_fields):
-            term = params.z[i] * model.conc_values(c, self.mesh)
-            charge = term if charge is None else charge + term
-        rhs = fem.assemble_vector("source", self.p2, self.mesh, charge)
+        """Electric potential before auxiliary-variable scaling.
+
+        Returns (vbar, multiplier): the zero-mean solve's net-charge
+        multiplier, NaN with the Dirichlet potential.
+        """
+        rhs = fem.assemble_vector("source", self.p2, self.mesh,
+                                  self._charge(c_fields))
         if self.sources is not None and self.sources.f_v is not None:
             fv = self.sources.f_v
             rhs += fem.assemble_vector("source", self.p2, self.mesh,
@@ -309,10 +317,10 @@ class Stepper:
         if self.bc_mode == "zero_mean":
             subtract = self.neutralize_net_charge or self.sources is not None
             sol, mult, _ = self._pot_solver.solve(rhs, subtract_mean=subtract)
-            self.potential_multiplier_log.append(mult)
-            return fem.Field(self.p2, sol)
-        sol, _ = self._pot_solver.solve(self._dirichlet_rhs(rhs))
-        return fem.Field(self.p2, sol)
+            return fem.Field(self.p2, sol), mult
+        rhs[self._pot_dofs] = self._pot_vals
+        sol, _ = self._pot_solver.solve(rhs)
+        return fem.Field(self.p2, sol), np.nan
 
     def solve_velocity_split(self, ws, c_new, vbar_new, a0, hist_u, t_new):
         """Solve the two split momentum systems (shared matrix)."""
@@ -320,28 +328,22 @@ class Stepper:
         dt = params.dt
         p2 = self.p2
 
-        Kdef = fem.assemble("deformation", p2, p2, mesh, coeff=ws.mu_star)
-        A = (a0 / dt) * self.Mv + (1.0 / params.re) * Kdef
+        ws.Kdef = fem.assemble("deformation", p2, p2, mesh, coeff=ws.mu_star)
+        A = (a0 / dt) * self.Mv + (1.0 / params.re) * ws.Kdef
 
         adv = np.einsum("eqj,eqkj->eqk", ws.u_star_vals, ws.u_star_grads)
-        adv_vec = fem.assemble_vector("vector_source", p2, mesh, adv)
+        ws.adv_vec = fem.assemble_vector("vector_source", p2, mesh, adv)
+        coul = self._charge(c_new)[..., None] * fem.eval_grads(vbar_new, mesh)
+        ws.coul_vec = fem.assemble_vector("vector_source", p2, mesh, coul)
 
-        rho_c = None
-        for i, c in enumerate(c_new):
-            term = params.z[i] * model.conc_values(c, mesh)
-            rho_c = term if rho_c is None else rho_c + term
-        coul = rho_c[..., None] * fem.eval_grads(vbar_new, mesh)
-        coul_vec = fem.assemble_vector("vector_source", p2, mesh, coul)
-
-        rhs1 = self.Mv @ hist_u / dt + self.Ddiv @ self.curr.p.coefficients
+        ws.rhs_u = self.Mv @ hist_u / dt + self.Ddiv @ self.curr.p.coefficients
         if self.sources is not None and self.sources.f_u is not None:
             fu = self.sources.f_u
-            rhs1 += fem.assemble_vector("vector_source", p2, mesh,
-                                        lambda x, y: fu(x, y, t_new))
-        rhs2 = -adv_vec - params.co * coul_vec
+            ws.rhs_u += fem.assemble_vector("vector_source", p2, mesh,
+                                            lambda x, y: fu(x, y, t_new))
+        rhs2 = -ws.adv_vec - params.co * ws.coul_vec
 
-        A_bc, rhs1 = fem.apply_dirichlet(A, rhs1, self.vec_bdofs, 0.0)
-        rhs2 = rhs2.copy()
+        A_bc, rhs1 = fem.apply_dirichlet(A, ws.rhs_u, self.vec_bdofs, 0.0)
         rhs2[self.vec_bdofs] = 0.0
 
         solver = factorize(A_bc)
@@ -349,9 +351,6 @@ class Stepper:
         u2 = solver.solve(rhs2)[0]
         ws.u1_tilde = fem.Field(p2, u1, components=2)
         ws.u2_tilde = fem.Field(p2, u2, components=2)
-        self._Kdef = Kdef
-        self._adv_vec = adv_vec
-        self._coul_vec = coul_vec
         return ws.u1_tilde, ws.u2_tilde
 
     def _source_power(self, c_new, vbar_new, gbar_vals, t_new):
@@ -394,10 +393,10 @@ class Stepper:
             g_total += fem.integrate(
                 ci * (grads[..., 0] ** 2 + grads[..., 1] ** 2), mesh)
 
-        i_cu1 = float(self._coul_vec @ ws.u1_tilde.coefficients)
-        i_cu2 = float(self._coul_vec @ ws.u2_tilde.coefficients)
-        i_ad1 = float(self._adv_vec @ ws.u1_tilde.coefficients)
-        i_ad2 = float(self._adv_vec @ ws.u2_tilde.coefficients)
+        i_cu1 = float(ws.coul_vec @ ws.u1_tilde.coefficients)
+        i_cu2 = float(ws.coul_vec @ ws.u2_tilde.coefficients)
+        i_ad1 = float(ws.adv_vec @ ws.u1_tilde.coefficients)
+        i_ad2 = float(ws.adv_vec @ ws.u2_tilde.coefficients)
         power = self._source_power(c_new, vbar_new, gbar_vals, t_new)
 
         zeta1 = (params.co * i_cu1 + i_ad1 + power) / (2.0 * sqrt_eb)
@@ -461,20 +460,14 @@ class Stepper:
         params = self.params
         dt = params.dt
         n = self.curr
-        o = self.prev
+        # the BDF1 bootstrap is BDF2 with the older level weighted zero
+        o = n if bdf1 else self.prev
+        a0, wn, wo = (1.0, 1.0, 0.0) if bdf1 else (1.5, 2.0, 0.5)
         t_new = n.t + dt
-        if bdf1:
-            a0 = 1.0
-            hist_sigma = [s.coefficients.copy() for s in n.sigma]
-            hist_u = n.u.coefficients.copy()
-            hist_r = n.r
-        else:
-            a0 = 1.5
-            hist_sigma = [2.0 * n.sigma[i].coefficients
-                          - 0.5 * o.sigma[i].coefficients
-                          for i in range(params.n_species)]
-            hist_u = 2.0 * n.u.coefficients - 0.5 * o.u.coefficients
-            hist_r = 2.0 * n.r - 0.5 * o.r
+        hist_sigma = [wn * s.coefficients - wo * so.coefficients
+                      for s, so in zip(n.sigma, o.sigma)]
+        hist_u = wn * n.u.coefficients - wo * o.u.coefficients
+        hist_r = wn * n.r - wo * o.r
 
         ws = self.make_workspace(bdf1=bdf1)
 
@@ -483,7 +476,7 @@ class Stepper:
         targets = self._mass_targets(t_new)
         c_new = [self.renormalize_concentration(sigma_new[i], targets[i])
                  for i in range(params.n_species)]
-        vbar_new = self.solve_potential(c_new, t_new)
+        vbar_new, multiplier = self.solve_potential(c_new, t_new)
         self.solve_velocity_split(ws, c_new, vbar_new, a0, hist_u, t_new)
         xi, e_spnp, g_total, sqrt_eb = self.compute_xi(
             ws, c_new, vbar_new, a0, hist_r, t_new)
@@ -495,18 +488,19 @@ class Stepper:
                           c=c_new, vbar=vbar_new, v=v_new, mu_q=mu_new,
                           r=r_new, xi=float(xi))
 
-        visc = float(u_tilde.coefficients
-                     @ (self._Kdef @ u_tilde.coefficients)) / params.re
-        ionic = xi ** 2 * (params.co / params.pe) * g_total
-        self._log_identities(ws, psi, hist_u, a0, t_new)
+        div, split = self._log_identities(ws, psi, a0)
         self._run_checks(new, targets)
 
         self.prev = self.curr
         self.curr = new
         self.step_index += 1
-        rec = self._record(new, self.prev, xi=xi, visc=visc, ionic=ionic,
-                           e_spnp=e_spnp)
-        self.records.append(rec)
+        self.records.append(self._record(
+            new, self.prev, xi=xi,
+            visc_dissip=float(u_tilde.coefficients
+                              @ (ws.Kdef @ u_tilde.coefficients)) / params.re,
+            ionic_dissip=xi ** 2 * (params.co / params.pe) * g_total,
+            e_spnp=e_spnp, multiplier=multiplier, div_residual=div,
+            split_residual=split, zeta2=ws.zeta2))
         return new
 
     def bootstrap_first_step(self):
@@ -550,17 +544,17 @@ class Stepper:
     # diagnostics and structure checks
     # ------------------------------------------------------------------
 
-    def _record(self, new, old, xi, visc, ionic, e_spnp):
+    def _record(self, new, old, xi, **values):
         e_total = model.discrete_energy(new, old, self.params, self.mesh)
         masses = tuple(model.species_mass(c, self.mesh) for c in new.c)
         mins = tuple(model.min_concentration(c, self.mesh) for c in new.c)
         return model.DiagnosticsRecord(
-            t=new.t, e_total=e_total, e_spnp=e_spnp, masses=masses,
-            min_c=mins, xi=float(xi), r=float(new.r),
-            visc_dissip=visc, ionic_dissip=ionic)
+            t=new.t, e_total=e_total, masses=masses, min_c=mins,
+            xi=float(xi), r=float(new.r), **values)
 
-    def _log_identities(self, ws, psi, hist_u, a0, t_new):
-        """Discrete divergence and split-consistency residuals of this step."""
+    def _log_identities(self, ws, psi, a0):
+        """Discrete divergence and split-consistency residuals of this step,
+        (div, split)."""
         params = self.params
         dt = params.dt
         ut = ws.u_tilde
@@ -569,22 +563,13 @@ class Stepper:
         div_rel = np.linalg.norm(d) / max(np.linalg.norm(div_vec), 1e-300)
 
         lhs = (a0 / dt) * (self.Mv @ ut.coefficients) \
-            + (self._Kdef @ ut.coefficients) / params.re
-        rhs = self.Mv @ hist_u / dt \
-            + self.Ddiv @ self.curr.p.coefficients \
-            - ws.xi * self._adv_vec - params.co * ws.xi * self._coul_vec
-        if self.sources is not None and self.sources.f_u is not None:
-            fu = self.sources.f_u
-            rhs += fem.assemble_vector("vector_source", self.p2, self.mesh,
-                                       lambda x, y: fu(x, y, t_new))
+            + (ws.Kdef @ ut.coefficients) / params.re
+        rhs = ws.rhs_u - ws.xi * ws.adv_vec - params.co * ws.xi * ws.coul_vec
         free = np.ones(lhs.size, dtype=bool)
         free[self.vec_bdofs] = False
         split_rel = np.linalg.norm((lhs - rhs)[free]) \
             / max(np.linalg.norm(rhs[free]), 1e-300)
-        self.identity_log.append({"step": self.step_index + 1,
-                                  "div": float(div_rel),
-                                  "split": float(split_rel),
-                                  "zeta2": float(ws.zeta2)})
+        return float(div_rel), float(split_rel)
 
     def _run_checks(self, new, targets):
         step = self.step_index + 1

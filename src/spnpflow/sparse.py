@@ -17,11 +17,9 @@ from .errors import SingularMatrixError, SolverError
 
 @dataclass
 class SolveReport:
-    """Outcome of one linear solve."""
+    """Outcome of one linear solve: its relative residual."""
 
-    iterations: int
     residual: float
-    method: str
 
 
 class SparseMatrix:
@@ -102,18 +100,18 @@ class Factorization:
         except RuntimeError as exc:  # SuperLU reports exact singularity this way
             raise SingularMatrixError(str(exc)) from exc
 
-    def solve(self, b, check=True):
+    def solve(self, b):
         b = np.asarray(b, dtype=np.float64)
         nb = np.linalg.norm(b)
         if nb == 0.0:
-            return np.zeros_like(b), SolveReport(0, 0.0, "direct")
+            return np.zeros_like(b), SolveReport(0.0)
         x = self._lu.solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("direct solve produced non-finite values")
         rel = np.linalg.norm(self._As @ x - b) / nb
-        if check and rel > 1e-10:
+        if rel > 1e-10:
             raise SolverError(f"direct solve residual {rel:.3e} exceeds 1e-10")
-        return x, SolveReport(0, float(rel), "direct")
+        return x, SolveReport(float(rel))
 
 
 def factorize(A):

@@ -176,10 +176,10 @@ def test_criterion_6_kernel_oracles():
 # ----------------------------------------------------------------------
 
 def test_criterion_7_scheme_identities(cavity_dt2):
-    log = cavity_dt2.identity_log
-    div = max(e["div"] for e in log)
-    split = max(e["split"] for e in log)
-    zeta2 = min(e["zeta2"] for e in log)
+    log = cavity_dt2.records[1:]
+    div = max(r.div_residual for r in log)
+    split = max(r.split_residual for r in log)
+    zeta2 = min(r.zeta2 for r in log)
     ok = div <= 1e-9 and split <= 1e-9 and zeta2 >= -1e-12
     report(7, ok,
            f"{len(log)} steps: max divergence residual {div:.2e}, max "

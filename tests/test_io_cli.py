@@ -249,9 +249,12 @@ def test_cli_params_rejection_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     for body in ("mu0 = 0.4\n",            # energy-decay has mu_inf = 0.5
                  "w = 1,2,3,4\n",          # not symmetric
-                 "w = 1,0,0,0,1,0,0,0,1\n"):   # 3x3 for two species
-        cfg.write_text(body)
-        assert cli_main(["run", "--config", str(cfg)]) == 1
+                 "w = 1,0,0,0,1,0,0,0,1\n",   # 3x3 for two species
+                 "re = nan\n", "lambda1 = nan\n", "mu0 = inf\n",
+                 "b_shift = nan\n", "dt = inf\n"):
+        cfg.write_text("nx = 6\n" + body)
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
 

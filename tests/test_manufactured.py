@@ -143,6 +143,23 @@ def test_convergence_csv_roundtrip(tmp_path):
     assert float(first[2]) == rows[0].errors["u"]
 
 
+def test_momentum_forcing_evaluated_once_per_step(monkeypatch):
+    # the momentum stage hands its right-hand side to the identity check,
+    # so the forcing is evaluated once per step
+    calls = []
+    build = mf.build_source_pack
+
+    def counting(exact, sources):
+        pack = build(exact, sources)
+        f_u = pack.f_u
+        pack.f_u = lambda x, y, t: calls.append(t) or f_u(x, y, t)
+        return pack
+
+    monkeypatch.setattr(mf, "build_source_pack", counting)
+    mf.run_manufactured(3, 4, t_final=0.15)
+    assert np.allclose(calls, [0.05, 0.1, 0.15], rtol=0, atol=1e-12)
+
+
 def test_convergence_rejects_nonincreasing_steps():
     with pytest.raises(ValueError):
         mf.convergence_study([16, 8], 8, validate=False)

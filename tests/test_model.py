@@ -48,8 +48,19 @@ def test_params_steric_matrix_validation():
 
 def test_params_positive_groups():
     for key in ("re", "pe", "co", "lam", "k", "dt", "t_final"):
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                make_params(**{key: bad})
+
+
+def test_params_reject_nonfinite():
+    # NaN passes a `<= 0` test and infinity passes `> 0`
+    for kw in (dict(mu0=np.inf), dict(mu0=np.nan), dict(mu_inf=np.nan),
+               dict(lambda1=np.nan), dict(lambda1=np.inf),
+               dict(b_shift=np.nan), dict(b_shift=np.inf),
+               dict(w_steric=np.array([[np.inf, 0.0], [0.0, 1.0]]))):
         with pytest.raises(ValueError):
-            make_params(**{key: -1.0})
+            make_params(**kw)
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +280,18 @@ def test_species_mass_cosine_background(mesh, p2):
         lambda x, y: 12 + 10 * np.cos(np.pi * x) * np.cos(np.pi * y), p2)
     assert abs(model.species_mass(c, mesh) - 12.0) <= 1e-6
     assert abs(model.min_concentration(c, mesh) - 2.0) <= 0.2
+
+
+def test_concentration_quad_values_computed_once(mesh, p2):
+    rng = np.random.default_rng(4)
+    sigma = fem.Field(p2, rng.uniform(-1.0, 1.0, p2.n_dofs))
+    c = model.Concentration(sigma, 0.7, mesh)
+    vals = model.conc_values(c, mesh)
+    expected = 0.7 * np.exp(fem.eval_values(sigma, mesh))
+    assert vals.tobytes() == expected.tobytes()
+    assert not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0, 0] = 1.0
 
 
 def test_species_mass_refined_quadrature_oracle(p2, mesh):

@@ -97,7 +97,7 @@ def test_renormalize_overflow_raises():
 
 def test_potential_zero_for_neutral_charge():
     st = uniform_stepper(n=4)
-    vbar = st.solve_potential(st.curr.c, t=0.0)
+    vbar, _ = st.solve_potential(st.curr.c, t=0.0)
     assert np.abs(vbar.coefficients).max() <= 1e-10
 
 
@@ -134,10 +134,8 @@ def test_potential_net_charge_neutralized_logs_multiplier():
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
     stepper = Stepper(mesh, make_params(), neutralize_net_charge=True)
     stepper.set_initial([lambda x, y: 2.0 + 0 * x, lambda x, y: 1.0 + 0 * x])
-    assert len(stepper.potential_multiplier_log) == 1
     # multiplier absorbs the net charge density (z_p c_p + z_n c_n = 1)
-    assert stepper.potential_multiplier_log[0] == pytest.approx(1.0,
-                                                                abs=1e-9)
+    assert stepper.records[0].multiplier == pytest.approx(1.0, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -183,10 +181,10 @@ def test_xi_two_dof_arithmetic_oracle():
     xi, e_spnp, g, sqrt_eb = st.compute_xi(ws, st.curr.c, st.curr.vbar, 1.5,
                                            hist_r, st.params.dt)
     co, pe, dt = st.params.co, st.params.pe, st.params.dt
-    z1 = (co * (st._coul_vec @ ws.u1_tilde.coefficients)
-          + st._adv_vec @ ws.u1_tilde.coefficients) / (2 * sqrt_eb)
-    z2 = (co / pe * g - co * (st._coul_vec @ ws.u2_tilde.coefficients)
-          - st._adv_vec @ ws.u2_tilde.coefficients) / (2 * sqrt_eb)
+    z1 = (co * (ws.coul_vec @ ws.u1_tilde.coefficients)
+          + ws.adv_vec @ ws.u1_tilde.coefficients) / (2 * sqrt_eb)
+    z2 = (co / pe * g - co * (ws.coul_vec @ ws.u2_tilde.coefficients)
+          - ws.adv_vec @ ws.u2_tilde.coefficients) / (2 * sqrt_eb)
     expected = (hist_r + dt * z1) / (1.5 * sqrt_eb + dt * z2)
     assert xi == pytest.approx(expected, rel=1e-14)
 
@@ -358,10 +356,10 @@ def test_cavity_energy_decay(cavity_run):
 
 
 def test_cavity_identities(cavity_run):
-    for entry in cavity_run.identity_log:
-        assert entry["div"] <= 1e-9
-        assert entry["split"] <= 1e-9
-        assert entry["zeta2"] >= -1e-12
+    for rec in cavity_run.records[1:]:
+        assert rec.div_residual <= 1e-9
+        assert rec.split_residual <= 1e-9
+        assert rec.zeta2 >= -1e-12
 
 
 def test_cavity_dissipation_inequality(cavity_run):
@@ -407,6 +405,31 @@ def test_strict_energy_mode_raises_on_violation(monkeypatch):
     assert "np.float64" not in str(exc.value)
     with pytest.warns(RuntimeWarning, match="discrete energy increased"):
         default.run(n_steps=2)
+
+
+def test_record_contract():
+    # one record per level: level 0 holds the set-up multiplier and no
+    # identities; every step holds its identities and zeta2, and the
+    # multiplier is NaN only with the Dirichlet potential
+    from spnpflow.scenarios import scenario_exponent_k
+    neumann = uniform_stepper(n=3, neutralize_net_charge=True)
+    _, setup_multiplier = neumann.solve_potential(neumann.curr.c, t=0.0)
+    neumann.run(n_steps=3)
+    dirichlet = scenario_exponent_k(0.4, nx=4, dt=1e-3,
+                                    t_final=3e-3).make_stepper()
+    dirichlet.run()
+    for st in (neumann, dirichlet):
+        recs = st.records
+        assert len(recs) == 4
+        assert np.isnan([recs[0].div_residual, recs[0].split_residual,
+                         recs[0].zeta2]).all()
+        for rec in recs[1:]:
+            assert rec.div_residual <= 1e-9
+            assert rec.split_residual <= 1e-9
+            assert rec.zeta2 >= -1e-12
+    assert neumann.records[0].multiplier == setup_multiplier
+    assert np.isfinite([r.multiplier for r in neumann.records]).all()
+    assert np.isnan([r.multiplier for r in dirichlet.records]).all()
 
 
 def test_dirichlet_potential_scaled_by_xi():

@@ -37,7 +37,7 @@ def test_solve_direct_identity():
     b = np.linspace(0, 1, 6)
     x, report = solve_direct(A, b)
     assert np.allclose(x, b)
-    assert report.method == "direct"
+    assert report.residual == 0.0
 
 
 def test_solve_direct_tridiagonal_vs_dense_lu():
