@@ -125,19 +125,28 @@ class Concentration:
     Nodal coefficients are materialized for dof-level access, but every
     quadrature-point value goes through the log field, so point values stay
     positive even where a direct quadratic interpolant of a sharp front
-    would undershoot.  The quadrature values ``quad`` are computed once, at
-    construction, and are read-only.
+    would undershoot.  ``exp_nodal`` and ``exp_quad`` are exp(sigma) at the
+    dofs and at the quadrature points (see :func:`exp_log_field`), which the
+    caller has already computed to find ``scale``; the quadrature values
+    ``quad`` are read-only.
     """
 
-    def __init__(self, sigma, scale, mesh):
+    def __init__(self, sigma, scale, exp_nodal, exp_quad):
         self.sigma = sigma
         self.scale = float(scale)
         self.dofmap = sigma.dofmap
         self.components = 1
-        with np.errstate(over="ignore"):
-            self.coefficients = self.scale * np.exp(sigma.coefficients)
-        self.quad = self.scale * np.exp(fem.eval_values(sigma, mesh))
+        self.coefficients = self.scale * exp_nodal
+        self.quad = self.scale * exp_quad
         self.quad.setflags(write=False)
+
+
+def exp_log_field(sigma, mesh):
+    """exp(sigma) at the dofs and at the quadrature points; overflow gives
+    inf, which callers check."""
+    with np.errstate(over="ignore"):
+        return (np.exp(sigma.coefficients),
+                np.exp(fem.eval_values(sigma, mesh)))
 
 
 def concentration_from_callable(fn, dofmap, mesh):
@@ -155,8 +164,9 @@ def concentration_from_callable(fn, dofmap, mesh):
     target = fem.integrate(np.broadcast_to(np.asarray(
         fn(xy[..., 0], xy[..., 1]), dtype=np.float64), xy.shape[:2]), mesh)
     sigma = fem.Field(dofmap, np.log(field.coefficients))
-    raw_mass = fem.integrate(np.exp(fem.eval_values(sigma, mesh)), mesh)
-    return Concentration(sigma, target / raw_mass, mesh)
+    nodal, quad = exp_log_field(sigma, mesh)
+    raw_mass = fem.integrate(quad, mesh)
+    return Concentration(sigma, target / raw_mass, nodal, quad)
 
 
 def conc_values(c, mesh):

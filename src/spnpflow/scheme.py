@@ -284,15 +284,13 @@ class Stepper:
         """Exponentiate pointwise and rescale to the target mass."""
         if mass_target <= 0.0:
             raise ValueError("mass target must be positive")
-        with np.errstate(over="ignore"):
-            nodal = np.exp(sigma_new.coefficients)
-            quad = np.exp(fem.eval_values(sigma_new, self.mesh))
+        nodal, quad = model.exp_log_field(sigma_new, self.mesh)
         if not (np.all(np.isfinite(nodal)) and np.all(np.isfinite(quad))):
             raise NonFiniteError("exp(sigma) overflowed")
         mbar = fem.integrate(quad, self.mesh)
         if not mbar > 0.0:
             raise PositivityError(f"renormalization mass {mbar:.3e} <= 0")
-        return model.Concentration(sigma_new, mass_target / mbar, self.mesh)
+        return model.Concentration(sigma_new, mass_target / mbar, nodal, quad)
 
     def _charge(self, c_fields):
         """Charge density sum_i z_i c_i at quadrature points."""
@@ -343,7 +341,10 @@ class Stepper:
                                             lambda x, y: fu(x, y, t_new))
         rhs2 = -ws.adv_vec - params.co * ws.coul_vec
 
-        A_bc, rhs1 = fem.apply_dirichlet(A, ws.rhs_u, self.vec_bdofs, 0.0)
+        # zero data: eliminating the columns too keeps A symmetric and
+        # leaves the right-hand sides' free rows unchanged
+        A_bc, rhs1 = fem.apply_dirichlet(A, ws.rhs_u, self.vec_bdofs, 0.0,
+                                         symmetric=True)
         rhs2[self.vec_bdofs] = 0.0
 
         solver = factorize(A_bc)

@@ -2,6 +2,16 @@
 
 Every linear system, a SciPy sparse matrix, is solved by sparse LU (SuperLU
 through scipy), with each solution's residual checked.
+
+Every factorization uses one fixed SuperLU setting: a minimum-degree column
+ordering on the pattern of A^T + A (``MMD_AT_PLUS_A``) with ``SymmetricMode``,
+which prefers diagonal pivots.  The finite-element matrices of the scheme are
+structurally symmetric (the momentum matrix, with its Dirichlet rows and
+columns eliminated, is symmetric), and on them this ordering roughly halves
+the L+U fill that the default COLAMD ordering gives.  The default
+``diag_pivot_thresh`` is kept, so partial pivoting still takes over where a
+diagonal pivot is too small, as on the zero diagonal of the zero-mean
+multiplier row.
 """
 
 from __future__ import annotations
@@ -96,7 +106,9 @@ class Factorization:
             raise ValueError("direct solver needs a square matrix")
         self._As = A.tocsr()
         try:
-            self._lu = spla.splu(self._As.tocsc())
+            self._lu = spla.splu(self._As.tocsc(),
+                                 permc_spec="MMD_AT_PLUS_A",
+                                 options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # SuperLU reports exact singularity this way
             raise SingularMatrixError(str(exc)) from exc
 

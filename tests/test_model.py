@@ -285,7 +285,7 @@ def test_species_mass_cosine_background(mesh, p2):
 def test_concentration_quad_values_computed_once(mesh, p2):
     rng = np.random.default_rng(4)
     sigma = fem.Field(p2, rng.uniform(-1.0, 1.0, p2.n_dofs))
-    c = model.Concentration(sigma, 0.7, mesh)
+    c = model.Concentration(sigma, 0.7, *model.exp_log_field(sigma, mesh))
     vals = model.conc_values(c, mesh)
     expected = 0.7 * np.exp(fem.eval_values(sigma, mesh))
     assert vals.tobytes() == expected.tobytes()
