@@ -479,12 +479,6 @@ class ZeroMeanSolver:
         return sol[:-1], float(sol[-1]), report
 
 
-def solve_zero_mean(A, b, weight, subtract_mean=False):
-    """One-shot :class:`ZeroMeanSolver` solve; returns (x, multiplier,
-    SolveReport)."""
-    return ZeroMeanSolver(A, weight).solve(b, subtract_mean)
-
-
 def error_norm_l2(field, exact, mesh):
     """L2 norm of (field - exact) by quadrature.
 

@@ -3,9 +3,9 @@
 The exact fields are trigonometric with a common exp(-t) decay; all space and
 time derivatives are coded in closed form.  The forcing terms for each
 equation follow by substituting the exact fields into the continuous system,
-including the shear-dependent stress divergence; before any convergence run
-they are validated against a fourth-order finite-difference application of
-the same operators at random space-time points.
+including the shear-dependent stress divergence; the test suite checks them
+against a fourth-order finite-difference application of the same operators
+at random space-time points.
 """
 
 from __future__ import annotations
@@ -154,16 +154,6 @@ def _shear_and_grad(ex, x, y, t):
     return s, s_x, s_y, d11, d22, mix
 
 
-def stress_tensor(ex, params, x, y, t):
-    """2 mu_p(s) D(u) entrywise, used by the finite-difference validation."""
-    s, _, _, d11, d22, mix = _shear_and_grad(ex, x, y, t)
-    mu = model.carreau_viscosity(s, params)
-    t11 = 2.0 * mu * d11
-    t22 = 2.0 * mu * d22
-    t12 = mu * mix
-    return t11, t12, t22
-
-
 def _stress_divergence(ex, params, x, y, t):
     """div(2 mu D(u)) = mu lap(u) + 2 D(u) grad(mu) for divergence-free u."""
     s, s_x, s_y, d11, d22, mix = _shear_and_grad(ex, x, y, t)
@@ -251,90 +241,6 @@ def source_terms(exact, params):
 
 
 # ----------------------------------------------------------------------
-# finite-difference validation of the derived sources
-# ----------------------------------------------------------------------
-
-def _fd1(fn, x, h):
-    return (-fn(x + 2 * h) + 8 * fn(x + h) - 8 * fn(x - h) + fn(x - 2 * h)) \
-        / (12 * h)
-
-
-def _fd2(fn, x, h):
-    return (-fn(x + 2 * h) + 16 * fn(x + h) - 30 * fn(x) + 16 * fn(x - h)
-            - fn(x - 2 * h)) / (12 * h ** 2)
-
-
-def validate_sources(exact, sources, params, n_points=100, seed=7, h=5e-4):
-    """Max residual of the sourced PDEs under finite-difference operators.
-
-    Each equation is re-assembled with fourth-order finite differences
-    applied to the exact fields (and to the closed-form stress and flux
-    tensors for the divergence terms); the analytic sources must cancel the
-    residual at every sampled point.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.1, 0.9, n_points)
-    y = rng.uniform(0.1, 0.9, n_points)
-    t = rng.uniform(0.05, 1.0, n_points)
-    ex = exact
-    worst = 0.0
-
-    # momentum: d_t u + (u.grad)u - div(T)/Re + grad p + Co rho grad V = f_u
-    t11 = lambda a, b: stress_tensor(ex, params, a, b, t)[0]
-    t12 = lambda a, b: stress_tensor(ex, params, a, b, t)[1]
-    t22 = lambda a, b: stress_tensor(ex, params, a, b, t)[2]
-    div1 = _fd1(lambda a: t11(a, y), x, h) + _fd1(lambda b: t12(x, b), y, h)
-    div2 = _fd1(lambda a: t12(a, y), x, h) + _fd1(lambda b: t22(x, b), y, h)
-    charge = ex.cp(x, y, t) - ex.cn(x, y, t)
-    for comp, u_fn, div in ((0, ex.u1, div1), (1, ex.u2, div2)):
-        dt_u = _fd1(lambda s: u_fn(x, y, s), t, h)
-        ux = _fd1(lambda a: u_fn(a, y, t), x, h)
-        uy = _fd1(lambda b: u_fn(x, b, t), y, h)
-        adv = ex.u1(x, y, t) * ux + ex.u2(x, y, t) * uy
-        grad_p = _fd1(lambda a: ex.p(a, y, t), x, h) if comp == 0 \
-            else _fd1(lambda b: ex.p(x, b, t), y, h)
-        grad_v = _fd1(lambda a: ex.v(a, y, t), x, h) if comp == 0 \
-            else _fd1(lambda b: ex.v(x, b, t), y, h)
-        fu = sources.f_u(x, y, t)[comp]
-        resid = dt_u + adv - div / params.re + grad_p \
-            + params.co * charge * grad_v - fu
-        worst = max(worst, float(np.max(np.abs(resid))))
-
-    # transport: d_t c + u.grad c - div(c grad g)/Pe = f_c
-    for species, (c_fn, f_fn) in enumerate(((ex.cp, sources.f_cp),
-                                            (ex.cn, sources.f_cn))):
-        def flux(a, b, axis):
-            if species == 0:
-                c, cx, cy = ex.cp(a, b, t), ex.cp_x(a, b, t), ex.cp_y(a, b, t)
-            else:
-                c, cx, cy = ex.cn(a, b, t), ex.cn_x(a, b, t), ex.cn_y(a, b, t)
-            zi = params.z[species]
-            w = params.w_steric
-            gx = cx / c + zi * ex.v_x(a, b, t) \
-                + w[species, 0] * ex.cp_x(a, b, t) \
-                + w[species, 1] * ex.cn_x(a, b, t)
-            gy = cy / c + zi * ex.v_y(a, b, t) \
-                + w[species, 0] * ex.cp_y(a, b, t) \
-                + w[species, 1] * ex.cn_y(a, b, t)
-            return c * (gx if axis == 0 else gy)
-        div_flux = _fd1(lambda a: flux(a, y, 0), x, h) \
-            + _fd1(lambda b: flux(x, b, 1), y, h)
-        dt_c = _fd1(lambda s: c_fn(x, y, s), t, h)
-        cx = _fd1(lambda a: c_fn(a, y, t), x, h)
-        cy = _fd1(lambda b: c_fn(x, b, t), y, h)
-        adv = ex.u1(x, y, t) * cx + ex.u2(x, y, t) * cy
-        resid = dt_c + adv - div_flux / params.pe - f_fn(x, y, t)
-        worst = max(worst, float(np.max(np.abs(resid))))
-
-    # Poisson: -lam lap V - rho = f_v
-    lap_v = _fd2(lambda a: ex.v(a, y, t), x, h) \
-        + _fd2(lambda b: ex.v(x, b, t), y, h)
-    resid = -params.lam * lap_v - charge - sources.f_v(x, y, t)
-    worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
-
-
-# ----------------------------------------------------------------------
 # convergence study
 # ----------------------------------------------------------------------
 
@@ -405,8 +311,7 @@ def run_manufactured(n_steps, n_cells, t_final=0.5, params=None):
     return stepper, errors
 
 
-def convergence_study(n_steps_list, n_cells, t_final=0.5, params_base=None,
-                      validate=True):
+def convergence_study(n_steps_list, n_cells, t_final=0.5, params_base=None):
     """Temporal refinement table at fixed mesh size.
 
     Runs to ``t_final`` with dt = t_final / N for each N, measures final-time
@@ -416,14 +321,6 @@ def convergence_study(n_steps_list, n_cells, t_final=0.5, params_base=None,
     n_steps_list = list(n_steps_list)
     if any(b <= a for a, b in zip(n_steps_list, n_steps_list[1:])):
         raise ValueError("step counts must be increasing")
-    if validate:
-        check_params = params_base or model.Params(dt=1.0, t_final=1.0,
-                                                   **SEC41_PARAMS)
-        exact = exact_solution_sec41(check_params)
-        sources = source_terms(exact, check_params)
-        worst = validate_sources(exact, sources, check_params)
-        if worst > 1e-6:
-            raise RuntimeError(f"source validation failed: residual {worst:.3e}")
     rows = []
     prev = None
     for n in n_steps_list:

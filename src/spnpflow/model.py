@@ -1,10 +1,11 @@
 """Physical parameters, constitutive laws, energies and diagnostics.
 
 All energies and norms are quadrature sums over the finite-element
-expansions of the fields; concentrations are required to stay strictly
-positive wherever a logarithm is taken, and any violation raises instead of
-clamping (positivity is a property of the scheme, so a violation indicates a
-bug or solver failure upstream).
+expansions of the fields.  A concentration is scale * exp(sigma), so it is
+positive by construction: no logarithm is ever taken of point values, since
+log c at a quadrature point is log(scale) + sigma there, exactly.  The
+energy and chemical-potential functions take quadrature arrays that the
+scheme evaluates once per step.
 """
 
 from __future__ import annotations
@@ -125,28 +126,30 @@ class Concentration:
     Nodal coefficients are materialized for dof-level access, but every
     quadrature-point value goes through the log field, so point values stay
     positive even where a direct quadratic interpolant of a sharp front
-    would undershoot.  ``exp_nodal`` and ``exp_quad`` are exp(sigma) at the
-    dofs and at the quadrature points (see :func:`exp_log_field`), which the
-    caller has already computed to find ``scale``; the quadrature values
-    ``quad`` are read-only.
+    would undershoot.  ``exp_nodal``, ``sigma_quad`` and ``exp_quad`` are
+    what :func:`exp_log_field` returns, which the caller has already
+    computed to find ``scale``.  The quadrature values ``quad`` and
+    ``log_quad`` = log(scale) + sigma are read-only.
     """
 
-    def __init__(self, sigma, scale, exp_nodal, exp_quad):
+    def __init__(self, sigma, scale, exp_nodal, sigma_quad, exp_quad):
         self.sigma = sigma
         self.scale = float(scale)
         self.dofmap = sigma.dofmap
         self.components = 1
         self.coefficients = self.scale * exp_nodal
         self.quad = self.scale * exp_quad
-        self.quad.setflags(write=False)
+        self.log_quad = np.log(self.scale) + sigma_quad
+        for a in (self.quad, self.log_quad):
+            a.setflags(write=False)
 
 
 def exp_log_field(sigma, mesh):
-    """exp(sigma) at the dofs and at the quadrature points; overflow gives
-    inf, which callers check."""
+    """(exp(sigma) at the dofs, sigma and exp(sigma) at the quadrature
+    points); overflow gives inf, which callers check."""
+    sigma_quad = fem.eval_values(sigma, mesh)
     with np.errstate(over="ignore"):
-        return (np.exp(sigma.coefficients),
-                np.exp(fem.eval_values(sigma, mesh)))
+        return np.exp(sigma.coefficients), sigma_quad, np.exp(sigma_quad)
 
 
 def concentration_from_callable(fn, dofmap, mesh):
@@ -164,34 +167,14 @@ def concentration_from_callable(fn, dofmap, mesh):
     target = fem.integrate(np.broadcast_to(np.asarray(
         fn(xy[..., 0], xy[..., 1]), dtype=np.float64), xy.shape[:2]), mesh)
     sigma = fem.Field(dofmap, np.log(field.coefficients))
-    nodal, quad = exp_log_field(sigma, mesh)
+    nodal, sigma_quad, quad = exp_log_field(sigma, mesh)
     raw_mass = fem.integrate(quad, mesh)
-    return Concentration(sigma, target / raw_mass, nodal, quad)
+    return Concentration(sigma, target / raw_mass, nodal, sigma_quad, quad)
 
 
 def conc_values(c, mesh):
     """Concentration values at quadrature points."""
-    if isinstance(c, Concentration):
-        return c.quad
-    return fem.eval_values(c, mesh)
-
-
-def conc_log_values(c, mesh):
-    """log(c) at quadrature points (exact for the exp representation)."""
-    if isinstance(c, Concentration):
-        return np.log(c.scale) + fem.eval_values(c.sigma, mesh)
-    vals = fem.eval_values(c, mesh)
-    if vals.min() <= 0.0:
-        raise PositivityError(f"log of nonpositive concentration "
-                              f"(min {vals.min():.3e})")
-    return np.log(vals)
-
-
-def conc_grads(c, mesh):
-    """Concentration gradients at quadrature points."""
-    if isinstance(c, Concentration):
-        return conc_values(c, mesh)[..., None] * fem.eval_grads(c.sigma, mesh)
-    return fem.eval_grads(c, mesh)
+    return c.quad
 
 
 def carreau_viscosity(shear_sq, params):
@@ -216,59 +199,44 @@ def shear_rate_sq(u, mesh):
     return 2.0 * (dxu ** 2 + dyv ** 2) + (dyu + dxv) ** 2
 
 
-def _species_quad(c_fields, mesh):
-    vals = [conc_values(c, mesh) for c in c_fields]
-    for i, v in enumerate(vals):
-        if v.min() <= 0.0:
-            raise PositivityError(
-                f"species {i} nonpositive at a quadrature point "
-                f"(min {v.min():.3e})")
-    return vals
-
-
-def chemical_potential_bar(c_fields, vbar, species, params, mesh):
+def chemical_potential_bar(conc, grad_sigma, vbar_vals, grad_vbar, species,
+                           params):
     """Values and gradients of log c_i + z_i Vbar + sum_j w_ij c_j.
 
-    Everything is evaluated pointwise at quadrature points from the
-    finite-element expansions.  Returns (values, gradients) with shapes
-    (n_el, n_q) and (n_el, n_q, 2).
+    The species' Concentrations ``conc``, their ``grad_sigma``, Vbar and
+    grad Vbar are all given at quadrature points.  As grad c_j = c_j grad
+    sigma_j, the gradient is grad sigma_i + z_i grad Vbar + sum_j w_ij c_j
+    grad sigma_j.  Returns (values, gradients), shaped (n_el, n_q) and
+    (n_el, n_q, 2).
     """
-    c_vals = _species_quad(c_fields, mesh)
-    c_grads = [conc_grads(c, mesh) for c in c_fields]
     zi = params.z[species]
-    w = params.w_steric
-    vals = conc_log_values(c_fields[species], mesh) \
-        + zi * fem.eval_values(vbar, mesh)
-    grads = c_grads[species] / c_vals[species][..., None] \
-        + zi * fem.eval_grads(vbar, mesh)
-    for j in range(params.n_species):
-        wij = w[species, j]
+    vals = conc[species].log_quad + zi * vbar_vals
+    grads = grad_sigma[species] + zi * grad_vbar
+    for j, wij in enumerate(params.w_steric[species]):
         if wij != 0.0:
-            vals = vals + wij * c_vals[j]
-            grads = grads + wij * c_grads[j]
+            vals = vals + wij * conc[j].quad
+            grads = grads + wij * (conc[j].quad[..., None] * grad_sigma[j])
     return vals, grads
 
 
-def energy_spnp(c_fields, vbar, params, mesh):
+def energy_spnp(conc, grad_vbar, params, mesh):
     """Free energy of the ion/potential subsystem.
 
     (lam Co / 2) ||grad Vbar||^2 + Co sum_i (c_i, log c_i - 1)
-    + (Co / 2) sum_ij w_ij (c_i, c_j), all by quadrature.
+    + (Co / 2) sum_ij w_ij (c_i, c_j), all by quadrature, from the
+    Concentrations ``conc`` and grad Vbar at quadrature points.
     """
-    c_vals = _species_quad(c_fields, mesh)
-    gv = fem.eval_grads(vbar, mesh)
     e_field = 0.5 * params.lam * params.co * fem.integrate(
-        gv[..., 0] ** 2 + gv[..., 1] ** 2, mesh)
+        grad_vbar[..., 0] ** 2 + grad_vbar[..., 1] ** 2, mesh)
     e_ent = params.co * sum(
-        fem.integrate(v * (conc_log_values(c, mesh) - 1.0), mesh)
-        for v, c in zip(c_vals, c_fields))
+        fem.integrate(c.quad * (c.log_quad - 1.0), mesh) for c in conc)
     e_ster = 0.0
     w = params.w_steric
     for i in range(params.n_species):
         for j in range(params.n_species):
             if w[i, j] != 0.0:
                 e_ster += 0.5 * params.co * w[i, j] * fem.integrate(
-                    c_vals[i] * c_vals[j], mesh)
+                    conc[i].quad * conc[j].quad, mesh)
     return e_field + e_ent + e_ster
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import fem, model
 from .mesh import build_rect_mesh, dof_map
 from .scheme import Stepper
-from .sparse import solve_direct
+from .sparse import factorize
 
 STERIC_MATRICES = (
     np.zeros((2, 2)),
@@ -145,7 +145,7 @@ def stream_function(u, mesh):
     K = fem.assemble("stiffness", p1, p1, mesh)
     b = fem.assemble_vector("source", p1, mesh, vorticity)
     A, b = fem.apply_dirichlet(K, b, p1.boundary_dofs, 0.0)
-    chi, _ = solve_direct(A, b)
+    chi, _ = factorize(A).solve(b)
     return fem.Field(p1, chi)
 
 

@@ -54,7 +54,8 @@ class StepWorkspace:
     quadrature points (differences of the positive point values; the
     extrapolant itself may dip negative, which is harmless since it only
     ever appears as an explicit coefficient).  ``rhs_u`` is the first split
-    momentum system's right-hand side before its boundary rows are set.
+    momentum system's right-hand side before its boundary rows are set, and
+    ``grad_vbar`` the new potential's gradient at quadrature points.
     """
 
     u_star_vals: np.ndarray
@@ -67,6 +68,7 @@ class StepWorkspace:
     mu_star: np.ndarray
     Kdef: object = None
     rhs_u: np.ndarray = None
+    grad_vbar: np.ndarray = None
     adv_vec: np.ndarray = None
     coul_vec: np.ndarray = None
     u1_tilde: fem.Field = None
@@ -179,7 +181,7 @@ class Stepper:
             p0.coefficients -= fem.mean_value(p0, mesh)
 
         vbar0, multiplier = self.solve_potential(c0, t=0.0)
-        e0 = model.energy_spnp(c0, vbar0, params, mesh)
+        e0 = model.energy_spnp(c0, fem.eval_grads(vbar0, mesh), params, mesh)
         self.b_shift = model.resolve_b_shift(params, e0)
         r0 = np.sqrt(e0 + self.b_shift)
         mu0 = model.carreau_viscosity(model.shear_rate_sq(u0, mesh), params)
@@ -189,7 +191,8 @@ class Stepper:
                                 vbar=vbar0, v=vbar0.copy(), mu_q=mu0, r=r0)
         self.prev = None
         self.step_index = 0
-        self.records = [self._record(self.curr, self.curr, xi=1.0,
+        e0_total = model.discrete_energy(self.curr, self.curr, params, mesh)
+        self.records = [self._record(self.curr, e0_total, xi=1.0,
                                      visc_dissip=0.0, ionic_dissip=0.0,
                                      e_spnp=e0, multiplier=multiplier)]
         return self.curr
@@ -284,13 +287,14 @@ class Stepper:
         """Exponentiate pointwise and rescale to the target mass."""
         if mass_target <= 0.0:
             raise ValueError("mass target must be positive")
-        nodal, quad = model.exp_log_field(sigma_new, self.mesh)
+        nodal, sigma_quad, quad = model.exp_log_field(sigma_new, self.mesh)
         if not (np.all(np.isfinite(nodal)) and np.all(np.isfinite(quad))):
             raise NonFiniteError("exp(sigma) overflowed")
         mbar = fem.integrate(quad, self.mesh)
         if not mbar > 0.0:
             raise PositivityError(f"renormalization mass {mbar:.3e} <= 0")
-        return model.Concentration(sigma_new, mass_target / mbar, nodal, quad)
+        return model.Concentration(sigma_new, mass_target / mbar, nodal,
+                                   sigma_quad, quad)
 
     def _charge(self, c_fields):
         """Charge density sum_i z_i c_i at quadrature points."""
@@ -331,7 +335,8 @@ class Stepper:
 
         adv = np.einsum("eqj,eqkj->eqk", ws.u_star_vals, ws.u_star_grads)
         ws.adv_vec = fem.assemble_vector("vector_source", p2, mesh, adv)
-        coul = self._charge(c_new)[..., None] * fem.eval_grads(vbar_new, mesh)
+        ws.grad_vbar = fem.eval_grads(vbar_new, mesh)
+        coul = self._charge(c_new)[..., None] * ws.grad_vbar
         ws.coul_vec = fem.assemble_vector("vector_source", p2, mesh, coul)
 
         ws.rhs_u = self.Mv @ hist_u / dt + self.Ddiv @ self.curr.p.coefficients
@@ -354,7 +359,7 @@ class Stepper:
         ws.u2_tilde = fem.Field(p2, u2, components=2)
         return ws.u1_tilde, ws.u2_tilde
 
-    def _source_power(self, c_new, vbar_new, gbar_vals, t_new):
+    def _source_power(self, vbar_vals, gbar_vals, t_new):
         """Forcing power entering the auxiliary-variable ODE (manufactured)."""
         if self.sources is None:
             return 0.0
@@ -366,8 +371,7 @@ class Stepper:
             total += params.co * fem.integrate(gbar_vals[i] * fq, mesh)
         if self.sources.dfv_dt is not None:
             dfq = self.sources.dfv_dt(xy[..., 0], xy[..., 1], t_new)
-            total += params.co * fem.integrate(
-                fem.eval_values(vbar_new, mesh) * dfq, mesh)
+            total += params.co * fem.integrate(vbar_vals * dfq, mesh)
         return total
 
     def compute_xi(self, ws, c_new, vbar_new, a0, hist_r, t_new):
@@ -375,7 +379,7 @@ class Stepper:
         mesh, params = self.mesh, self.params
         dt = params.dt
 
-        e_spnp = model.energy_spnp(c_new, vbar_new, params, mesh)
+        e_spnp = model.energy_spnp(c_new, ws.grad_vbar, params, mesh)
         radicand = e_spnp + self.b_shift
         if not radicand > 0.0:
             raise StructuralViolation(
@@ -384,21 +388,22 @@ class Stepper:
                 quantity="e_spnp + B")
         sqrt_eb = np.sqrt(radicand)
 
+        vbar_vals = fem.eval_values(vbar_new, mesh)
+        grad_sigma = [fem.eval_grads(c.sigma, mesh) for c in c_new]
         g_total = 0.0
         gbar_vals = []
-        for i in range(params.n_species):
+        for i, ci in enumerate(c_new):
             vals, grads = model.chemical_potential_bar(
-                c_new, vbar_new, i, params, mesh)
+                c_new, grad_sigma, vbar_vals, ws.grad_vbar, i, params)
             gbar_vals.append(vals)
-            ci = model.conc_values(c_new[i], mesh)
             g_total += fem.integrate(
-                ci * (grads[..., 0] ** 2 + grads[..., 1] ** 2), mesh)
+                ci.quad * (grads[..., 0] ** 2 + grads[..., 1] ** 2), mesh)
 
         i_cu1 = float(ws.coul_vec @ ws.u1_tilde.coefficients)
         i_cu2 = float(ws.coul_vec @ ws.u2_tilde.coefficients)
         i_ad1 = float(ws.adv_vec @ ws.u1_tilde.coefficients)
         i_ad2 = float(ws.adv_vec @ ws.u2_tilde.coefficients)
-        power = self._source_power(c_new, vbar_new, gbar_vals, t_new)
+        power = self._source_power(vbar_vals, gbar_vals, t_new)
 
         zeta1 = (params.co * i_cu1 + i_ad1 + power) / (2.0 * sqrt_eb)
         zeta2 = ((params.co / params.pe) * g_total
@@ -490,13 +495,13 @@ class Stepper:
                           r=r_new, xi=float(xi))
 
         div, split = self._log_identities(ws, psi, a0)
-        self._run_checks(new, targets)
+        e_total = self._run_checks(new, targets)
 
         self.prev = self.curr
         self.curr = new
         self.step_index += 1
         self.records.append(self._record(
-            new, self.prev, xi=xi,
+            new, e_total, xi=xi,
             visc_dissip=float(u_tilde.coefficients
                               @ (ws.Kdef @ u_tilde.coefficients)) / params.re,
             ionic_dissip=xi ** 2 * (params.co / params.pe) * g_total,
@@ -545,8 +550,7 @@ class Stepper:
     # diagnostics and structure checks
     # ------------------------------------------------------------------
 
-    def _record(self, new, old, xi, **values):
-        e_total = model.discrete_energy(new, old, self.params, self.mesh)
+    def _record(self, new, e_total, xi, **values):
         masses = tuple(model.species_mass(c, self.mesh) for c in new.c)
         mins = tuple(model.min_concentration(c, self.mesh) for c in new.c)
         return model.DiagnosticsRecord(
@@ -573,6 +577,8 @@ class Stepper:
         return float(div_rel), float(split_rel)
 
     def _run_checks(self, new, targets):
+        """Positivity, mass and energy checks of a new level; returns its
+        discrete energy."""
         step = self.step_index + 1
         for i, c in enumerate(new.c):
             mn = model.min_concentration(c, self.mesh)
@@ -586,9 +592,8 @@ class Stepper:
                     raise StructuralViolation(
                         f"species {i} mass {m!r} drifted from {targets[i]!r} "
                         f"at step {step}", step=step, quantity="mass")
+        e_new = model.discrete_energy(new, self.curr, self.params, self.mesh)
         if self.check_energy:
-            e_new = model.discrete_energy(new, self.curr, self.params,
-                                          self.mesh)
             e_old = self.records[-1].e_total
             e_ref = abs(self.records[0].e_total)
             if e_new > e_old + ENERGY_RTOL * e_ref:
@@ -598,3 +603,4 @@ class Stepper:
                     raise StructuralViolation(msg, step=step,
                                               quantity="energy")
                 warnings.warn(msg, RuntimeWarning, stacklevel=2)
+        return e_new

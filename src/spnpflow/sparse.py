@@ -129,12 +129,3 @@ class Factorization:
 def factorize(A):
     """Factorize A once; returns an object with .solve(b)."""
     return Factorization(A)
-
-
-def solve_direct(A, b):
-    """Solve A x = b with sparse LU (partial pivoting).
-
-    Returns (x, SolveReport).  Raises SingularMatrixError for singular
-    matrices and SolverError when the residual check fails.
-    """
-    return Factorization(A).solve(b)

@@ -9,8 +9,8 @@ import pytest
 
 import oracles
 from spnpflow import fem, manufactured, model
-from spnpflow.fem import (Field, assemble, assemble_vector, basis_integrals,
-                          solve_zero_mean)
+from spnpflow.fem import (Field, ZeroMeanSolver, assemble, assemble_vector,
+                          basis_integrals)
 from spnpflow.mesh import build_rect_mesh, dof_map
 from spnpflow.scenarios import (max_charge_imbalance, scenario_energy_decay,
                                 scenario_exponent_k, scenario_steric)
@@ -159,7 +159,7 @@ def test_criterion_6_kernel_oracles():
         b = assemble_vector("source", d2, m,
                             lambda x, y: np.cos(np.pi * x)
                             * np.cos(np.pi * y))
-        x, _, _ = solve_zero_mean(K, b, basis_integrals(d2, m))
+        x, _, _ = ZeroMeanSolver(K, basis_integrals(d2, m)).solve(b)
         errs.append(fem.error_norm_l2(
             Field(d2, x), lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)
             / (2 * np.pi ** 2), m))

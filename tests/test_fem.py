@@ -6,9 +6,9 @@ from spnpflow import fem
 from spnpflow.errors import CompatibilityError
 from spnpflow.fem import (Field, RefElement, apply_dirichlet, assemble,
                           assemble_vector, basis_integrals, error_norm_l2,
-                          interpolate, quad_rule, solve_zero_mean)
+                          interpolate, quad_rule, ZeroMeanSolver)
 from spnpflow.mesh import build_rect_mesh, dof_map
-from spnpflow.sparse import solve_direct
+from spnpflow.sparse import factorize
 
 
 @pytest.fixture
@@ -240,7 +240,7 @@ def test_apply_dirichlet_homogeneous_poisson(unit_mesh):
     f = assemble_vector("source", p1, unit_mesh,
                         lambda x, y: np.ones_like(x))
     A, b = apply_dirichlet(K, f, p1.boundary_dofs, 0.0)
-    x, _ = solve_direct(A, b)
+    x, _ = factorize(A).solve(b)
     assert np.abs(x[p1.boundary_dofs]).max() <= 1e-14
     assert x.max() > 0.0   # interior bulge of the membrane problem
 
@@ -253,7 +253,7 @@ def test_apply_dirichlet_left_right_harmonic(unit_mesh):
     dofs = np.concatenate([left, right])
     vals = np.concatenate([np.ones(left.size), np.zeros(right.size)])
     A, b = apply_dirichlet(K, np.zeros(p2.n_dofs), dofs, vals)
-    x, _ = solve_direct(A, b)
+    x, _ = factorize(A).solve(b)
     err = error_norm_l2(Field(p2, x), lambda x_, y_: 1.0 - x_, unit_mesh)
     assert err <= 1e-12
 
@@ -276,8 +276,8 @@ def test_apply_dirichlet_symmetric_elimination(unit_mesh):
     A2, b2 = apply_dirichlet(K, f, p1.boundary_dofs, vals, symmetric=True)
     arr = A2.toarray()
     assert np.abs(arr - arr.T).max() <= 1e-14
-    x1, _ = solve_direct(A1, b1)
-    x2, _ = solve_direct(A2, b2)
+    x1, _ = factorize(A1).solve(b1)
+    x2, _ = factorize(A2).solve(b2)
     assert np.abs(x1 - x2).max() <= 1e-11
 
 
@@ -323,7 +323,7 @@ def test_solve_zero_mean_zero_rhs(unit_mesh):
     p2 = dof_map(unit_mesh, 2)
     K = assemble("stiffness", p2, p2, unit_mesh)
     w = basis_integrals(p2, unit_mesh)
-    x, mult, _ = solve_zero_mean(K, np.zeros(p2.n_dofs), w)
+    x, mult, _ = ZeroMeanSolver(K, w).solve(np.zeros(p2.n_dofs))
     assert np.abs(x).max() == 0.0
     assert mult == 0.0
 
@@ -337,7 +337,7 @@ def test_solve_zero_mean_eigenfunction_order():
         b = assemble_vector(
             "source", p2, mesh,
             lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
-        x, _, _ = solve_zero_mean(K, b, basis_integrals(p2, mesh))
+        x, _, _ = ZeroMeanSolver(K, basis_integrals(p2, mesh)).solve(b)
         V = Field(p2, x)
         assert abs(fem.mean_value(V, mesh)) <= 1e-12
         errs.append(error_norm_l2(
@@ -351,11 +351,11 @@ def test_solve_zero_mean_incompatible_rhs(unit_mesh):
     p1 = dof_map(unit_mesh, 1)
     K = assemble("stiffness", p1, p1, unit_mesh)
     b = assemble_vector("source", p1, unit_mesh, 1.0)   # constant rhs
+    solver = ZeroMeanSolver(K, basis_integrals(p1, unit_mesh))
     with pytest.raises(CompatibilityError):
-        solve_zero_mean(K, b, basis_integrals(p1, unit_mesh))
+        solver.solve(b)
     # mean subtraction absorbs the imbalance into the multiplier
-    x, mult, _ = solve_zero_mean(K, b, basis_integrals(p1, unit_mesh),
-                                 subtract_mean=True)
+    x, mult, _ = solver.solve(b, subtract_mean=True)
     assert abs(mult - 1.0) <= 1e-10   # multiplier = imbalance / area
 
 

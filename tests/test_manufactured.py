@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from spnpflow import manufactured as mf
 from spnpflow import model
 
@@ -54,7 +55,7 @@ def test_concentrations_positive(exact):
 
 
 def test_source_validation_fd(exact, sources, params):
-    worst = mf.validate_sources(exact, sources, params, n_points=100)
+    worst = oracles.validate_sources(exact, sources, params, n_points=100)
     assert worst <= 1e-6
 
 
@@ -64,8 +65,8 @@ def test_poisson_source_two_evaluations(exact, sources, params):
     x, y, t = (rng.uniform(0.1, 0.9, 30), rng.uniform(0.1, 0.9, 30),
                rng.uniform(0.0, 1.0, 30))
     h = 1e-3
-    lap = (mf._fd2(lambda a: exact.v(a, y, t), x, h)
-           + mf._fd2(lambda b: exact.v(x, b, t), y, h))
+    lap = (oracles.fd2(lambda a: exact.v(a, y, t), x, h)
+           + oracles.fd2(lambda b: exact.v(x, b, t), y, h))
     charge = exact.cp(x, y, t) - exact.cn(x, y, t)
     fd_val = -params.lam * lap - charge
     assert np.abs(fd_val - sources.f_v(x, y, t)).max() <= 1e-6
@@ -102,17 +103,17 @@ def test_momentum_source_inviscid_limit_hand_value():
 
 def test_mass_of_exact_solution_is_constant(exact):
     # the oscillatory part integrates to zero over the unit square
-    from spnpflow import fem
     from spnpflow.mesh import build_rect_mesh, dof_map
     mesh = build_rect_mesh(0, 1, 0, 1, 24, 24)
     p2 = dof_map(mesh, 2)
     for t in (0.0, 0.3):
-        c = fem.interpolate(lambda x, y: exact.cp(x, y, t), p2)
+        c = model.concentration_from_callable(
+            lambda x, y: exact.cp(x, y, t), p2, mesh)
         assert abs(model.species_mass(c, mesh) - 1.2) <= 1e-6
 
 
 def test_short_convergence_study_orders():
-    rows = mf.convergence_study([8, 16], 24, validate=True)
+    rows = mf.convergence_study([8, 16], 24)
     for key in mf.ERROR_KEYS:
         assert rows[1].errors[key] < rows[0].errors[key]
         assert 1.5 <= rows[1].orders[key] <= 3.5
@@ -162,14 +163,14 @@ def test_momentum_forcing_evaluated_once_per_step(monkeypatch):
 
 def test_convergence_rejects_nonincreasing_steps():
     with pytest.raises(ValueError):
-        mf.convergence_study([16, 8], 8, validate=False)
+        mf.convergence_study([16, 8], 8)
 
 
 @pytest.mark.full_resolution
 def test_full_scale_reference_points():
     # frozen reference errors and orders for the temporal study at
     # h = sqrt(2)/256
-    rows = mf.convergence_study([16, 32, 64], 256, validate=False)
+    rows = mf.convergence_study([16, 32, 64], 256)
     by_n = {r.n_steps: r for r in rows}
     assert by_n[32].errors["u"] == pytest.approx(1.1072e-04, rel=0.5)
     assert by_n[32].orders["u"] == pytest.approx(2.05, abs=0.35)

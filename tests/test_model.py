@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spnpflow import fem, model
-from spnpflow.errors import PositivityError
 from spnpflow.mesh import build_rect_mesh, dof_map
 
 
@@ -104,83 +103,102 @@ def test_carreau_monotone_and_bounded(k, decreasing):
 # chemical potential and energies
 # ----------------------------------------------------------------------
 
-def const_fields(p2, values):
-    return [fem.Field(p2, np.full(p2.n_dofs, v)) for v in values]
+def const_concs(p2, mesh, values):
+    """Constant Concentrations: sigma = 0 and scale = value."""
+    sigma = fem.zero_field(p2)
+    return [model.Concentration(sigma, v, *model.exp_log_field(sigma, mesh))
+            for v in values]
+
+
+def potential_args(c, vbar, mesh):
+    """The quadrature arrays chemical_potential_bar reads besides ``c``."""
+    return ([fem.eval_grads(ci.sigma, mesh) for ci in c],
+            fem.eval_values(vbar, mesh), fem.eval_grads(vbar, mesh))
 
 
 def test_chemical_potential_uniform_neutral(mesh, p2):
     p = make_params(w_steric=np.zeros((2, 2)))
-    c = const_fields(p2, [1.0, 1.0])
+    c = const_concs(p2, mesh, [1.0, 1.0])
     vbar = fem.zero_field(p2)
-    vals, grads = model.chemical_potential_bar(c, vbar, 0, p, mesh)
+    vals, grads = model.chemical_potential_bar(
+        c, *potential_args(c, vbar, mesh), 0, p)
     assert np.abs(vals).max() <= 1e-14
     assert np.abs(grads).max() <= 1e-14
 
 
 def test_chemical_potential_constant_with_steric(mesh, p2):
     p = make_params(w_steric=np.array([[2.0, 1.0], [1.0, 2.0]]))
-    c = const_fields(p2, [1.0, 1.0])
+    c = const_concs(p2, mesh, [1.0, 1.0])
     vbar = fem.zero_field(p2)
-    vals, _ = model.chemical_potential_bar(c, vbar, 0, p, mesh)
+    vals, _ = model.chemical_potential_bar(
+        c, *potential_args(c, vbar, mesh), 0, p)
     assert np.abs(vals - 3.0).max() <= 1e-13     # log 1 + 2 + 1
 
 
 def test_chemical_potential_pointwise_oracle(mesh, p2):
-    # compare against direct scalar evaluation at one quadrature point
+    # compare against direct scalar evaluation at one quadrature point; the
+    # log-concentrations are quadratic, so their P2 interpolants are exact
     p = make_params()
-    cp = fem.interpolate(lambda x, y: 1.2 + 0.3 * x * y, p2)
-    cn = fem.interpolate(lambda x, y: 1.0 + 0.1 * x, p2)
+    qp = lambda x, y: 0.2 + 0.3 * x * y
+    qn = lambda x, y: 0.1 * x - 0.2 * y * y
+    c = [model.concentration_from_callable(lambda x, y, q=q: np.exp(q(x, y)),
+                                           p2, mesh) for q in (qp, qn)]
     vbar = fem.interpolate(lambda x, y: 0.2 * x - 0.1 * y * y, p2)
-    vals, _ = model.chemical_potential_bar([cp, cn], vbar, 0, p, mesh)
+    vals, grads = model.chemical_potential_bar(
+        c, *potential_args(c, vbar, mesh), 0, p)
     xy = fem.quad_points_physical(mesh)
     x, y = xy[3, 5, 0], xy[3, 5, 1]
-    expected = (np.log(1.2 + 0.3 * x * y) + 1.0 * (0.2 * x - 0.1 * y * y)
-                + 2.0 * (1.2 + 0.3 * x * y) + 1.0 * (1.0 + 0.1 * x))
+    cp, cn = np.exp(qp(x, y)), np.exp(qn(x, y))
+    expected = (qp(x, y) + 1.0 * (0.2 * x - 0.1 * y * y)
+                + 2.0 * cp + 1.0 * cn)
     assert abs(vals[3, 5] - expected) <= 1e-12
-
-
-def test_chemical_potential_rejects_nonpositive(mesh, p2):
-    p = make_params()
-    c = const_fields(p2, [1.0, 1.0])
-    c[0].coefficients[:] = -0.5
-    with pytest.raises(PositivityError):
-        model.chemical_potential_bar(c, fem.zero_field(p2), 0, p, mesh)
+    # grad q_p + z_p grad V + w_pp grad c_p + w_pn grad c_n
+    grad_qp = np.array([0.3 * y, 0.3 * x])
+    grad_qn = np.array([0.1, -0.4 * y])
+    expected_grad = (grad_qp + 1.0 * np.array([0.2, -0.2 * y])
+                     + 2.0 * cp * grad_qp + 1.0 * cn * grad_qn)
+    assert np.abs(grads[3, 5] - expected_grad).max() <= 1e-12
 
 
 def test_energy_spnp_constant_states(mesh, p2):
-    vbar = fem.zero_field(p2)
-    c = const_fields(p2, [1.0, 1.0])
+    grad_vbar = fem.eval_grads(fem.zero_field(p2), mesh)
+    c = const_concs(p2, mesh, [1.0, 1.0])
     p_diag = make_params(co=0.6, w_steric=np.diag([2.0, 2.0]))
     # 0.6 * 2 * (-1) + 0.3 * (2 + 2) = 0
-    assert abs(model.energy_spnp(c, vbar, p_diag, mesh)) <= 1e-12
+    assert abs(model.energy_spnp(c, grad_vbar, p_diag, mesh)) <= 1e-12
     p_zero = make_params(co=0.6, w_steric=np.zeros((2, 2)))
-    assert abs(model.energy_spnp(c, vbar, p_zero, mesh) + 1.2) <= 1e-12
+    assert abs(model.energy_spnp(c, grad_vbar, p_zero, mesh) + 1.2) <= 1e-12
 
 
 def test_energy_spnp_refined_quadrature_oracle(mesh, p2):
     # same discrete fields, re-integrated with a dense independent rule;
-    # isolates the quadrature error of the non-polynomial entropy term
+    # isolates the quadrature error of the non-polynomial integrands
     import oracles
     p = make_params(co=0.6, lam=0.2, w_steric=np.diag([2.0, 2.0]))
-    cp = fem.interpolate(
-        lambda x, y: 12 + 10 * np.cos(np.pi * x) * np.cos(np.pi * y), p2)
-    cn = fem.interpolate(
-        lambda x, y: 12 - 10 * np.cos(np.pi * x) * np.cos(np.pi * y), p2)
+    cp = model.concentration_from_callable(
+        lambda x, y: 12 + 10 * np.cos(np.pi * x) * np.cos(np.pi * y), p2,
+        mesh)
+    cn = model.concentration_from_callable(
+        lambda x, y: 12 - 10 * np.cos(np.pi * x) * np.cos(np.pi * y), p2,
+        mesh)
     vbar = fem.interpolate(
         lambda x, y: 0.05 * np.cos(np.pi * x) * np.cos(np.pi * y), p2)
-    val = model.energy_spnp([cp, cn], vbar, p, mesh)
+    val = model.energy_spnp([cp, cn], fem.eval_grads(vbar, mesh), p, mesh)
 
     oracle = 0.0
     w = p.w_steric
     for tri in range(mesh.n_triangles):
         pts, wq = oracles.triangle_quad(mesh.nodes[mesh.triangles[tri]], n=12)
         x, y = pts[:, 0], pts[:, 1]
-        cps = oracles.field_value(p2, cp.coefficients, tri, x, y)
-        cns = oracles.field_value(p2, cn.coefficients, tri, x, y)
+        # each concentration is scale * exp(sigma) pointwise
+        logs = [np.log(c.scale)
+                + oracles.field_value(p2, c.sigma.coefficients, tri, x, y)
+                for c in (cp, cn)]
+        cps, cns = np.exp(logs[0]), np.exp(logs[1])
         gv = oracles.field_grad(p2, vbar.coefficients, tri, x, y)
         oracle += 0.5 * p.lam * p.co * (wq * (gv ** 2).sum(axis=1)).sum()
-        for cv in (cps, cns):
-            oracle += p.co * (wq * cv * (np.log(cv) - 1.0)).sum()
+        for cv, lv in zip((cps, cns), logs):
+            oracle += p.co * (wq * cv * (lv - 1.0)).sum()
         pairs = ((cps, cps, w[0, 0]), (cps, cns, w[0, 1]),
                  (cns, cps, w[1, 0]), (cns, cns, w[1, 1]))
         for ca, cb, wij in pairs:
@@ -191,20 +209,14 @@ def test_energy_spnp_refined_quadrature_oracle(mesh, p2):
 def test_energy_spnp_species_relabeling_invariance(mesh, p2):
     w = np.array([[3.0, 1.0], [1.0, 2.0]])
     p = make_params(w_steric=w, z=(1, -1))
-    cp = fem.interpolate(lambda x, y: 1.5 + x, p2)
-    cn = fem.interpolate(lambda x, y: 2.0 - y, p2)
-    vbar = fem.interpolate(lambda x, y: 0.1 * x, p2)
-    e1 = model.energy_spnp([cp, cn], vbar, p, mesh)
+    cp = model.concentration_from_callable(lambda x, y: 1.5 + x, p2, mesh)
+    cn = model.concentration_from_callable(lambda x, y: 2.0 - y, p2, mesh)
+    grad_vbar = fem.eval_grads(fem.interpolate(lambda x, y: 0.1 * x, p2),
+                               mesh)
+    e1 = model.energy_spnp([cp, cn], grad_vbar, p, mesh)
     p_swapped = make_params(w_steric=w[::-1, ::-1].copy(), z=(-1, 1))
-    e2 = model.energy_spnp([cn, cp], vbar, p_swapped, mesh)
+    e2 = model.energy_spnp([cn, cp], grad_vbar, p_swapped, mesh)
     assert abs(e1 - e2) <= 1e-12 * abs(e1)
-
-
-def test_energy_spnp_rejects_nonpositive(mesh, p2):
-    p = make_params()
-    c = const_fields(p2, [1.0, -1.0])
-    with pytest.raises(PositivityError):
-        model.energy_spnp(c, fem.zero_field(p2), p, mesh)
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +226,9 @@ def test_energy_spnp_rejects_nonpositive(mesh, p2):
 def make_state(p2, p1_map, mesh, u_val=0.0, p_val=0.0, r=1.0):
     u = fem.Field(p2, np.full(2 * p2.n_dofs, u_val), components=2)
     p = fem.Field(p1_map, np.full(p1_map.n_dofs, p_val))
-    c = [fem.Field(p2, np.ones(p2.n_dofs)) for _ in range(2)]
     sig = [fem.zero_field(p2) for _ in range(2)]
+    c = [model.Concentration(s, 1.0, *model.exp_log_field(s, mesh))
+         for s in sig]
     vb = fem.zero_field(p2)
     return model.State(t=0.0, u=u, p=p, sigma=sig, c=c, vbar=vb,
                        v=vb.copy(), mu_q=np.zeros((mesh.n_triangles, 12)),
@@ -270,14 +283,15 @@ def test_discrete_energy_independent_norm_oracle(mesh, p2):
 # ----------------------------------------------------------------------
 
 def test_species_mass_constants(mesh, p2):
-    c = fem.Field(p2, np.ones(p2.n_dofs))
+    c, = const_concs(p2, mesh, [1.0])
     assert abs(model.species_mass(c, mesh) - 1.0) <= 1e-14
     assert model.min_concentration(c, mesh) == 1.0
 
 
 def test_species_mass_cosine_background(mesh, p2):
-    c = fem.interpolate(
-        lambda x, y: 12 + 10 * np.cos(np.pi * x) * np.cos(np.pi * y), p2)
+    c = model.concentration_from_callable(
+        lambda x, y: 12 + 10 * np.cos(np.pi * x) * np.cos(np.pi * y), p2,
+        mesh)
     assert abs(model.species_mass(c, mesh) - 12.0) <= 1e-6
     assert abs(model.min_concentration(c, mesh) - 2.0) <= 0.2
 
@@ -292,13 +306,16 @@ def test_concentration_quad_values_computed_once(mesh, p2):
     assert not vals.flags.writeable
     with pytest.raises(ValueError):
         vals[0, 0] = 1.0
+    logs = np.log(0.7) + fem.eval_values(sigma, mesh)
+    assert c.log_quad.tobytes() == logs.tobytes()
+    assert not c.log_quad.flags.writeable
 
 
 def test_species_mass_refined_quadrature_oracle(p2, mesh):
     fn = lambda x, y: 1.0 + 0.5 * np.sin(2 * np.pi * x) * y
-    c = fem.interpolate(fn, p2)
+    c = model.concentration_from_callable(fn, p2, mesh)
     fine = build_rect_mesh(0, 1, 0, 1, 64, 64)
-    cf = fem.interpolate(fn, dof_map(fine, 2))
+    cf = model.concentration_from_callable(fn, dof_map(fine, 2), fine)
     assert abs(model.species_mass(c, mesh)
                - model.species_mass(cf, fine)) <= 1e-6
 

@@ -13,8 +13,8 @@ def test_energy_decay_initial_data():
     scen = scenario_energy_decay(nx=10)
     mesh = scen.build_mesh()
     p2 = dof_map(mesh, 2)
-    cp = fem.interpolate(scen.c0_fns[0], p2)
-    cn = fem.interpolate(scen.c0_fns[1], p2)
+    cp = model.concentration_from_callable(scen.c0_fns[0], p2, mesh)
+    cn = model.concentration_from_callable(scen.c0_fns[1], p2, mesh)
     assert abs(model.species_mass(cp, mesh) - 12.0) <= 1e-8
     assert abs(model.species_mass(cn, mesh) - 12.0) <= 1e-8
     # zero net charge, so the strict Neumann solve is compatible

@@ -48,8 +48,8 @@ def test_sigma_constant_solution_single_step():
     st = uniform_stepper(n=3)
     st.curr.sigma = [fem.Field(st.p2, np.full(st.p2.n_dofs, 0.7))
                      for _ in range(2)]
-    st.curr.c = [fem.Field(st.p2, np.full(st.p2.n_dofs, np.exp(0.7)))
-                 for _ in range(2)]
+    st.curr.c = [model.Concentration(s, 1.0, *model.exp_log_field(s, st.mesh))
+                 for s in st.curr.sigma]
     ws = st.make_workspace(bdf1=True)
     hist = [s.coefficients.copy() for s in st.curr.sigma]
     out = st.step_sigma(ws, 0, 1.0, hist, t_new=st.params.dt)
@@ -282,6 +282,33 @@ def test_per_step_factorizations_symmetric_and_fill_reduced(monkeypatch):
         colamd = real_splu(A.tocsc())
         ratio = (lu.L.nnz + lu.U.nnz) / (colamd.L.nnz + colamd.U.nnz)
         assert ratio <= FILL_RATIO_MAX, (A.shape, ratio)
+
+
+# Quadrature evaluations of one full step: 5 for the extrapolants, 2 for the
+# new concentrations, 1 for grad Vbar (shared by momentum, energy and
+# chemical potential), 3 in the xi stage (Vbar and each grad sigma), 2 for
+# the corrected pressure and shear, 3 for the one discrete energy.
+EVALS_PER_STEP_MAX = 16
+
+
+def test_per_step_quadrature_evaluation_budget(monkeypatch):
+    from spnpflow.scenarios import scenario_energy_decay
+
+    calls = []
+    for name in ("eval_values", "eval_grads"):
+        real = getattr(fem, name)
+
+        def counted(*args, _real=real, **kw):
+            calls.append(1)
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(fem, name, counted)
+    st = scenario_energy_decay(nx=10).make_stepper()
+    st.bootstrap_first_step()
+    for _ in range(2):
+        calls.clear()
+        st.step()
+        assert len(calls) <= EVALS_PER_STEP_MAX
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from spnpflow.errors import SingularMatrixError
-from spnpflow.sparse import SparseMatrix, solve_direct
+from spnpflow.sparse import SparseMatrix, factorize
 
 
 def random_sparse(n, density, seed):
@@ -35,7 +35,7 @@ def test_csr_invariants():
 def test_solve_direct_identity():
     A = sp.identity(6, format="csr")
     b = np.linspace(0, 1, 6)
-    x, report = solve_direct(A, b)
+    x, report = factorize(A).solve(b)
     assert np.allclose(x, b)
     assert report.residual == 0.0
 
@@ -51,7 +51,7 @@ def test_solve_direct_tridiagonal_vs_dense_lu():
             rows.append(i); cols.append(i + 1); vals.append(-1.0)
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     b = np.ones(n)
-    x, _ = solve_direct(A, b)
+    x, _ = factorize(A).solve(b)
     expected = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - expected).max() <= 1e-12
 
@@ -59,17 +59,17 @@ def test_solve_direct_tridiagonal_vs_dense_lu():
 def test_solve_direct_singular():
     A = sp.csr_matrix(np.ones((3, 3)))
     with pytest.raises(SingularMatrixError):
-        solve_direct(A, np.ones(3))
+        factorize(A).solve(np.ones(3))
 
 
 def test_solve_direct_rejects_rectangular():
     with pytest.raises(ValueError, match="square"):
-        solve_direct(sp.csr_matrix((3, 2)), np.ones(3))
+        factorize(sp.csr_matrix((3, 2))).solve(np.ones(3))
 
 
 def test_solve_direct_zero_rhs():
     A, _ = random_sparse(8, 0.4, seed=5)
-    x, report = solve_direct(A.to_scipy(), np.zeros(8))
+    x, report = factorize(A.to_scipy()).solve(np.zeros(8))
     assert np.array_equal(x, np.zeros(8))
     assert report.residual == 0.0
 
@@ -80,5 +80,5 @@ def test_direct_then_spmv_roundtrip():
         A = A.to_scipy()
         rng = np.random.default_rng(100 + seed)
         b = rng.standard_normal(25)
-        x, _ = solve_direct(A, b)
+        x, _ = factorize(A).solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
