@@ -2,9 +2,12 @@
 
 Assembly is vectorized over all triangles at once: basis values are tabulated
 on the reference triangle, pushed to physical gradients per cell through the
-(affine) Jacobian, and contracted with quadrature weights via einsum.  Every
-matrix is accumulated as coordinate triplets and compressed to SciPy CSR once,
-with duplicates summed.
+(affine) Jacobian, and contracted with quadrature weights via einsum.  Each
+form's CSR sparsity pattern is built once per mesh and cached with the
+geometry, together with the CSR position of every local element entry; an
+assembly is then one einsum and one ``bincount`` into fresh read-only data
+sharing the pattern's index arrays.  The scalar P2 forms share one pattern,
+so the scheme adds their matrices as data vectors.
 
 Nonlinear coefficients are always point values at quadrature points, taken
 from the finite-element expansions of their fields.
@@ -142,6 +145,19 @@ class _Geometry:
                         + bary[None, :, 1, None] * p[:, None, 1, :]
                         + bary[None, :, 2, None] * p[:, None, 2, :])
         self._elements = {}
+        self._patterns = {}
+
+    def pattern(self, test, trial, blocks):
+        """Sparsity pattern of ``blocks`` of the (test, trial) spaces; the
+        block patterns are derived from the cached scalar one."""
+        key = (test.order, trial.order, blocks)
+        if key not in self._patterns:
+            if blocks == _SCALAR:
+                self._patterns[key] = _scalar_pattern(test, trial)
+            else:
+                self._patterns[key] = _block_pattern(
+                    self.pattern(test, trial, _SCALAR), blocks)
+        return self._patterns[key]
 
     def element(self, order):
         if order not in self._elements:
@@ -253,16 +269,127 @@ def _coeff_array(coeff, mesh):
     return np.asarray(coeff)
 
 
-def _csr(n_rows, n_cols, rows, cols, values):
-    """Canonical SciPy CSR matrix from triplets, duplicates summed."""
-    return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, values).to_scipy()
+# Blocks of the vector-valued forms, (block row, block column), row-major;
+# every other form is one scalar block.
+_SCALAR = ((0, 0),)
+_BLOCKS = {
+    "vector_mass": ((0, 0), (1, 1)),
+    "deformation": ((0, 0), (0, 1), (1, 0), (1, 1)),
+    "div_coupling": ((0, 0), (1, 0)),
+}
+
+# 2 D(phi_j e_b) : D(phi_i e_a) = delta_ab grad phi_i . grad phi_j
+#                                 + d_b phi_i d_a phi_j, as C[a, b, c, d]
+# contracted with d_c phi_i d_d phi_j
+_I2 = np.eye(2)
+_DEFORMATION = (np.einsum("ab,cd->abcd", _I2, _I2)
+                + np.einsum("bc,ad->abcd", _I2, _I2))
 
 
-def _scatter_matrix(local, test_cells, trial_cells, n_test, n_trial):
-    n_el, nb_t, nb_s = local.shape
-    rows = np.repeat(test_cells, nb_s, axis=1).ravel()
-    cols = np.tile(trial_cells, (1, nb_t)).ravel()
-    return _csr(n_test, n_trial, rows, cols, local.ravel())
+class Pattern:
+    """CSR sparsity pattern of one form on one mesh, built once.
+
+    ``slot`` maps every entry of the local element matrices, flattened in
+    (block, element, test, trial) order, to its position in the CSR data,
+    so assembly is a single ``bincount``.  The index arrays are read-only
+    and shared by every matrix made on the pattern.  Entries whose value is
+    zero stay stored.
+    """
+
+    def __init__(self, shape, indptr, indices, slot=None):
+        self.shape = shape
+        self.indptr = indptr
+        self.indices = indices
+        self.slot = slot
+        for arr in (indptr, indices, slot):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    @property
+    def nnz(self):
+        return self.indices.size
+
+    def csr(self, data):
+        """CSR matrix on this pattern; ``data`` (length nnz) is made
+        read-only and kept, not copied."""
+        data = np.asarray(data, dtype=np.float64)
+        data.setflags(write=False)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    def assemble(self, local):
+        """Sum local element matrices, laid out as ``slot``, into a matrix."""
+        return self.csr(np.bincount(self.slot, weights=local.ravel(),
+                                    minlength=self.nnz))
+
+    def positions(self, A):
+        """Positions in this pattern's data of the stored entries of the
+        canonical CSR matrix ``A``, whose pattern this one must contain."""
+        def keys(indptr, indices):
+            rows = np.repeat(np.arange(self.shape[0], dtype=np.int64),
+                             np.diff(indptr))
+            return rows * self.shape[1] + indices
+        if A.shape != self.shape:
+            raise ValueError("matrix shape differs from the pattern's")
+        own = keys(self.indptr, self.indices)
+        theirs = keys(A.indptr, A.indices)
+        pos = np.minimum(np.searchsorted(own, theirs), own.size - 1)
+        if not np.array_equal(own[pos], theirs):
+            raise ValueError("matrix pattern is not contained in this one")
+        return pos
+
+
+def _scalar_pattern(test, trial):
+    """Pattern of a scalar form: one sort of the element (row, col) keys."""
+    n_t, n_s = test.n_dofs, trial.n_dofs
+    nb_t, nb_s = test.cell_to_dofs.shape[1], trial.cell_to_dofs.shape[1]
+    rows = np.repeat(test.cell_to_dofs.astype(np.int64), nb_s, axis=1)
+    cols = np.tile(trial.cell_to_dofs, (1, nb_t))
+    keys, slot = np.unique((rows * n_s + cols).ravel(), return_inverse=True)
+    indptr = np.zeros(n_t + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n_s, minlength=n_t), out=indptr[1:])
+    return Pattern((n_t, n_s), indptr, (keys % n_s).astype(np.int32),
+                   slot.astype(np.int32))
+
+
+def _block_pattern(scalar, blocks):
+    """Pattern of a block matrix whose ``blocks`` each have the scalar
+    pattern.  Row r of block row R holds, for each of R's blocks in column
+    order, the entries of scalar row r, so every position follows from the
+    scalar one arithmetically, with no second sort."""
+    n_t, n_s = scalar.shape
+    nnz = scalar.nnz
+    start = scalar.indptr.astype(np.int64)
+    length = np.diff(start)
+    row = np.repeat(np.arange(n_t), length)
+    first, count = start[row], length[row]
+    k = np.arange(nnz)
+    n_rows = 1 + max(r for r, _ in blocks)
+    n_cols = 1 + max(c for _, c in blocks)
+    indices = np.empty(len(blocks) * nnz, dtype=np.int32)
+    indptr, slot = [], []
+    offset = 0
+    for r in range(n_rows):
+        cols = [c for rr, c in blocks if rr == r]
+        for j, c in enumerate(cols):
+            pos = offset + (len(cols) - 1) * first + j * count + k
+            indices[pos] = scalar.indices + c * n_s
+            slot.append(pos[scalar.slot])
+        indptr.append(offset + len(cols) * start[:-1])
+        offset += len(cols) * nnz
+    indptr = np.concatenate(indptr + [[offset]]).astype(np.int32)
+    return Pattern((n_rows * n_t, n_cols * n_s), indptr, indices,
+                   np.concatenate(slot).astype(np.int32))
+
+
+def pattern(form, trial, test, mesh):
+    """The sparsity pattern of ``form``, built once per mesh.
+
+    Forms on the same spaces with the same blocks share one pattern, so
+    their matrices add as data vectors: mass, stiffness and advection on P2
+    share the scalar P2 pattern.
+    """
+    return geometry(mesh).pattern(test, trial, _BLOCKS.get(form, _SCALAR))
 
 
 def assemble(form, trial, test, mesh, coeff=None):
@@ -279,73 +406,37 @@ def assemble(form, trial, test, mesh, coeff=None):
     div_coupling  ((div v) q), vector test space, scalar trial space
 
     Directional-gradient forms like (grad a . grad phi) psi are "advection"
-    with b = grad a evaluated at quadrature points.
+    with b = grad a evaluated at quadrature points.  The matrix is laid on
+    ``pattern(form, trial, test, mesh)`` with fresh, read-only data.
     """
     geo = geometry(mesh)
     phi_s, g_s = geo.element(trial.order)
     phi_t, g_t = geo.element(test.order)
-    W = geo.wdet
-    w = _coeff_array(coeff, mesh)
+    Ww = (geo.wdet if form == "advection"
+          else geo.wdet * _coeff_array(coeff, mesh))
 
     if form == "mass":
-        local = np.einsum("eq,iq,jq->eij", W * w, phi_t, phi_s)
-        return _scatter_matrix(local, test.cell_to_dofs, trial.cell_to_dofs,
-                               test.n_dofs, trial.n_dofs)
-    if form == "stiffness":
-        local = np.einsum("eq,eiqd,ejqd->eij", W * w, g_t, g_s)
-        return _scatter_matrix(local, test.cell_to_dofs, trial.cell_to_dofs,
-                               test.n_dofs, trial.n_dofs)
-    if form == "advection":
-        b = np.asarray(coeff)
-        local = np.einsum("eq,iq,eqd,ejqd->eij", W, phi_t, b, g_s)
-        return _scatter_matrix(local, test.cell_to_dofs, trial.cell_to_dofs,
-                               test.n_dofs, trial.n_dofs)
-    if form in ("grad_x", "grad_y"):
+        local = np.einsum("eq,iq,jq->eij", Ww, phi_t, phi_s, optimize=True)
+    elif form == "stiffness":
+        local = np.einsum("eq,eiqd,ejqd->eij", Ww, g_t, g_s, optimize=True)
+    elif form == "advection":
+        local = np.einsum("eq,iq,eqd,ejqd->eij", Ww, phi_t,
+                          np.asarray(coeff), g_s, optimize=True)
+    elif form in ("grad_x", "grad_y"):
         d = 0 if form == "grad_x" else 1
-        local = np.einsum("eq,iq,ejq->eij", W * w, phi_t, g_s[..., d])
-        return _scatter_matrix(local, test.cell_to_dofs, trial.cell_to_dofs,
-                               test.n_dofs, trial.n_dofs)
-    if form == "vector_mass":
-        local = np.einsum("eq,iq,jq->eij", W * w, phi_t, phi_s)
-        return _vector_blocks({(0, 0): local, (1, 1): local}, trial, test)
-    if form == "deformation":
-        Ww = W * w
-        gx_t, gy_t = g_t[..., 0], g_t[..., 1]
-        gx_s, gy_s = g_s[..., 0], g_s[..., 1]
-        # 2 mu D(u):D(v) = 2 mu (ux_x vx_x + uy_y vy_y)
-        #                  + mu (ux_y + uy_x)(vx_y + vy_x)
-        a00 = np.einsum("eq,eiq,ejq->eij", 2 * Ww, gx_t, gx_s) \
-            + np.einsum("eq,eiq,ejq->eij", Ww, gy_t, gy_s)
-        a11 = np.einsum("eq,eiq,ejq->eij", 2 * Ww, gy_t, gy_s) \
-            + np.einsum("eq,eiq,ejq->eij", Ww, gx_t, gx_s)
-        a01 = np.einsum("eq,eiq,ejq->eij", Ww, gy_t, gx_s)
-        a10 = np.einsum("eq,eiq,ejq->eij", Ww, gx_t, gy_s)
-        return _vector_blocks({(0, 0): a00, (0, 1): a01,
-                               (1, 0): a10, (1, 1): a11}, trial, test)
-    if form == "div_coupling":
-        bx = np.einsum("eq,eiq,jq->eij", W * w, g_t[..., 0], phi_s)
-        by = np.einsum("eq,eiq,jq->eij", W * w, g_t[..., 1], phi_s)
-        n_t, n_s = test.n_dofs, trial.n_dofs
-        rows_x = np.repeat(test.cell_to_dofs, phi_s.shape[0], axis=1).ravel()
-        rows_y = rows_x + n_t
-        cols = np.tile(trial.cell_to_dofs, (1, phi_t.shape[0])).ravel()
-        rows = np.concatenate([rows_x, rows_y])
-        cols2 = np.concatenate([cols, cols])
-        vals = np.concatenate([bx.ravel(), by.ravel()])
-        return _csr(2 * n_t, n_s, rows, cols2, vals)
-    raise ValueError(f"unknown form {form!r}")
-
-
-def _vector_blocks(blocks, trial, test):
-    n_t, n_s = test.n_dofs, trial.n_dofs
-    nb_t = test.cell_to_dofs.shape[1]
-    nb_s = trial.cell_to_dofs.shape[1]
-    rows = np.concatenate([np.repeat(test.cell_to_dofs + r * n_t, nb_s,
-                                     axis=1).ravel() for r, _ in blocks])
-    cols = np.concatenate([np.tile(trial.cell_to_dofs + c * n_s,
-                                   (1, nb_t)).ravel() for _, c in blocks])
-    vals = np.concatenate([local.ravel() for local in blocks.values()])
-    return _csr(2 * n_t, 2 * n_s, rows, cols, vals)
+        local = np.einsum("eq,iq,ejq->eij", Ww, phi_t, g_s[..., d],
+                          optimize=True)
+    elif form == "vector_mass":
+        local = np.einsum("eq,iq,jq->eij", Ww, phi_t, phi_s, optimize=True)
+        local = np.stack([local, local])
+    elif form == "deformation":
+        local = np.einsum("eq,abcd,eiqc,ejqd->abeij", Ww, _DEFORMATION,
+                          g_t, g_s, optimize=True)
+    elif form == "div_coupling":
+        local = np.einsum("eq,eiqa,jq->aeij", Ww, g_t, phi_s, optimize=True)
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return pattern(form, trial, test, mesh).assemble(local)
 
 
 def _functional_array(coeff, mesh, vector=False):
@@ -400,13 +491,11 @@ def assemble_vector(functional, test, mesh, coeff):
     raise ValueError(f"unknown functional {functional!r}")
 
 
-def apply_dirichlet(A, b, dofs, values, symmetric=False):
+def apply_dirichlet(A, b, dofs, values):
     """Impose Dirichlet values on a SciPy CSR matrix by row replacement.
 
     Rows listed in ``dofs`` become identity rows and the matching entries of
-    ``b`` are set to ``values``.  With ``symmetric=True`` the columns are
-    eliminated as well (known values moved to the right-hand side), keeping a
-    symmetric matrix symmetric.
+    ``b`` are set to ``values``.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
     b = np.asarray(b, dtype=np.float64).copy()
@@ -414,13 +503,6 @@ def apply_dirichlet(A, b, dofs, values, symmetric=False):
         return A, b
     values = np.broadcast_to(np.asarray(values, dtype=np.float64), dofs.shape)
     m = A.tocsr(copy=True)
-    if symmetric:
-        xk = np.zeros(m.shape[1])
-        xk[dofs] = values
-        b -= m @ xk
-        col_mask = np.zeros(m.shape[1], dtype=bool)
-        col_mask[dofs] = True
-        m.data[col_mask[m.indices]] = 0.0
     row_mask = np.zeros(m.shape[0], dtype=bool)
     row_mask[dofs] = True
     nnz_rows = np.repeat(row_mask, np.diff(m.indptr))
@@ -431,6 +513,46 @@ def apply_dirichlet(A, b, dofs, values, symmetric=False):
     m.sort_indices()
     b[dofs] = values
     return m, b
+
+
+class DirichletElimination:
+    """Zero Dirichlet values on a fixed pattern, by eliminating the rows and
+    the columns of ``dofs``.
+
+    Each constrained row keeps only a unit diagonal, so a symmetric matrix
+    stays symmetric.  As the data are zero, the free rows of a right-hand
+    side are unchanged; its constrained rows must be set to zero.  The
+    reduced pattern and the gather onto it are computed here, once, with
+    no sort; :meth:`matrix` then costs one gather per matrix.
+    """
+
+    def __init__(self, pattern, dofs):
+        n = pattern.shape[0]
+        if pattern.shape != (n, n):
+            raise ValueError("Dirichlet elimination needs a square pattern")
+        fixed = np.zeros(n, dtype=bool)
+        fixed[dofs] = True
+        dofs = np.flatnonzero(fixed)
+        row = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        keep = ~fixed[row] & ~fixed[pattern.indices]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row[keep], minlength=n) + fixed,
+                  out=indptr[1:])
+        kept = np.ones(indptr[-1], dtype=bool)
+        kept[indptr[dofs]] = False          # the constrained rows' diagonals
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[kept] = pattern.indices[keep]
+        indices[~kept] = dofs
+        self.pattern = Pattern((n, n), indptr, indices)
+        self._dest = np.flatnonzero(kept)
+        self._source = np.flatnonzero(keep)
+
+    def matrix(self, data):
+        """The constrained CSR matrix of the matrix with ``data`` on the
+        original pattern."""
+        out = np.ones(self.pattern.nnz)
+        out[self._dest] = data[self._source]
+        return self.pattern.csr(out)
 
 
 def zero_mean_system(A, weight):
@@ -444,7 +566,7 @@ def zero_mean_system(A, weight):
     rows = np.concatenate([s.row, np.full(n, n), np.arange(n)])
     cols = np.concatenate([s.col, np.arange(n), np.full(n, n)])
     vals = np.concatenate([s.data, weight, weight])
-    return _csr(n + 1, n + 1, rows, cols, vals)
+    return SparseMatrix.from_coo(n + 1, n + 1, rows, cols, vals).to_scipy()
 
 
 class ZeroMeanSolver:

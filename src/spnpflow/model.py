@@ -207,14 +207,16 @@ def chemical_potential_bar(conc, grad_sigma, vbar_vals, grad_vbar, species,
     grad Vbar are all given at quadrature points.  As grad c_j = c_j grad
     sigma_j, the gradient is grad sigma_i + z_i grad Vbar + sum_j w_ij c_j
     grad sigma_j.  Returns (values, gradients), shaped (n_el, n_q) and
-    (n_el, n_q, 2).
+    (n_el, n_q, 2); the values are None when ``vbar_vals`` is None, since
+    the gradients do not need Vbar.
     """
     zi = params.z[species]
-    vals = conc[species].log_quad + zi * vbar_vals
+    vals = None if vbar_vals is None else conc[species].log_quad + zi * vbar_vals
     grads = grad_sigma[species] + zi * grad_vbar
     for j, wij in enumerate(params.w_steric[species]):
         if wij != 0.0:
-            vals = vals + wij * conc[j].quad
+            if vals is not None:
+                vals = vals + wij * conc[j].quad
             grads = grads + wij * (conc[j].quad[..., None] * grad_sigma[j])
     return vals, grads
 

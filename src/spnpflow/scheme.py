@@ -132,6 +132,19 @@ class Stepper:
         self._CxT = self.Cx.T.tocsr()
         self._CyT = self.Cy.T.tocsr()
 
+        # M2, K2 and the per-step advection and steric stiffness share this
+        # pattern, so the transport matrix is a sum of their data vectors
+        self._transport_pattern = fem.pattern("mass", self.p2, self.p2, mesh)
+        # the momentum matrix lives on the deformation pattern; Mv's data
+        # are placed on it once, and its zero velocity Dirichlet rows and
+        # columns are eliminated by a gather built here
+        bd = self.p2.boundary_dofs
+        self.vec_bdofs = np.concatenate([bd, bd + n2])
+        momentum = fem.pattern("deformation", self.p2, self.p2, mesh)
+        self._mv_momentum = np.zeros(momentum.nnz)
+        self._mv_momentum[momentum.positions(self.Mv)] = self.Mv.data
+        self._velocity_bc = fem.DirichletElimination(momentum, self.vec_bdofs)
+
         self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1)
         self._m2_solver = factorize(self.M2)
 
@@ -149,9 +162,6 @@ class Stepper:
             A_V, _ = fem.apply_dirichlet(lamK2, np.zeros(n2),
                                          self._pot_dofs, self._pot_vals)
             self._pot_solver = factorize(A_V)
-
-        bd = self.p2.boundary_dofs
-        self.vec_bdofs = np.concatenate([bd, bd + n2])
 
         self.prev = None
         self.curr = None
@@ -260,13 +270,14 @@ class Stepper:
                 b = b - (w[species, j] / pe) \
                     * c_star_vals[j][..., None] * grad_sig_star[j]
 
-        A = (a0 / dt) * self.M2 \
-            + fem.assemble("advection", p2, p2, mesh, b) \
-            + (1.0 / pe) * self.K2
+        data = (a0 / dt) * self.M2.data \
+            + fem.assemble("advection", p2, p2, mesh, b).data \
+            + (1.0 / pe) * self.K2.data
         wii = w[species, species]
         if wii != 0.0:
-            A = A + (wii / pe) * fem.assemble("stiffness", p2, p2, mesh,
-                                              coeff=c_star_vals[species])
+            data += (wii / pe) * fem.assemble(
+                "stiffness", p2, p2, mesh, coeff=c_star_vals[species]).data
+        A = self._transport_pattern.csr(data)
 
         rhs = self.M2 @ hist[species] / dt
         rhs -= (zi / pe) * (self.K2 @ ws.v_star.coefficients)
@@ -331,7 +342,8 @@ class Stepper:
         p2 = self.p2
 
         ws.Kdef = fem.assemble("deformation", p2, p2, mesh, coeff=ws.mu_star)
-        A = (a0 / dt) * self.Mv + (1.0 / params.re) * ws.Kdef
+        A = self._velocity_bc.matrix((a0 / dt) * self._mv_momentum
+                                     + (1.0 / params.re) * ws.Kdef.data)
 
         adv = np.einsum("eqj,eqkj->eqk", ws.u_star_vals, ws.u_star_grads)
         ws.adv_vec = fem.assemble_vector("vector_source", p2, mesh, adv)
@@ -346,13 +358,12 @@ class Stepper:
                                             lambda x, y: fu(x, y, t_new))
         rhs2 = -ws.adv_vec - params.co * ws.coul_vec
 
-        # zero data: eliminating the columns too keeps A symmetric and
-        # leaves the right-hand sides' free rows unchanged
-        A_bc, rhs1 = fem.apply_dirichlet(A, ws.rhs_u, self.vec_bdofs, 0.0,
-                                         symmetric=True)
+        # zero data: the eliminated columns leave the free rows unchanged
+        rhs1 = ws.rhs_u.copy()
+        rhs1[self.vec_bdofs] = 0.0
         rhs2[self.vec_bdofs] = 0.0
 
-        solver = factorize(A_bc)
+        solver = factorize(A)
         u1 = solver.solve(rhs1)[0]
         u2 = solver.solve(rhs2)[0]
         ws.u1_tilde = fem.Field(p2, u1, components=2)
@@ -388,7 +399,10 @@ class Stepper:
                 quantity="e_spnp + B")
         sqrt_eb = np.sqrt(radicand)
 
-        vbar_vals = fem.eval_values(vbar_new, mesh)
+        # the values of Vbar and of the chemical potentials feed only the
+        # forcing power
+        vbar_vals = (None if self.sources is None
+                     else fem.eval_values(vbar_new, mesh))
         grad_sigma = [fem.eval_grads(c.sigma, mesh) for c in c_new]
         g_total = 0.0
         gbar_vals = []

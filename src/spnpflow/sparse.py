@@ -1,4 +1,8 @@
-"""COO-to-CSR compression for assembly, and the direct solver of the scheme.
+"""COO-to-CSR compression for set-up-only matrices, and the direct solver.
+
+Form assembly does not use the compressor: ``fem`` assembles on fixed
+sparsity patterns.  It remains for the zero-mean augmented system, built
+once per solver.
 
 Every linear system, a SciPy sparse matrix, is solved by sparse LU (SuperLU
 through scipy), with each solution's residual checked.

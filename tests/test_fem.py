@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from spnpflow import fem
@@ -267,15 +270,25 @@ def test_apply_dirichlet_empty_set(unit_mesh):
     assert np.array_equal(b2, b)
 
 
-def test_apply_dirichlet_symmetric_elimination(unit_mesh):
+def test_dirichlet_elimination_symmetric(unit_mesh):
+    # zero data eliminated from rows and columns on the fixed pattern: a
+    # symmetric matrix with unit constrained diagonals, and the solution of
+    # row replacement
     p1 = dof_map(unit_mesh, 1)
+    dofs = p1.boundary_dofs
     K = assemble("stiffness", p1, p1, unit_mesh)
     f = assemble_vector("source", p1, unit_mesh, 1.0)
-    vals = np.linspace(0.0, 1.0, p1.boundary_dofs.size)
-    A1, b1 = apply_dirichlet(K, f, p1.boundary_dofs, vals)
-    A2, b2 = apply_dirichlet(K, f, p1.boundary_dofs, vals, symmetric=True)
-    arr = A2.toarray()
-    assert np.abs(arr - arr.T).max() <= 1e-14
+    bc = fem.DirichletElimination(fem.pattern("stiffness", p1, p1, unit_mesh),
+                                  dofs)
+    A2 = bc.matrix(K.data)
+    b2 = f.copy()
+    b2[dofs] = 0.0
+    expected = K.toarray()
+    expected[dofs, :] = 0.0
+    expected[:, dofs] = 0.0
+    expected[dofs, dofs] = 1.0
+    assert np.array_equal(A2.toarray(), expected)
+    A1, b1 = apply_dirichlet(K, f, dofs, 0.0)
     x1, _ = factorize(A1).solve(b1)
     x2, _ = factorize(A2).solve(b2)
     assert np.abs(x1 - x2).max() <= 1e-11
@@ -310,13 +323,36 @@ def test_matrix_contract_constraints(unit_mesh):
     p2 = dof_map(unit_mesh, 2)
     n = p2.n_dofs
     K = assemble("stiffness", p2, p2, unit_mesh)
-    for symmetric in (False, True):
-        A, _ = apply_dirichlet(K, np.ones(n), p2.boundary_dofs, 0.5,
-                               symmetric=symmetric)
-        _assert_canonical_csr(A, (n, n))
+    A, _ = apply_dirichlet(K, np.ones(n), p2.boundary_dofs, 0.5)
+    _assert_canonical_csr(A, (n, n))
+    # the precomputed velocity constraint of the momentum matrix
+    bd = p2.boundary_dofs
+    bc = fem.DirichletElimination(
+        fem.pattern("deformation", p2, p2, unit_mesh),
+        np.concatenate([bd, bd + n]))
+    A = bc.matrix(assemble("deformation", p2, p2, unit_mesh).data)
+    _assert_canonical_csr(A, (2 * n, 2 * n))
+    assert not A.data.flags.writeable
     Z = fem.zero_mean_system(K, basis_integrals(p2, unit_mesh))
     _assert_canonical_csr(Z, (n + 1, n + 1))
     assert np.array_equal(Z[:n, :n].toarray(), K.toarray())
+
+
+def test_pattern_positions_place_a_contained_matrix(unit_mesh):
+    # the vector mass placed on the deformation pattern, as the momentum
+    # matrix needs it; a matrix outside the pattern is refused
+    p2 = dof_map(unit_mesh, 2)
+    n = p2.n_dofs
+    mom = fem.pattern("deformation", p2, p2, unit_mesh)
+    Mv = assemble("vector_mass", p2, p2, unit_mesh)
+    data = np.zeros(mom.nnz)
+    data[mom.positions(Mv)] = Mv.data
+    assert np.array_equal(mom.csr(data).toarray(), Mv.toarray())
+    with pytest.raises(ValueError):
+        fem.pattern("mass", p2, p2, unit_mesh).positions(Mv)
+    far = sp.csr_matrix(([1.0], ([0], [2 * n - 1])), shape=(2 * n, 2 * n))
+    with pytest.raises(ValueError):
+        mom.positions(far)
 
 
 def test_solve_zero_mean_zero_rhs(unit_mesh):
@@ -388,3 +424,96 @@ def test_interpolation_order_cubic():
         errs.append(error_norm_l2(
             f, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mesh))
     assert 7.0 <= errs[0] / errs[1] <= 9.0
+
+
+# ----------------------------------------------------------------------
+# fixed-pattern assembly against independent coordinate assembly
+# ----------------------------------------------------------------------
+
+def _coo_reference(form, trial, test, mesh, coeff):
+    """The element matrices of ``form`` by plain einsum, summed by SciPy
+    from coordinate triplets."""
+    geo = fem.geometry(mesh)
+    phi_s, g_s = geo.element(trial.order)
+    phi_t, g_t = geo.element(test.order)
+    W = geo.wdet
+    n_t, n_s = test.n_dofs, trial.n_dofs
+    if form == "advection":
+        blocks = {(0, 0): np.einsum("eq,iq,eqd,ejqd->eij", W, phi_t, coeff,
+                                    g_s)}
+    else:
+        Ww = W * coeff
+        gx_t, gy_t = g_t[..., 0], g_t[..., 1]
+        gx_s, gy_s = g_s[..., 0], g_s[..., 1]
+        mass = np.einsum("eq,iq,jq->eij", Ww, phi_t, phi_s)
+        blocks = {
+            "mass": lambda: {(0, 0): mass},
+            "stiffness": lambda: {(0, 0): np.einsum(
+                "eq,eiqd,ejqd->eij", Ww, g_t, g_s)},
+            "grad_x": lambda: {(0, 0): np.einsum(
+                "eq,iq,ejq->eij", Ww, phi_t, gx_s)},
+            "grad_y": lambda: {(0, 0): np.einsum(
+                "eq,iq,ejq->eij", Ww, phi_t, gy_s)},
+            "vector_mass": lambda: {(0, 0): mass, (1, 1): mass},
+            "deformation": lambda: {
+                (0, 0): np.einsum("eq,eiq,ejq->eij", 2 * Ww, gx_t, gx_s)
+                + np.einsum("eq,eiq,ejq->eij", Ww, gy_t, gy_s),
+                (0, 1): np.einsum("eq,eiq,ejq->eij", Ww, gy_t, gx_s),
+                (1, 0): np.einsum("eq,eiq,ejq->eij", Ww, gx_t, gy_s),
+                (1, 1): np.einsum("eq,eiq,ejq->eij", 2 * Ww, gy_t, gy_s)
+                + np.einsum("eq,eiq,ejq->eij", Ww, gx_t, gx_s)},
+            "div_coupling": lambda: {
+                (0, 0): np.einsum("eq,eiq,jq->eij", Ww, gx_t, phi_s),
+                (1, 0): np.einsum("eq,eiq,jq->eij", Ww, gy_t, phi_s)},
+        }[form]()
+    rows, cols, vals = [], [], []
+    for (r, c), local in blocks.items():
+        nb_t, nb_s = local.shape[1:]
+        rows.append(np.repeat(test.cell_to_dofs + r * n_t, nb_s, axis=1).ravel())
+        cols.append(np.tile(trial.cell_to_dofs + c * n_s, (1, nb_t)).ravel())
+        vals.append(local.ravel())
+    n_r = 1 + max(r for r, _ in blocks)
+    n_c = 1 + max(c for _, c in blocks)
+    ref = sp.coo_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n_r * n_t, n_c * n_s)).tocsr()
+    ref.sum_duplicates()
+    return ref
+
+
+FORMS = (("mass", 2, 2), ("stiffness", 2, 2), ("stiffness", 1, 1),
+         ("advection", 2, 2), ("grad_x", 1, 2), ("grad_y", 1, 2),
+         ("vector_mass", 2, 2), ("deformation", 2, 2),
+         ("div_coupling", 1, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 5), ny=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_assembly_matches_coo_reference(nx, ny, seed):
+    mesh = build_rect_mesh(0.0, 1.0, 0.0, 2.0, nx, ny)
+    rng = np.random.default_rng(seed)
+    shape = fem.geometry(mesh).wdet.shape
+    spaces = {k: dof_map(mesh, k) for k in (1, 2)}
+    for form, trial_order, test_order in FORMS:
+        trial, test = spaces[trial_order], spaces[test_order]
+        coeff = (rng.standard_normal(shape + (2,)) if form == "advection"
+                 else rng.uniform(0.5, 2.0, shape))
+        A = assemble(form, trial, test, mesh, coeff)
+        ref = _coo_reference(form, trial, test, mesh, coeff)
+        assert np.array_equal(A.indptr, ref.indptr), form
+        assert np.array_equal(A.indices, ref.indices), form
+        assert (np.abs(A.data - ref.data).max()
+                <= 1e-14 * np.abs(ref.data).max()), form
+
+    # the transport matrix's four terms share one set of index arrays
+    p2 = spaces[2]
+    shared = fem.pattern("mass", p2, p2, mesh)
+    for A in (assemble("mass", p2, p2, mesh),
+              assemble("stiffness", p2, p2, mesh),
+              assemble("advection", p2, p2, mesh,
+                       rng.standard_normal(shape + (2,))),
+              assemble("stiffness", p2, p2, mesh,
+                       coeff=rng.uniform(0.5, 2.0, shape))):
+        assert np.shares_memory(A.indices, shared.indices)
+        assert np.shares_memory(A.indptr, shared.indptr)

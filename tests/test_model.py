@@ -144,8 +144,13 @@ def test_chemical_potential_pointwise_oracle(mesh, p2):
     c = [model.concentration_from_callable(lambda x, y, q=q: np.exp(q(x, y)),
                                            p2, mesh) for q in (qp, qn)]
     vbar = fem.interpolate(lambda x, y: 0.2 * x - 0.1 * y * y, p2)
+    grad_sigma, vbar_vals, grad_vbar = potential_args(c, vbar, mesh)
     vals, grads = model.chemical_potential_bar(
-        c, *potential_args(c, vbar, mesh), 0, p)
+        c, grad_sigma, vbar_vals, grad_vbar, 0, p)
+    # without Vbar values only the gradients are formed, unchanged
+    no_vals, same_grads = model.chemical_potential_bar(
+        c, grad_sigma, None, grad_vbar, 0, p)
+    assert no_vals is None and np.array_equal(same_grads, grads)
     xy = fem.quad_points_physical(mesh)
     x, y = xy[3, 5, 0], xy[3, 5, 1]
     cp, cn = np.exp(qp(x, y)), np.exp(qn(x, y))

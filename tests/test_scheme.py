@@ -240,7 +240,7 @@ def test_correct_newtonian_viscosity():
 
 # L+U nnz of the scheme's factorization over a default (COLAMD) SuperLU
 # factorization of the same matrix.  Measured at nx = 20 (energy-decay,
-# step 2): 0.730 momentum, 0.696 transport; 0.589 and 0.554 at nx = 40.
+# step 2): 0.727 momentum, 0.696 transport; 0.597 and 0.554 at nx = 40.
 FILL_RATIO_MAX = 0.85
 
 
@@ -248,20 +248,22 @@ def test_per_step_factorizations_symmetric_and_fill_reduced(monkeypatch):
     import scipy.sparse.linalg as spla
     from spnpflow.scenarios import scenario_energy_decay
 
-    real_splu, real_dirichlet = spla.splu, fem.apply_dirichlet
-    lus, dirichlet_calls = [], []
+    real_splu = spla.splu
+    lus, workspaces = [], []
 
     def splu(A, *args, **kw):
         lus.append((A, real_splu(A, *args, **kw)))
         return lus[-1][1]
 
-    def apply_dirichlet(A, b, dofs, values, **kw):
-        dirichlet_calls.append((A, b, dofs, values))
-        return real_dirichlet(A, b, dofs, values, **kw)
-
     st = scenario_energy_decay(nx=20).make_stepper()
+    real_workspace = st.make_workspace
+
+    def make_workspace(**kw):
+        workspaces.append(real_workspace(**kw))
+        return workspaces[-1]
+
     monkeypatch.setattr(spla, "splu", splu)
-    monkeypatch.setattr(fem, "apply_dirichlet", apply_dirichlet)
+    monkeypatch.setattr(st, "make_workspace", make_workspace)
     st.run(n_steps=2)
     n2 = st.p2.n_dofs
     A_mom, lu_mom = [lu for lu in lus if lu[0].shape[0] == 2 * n2][-1]
@@ -271,9 +273,11 @@ def test_per_step_factorizations_symmetric_and_fill_reduced(monkeypatch):
     A = A_mom.tocsr()
     assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
 
-    # and gives the solution of the row-replaced system
-    A_in, b_in, dofs, values = dirichlet_calls[-1]
-    A_rr, b_rr = real_dirichlet(A_in, b_in, dofs, values)
+    # and gives the solution of the row-replaced unconstrained system of
+    # the same (second-order) step
+    ws, params = workspaces[-1], st.params
+    A_in = (1.5 / params.dt) * st.Mv + (1.0 / params.re) * ws.Kdef
+    A_rr, b_rr = fem.apply_dirichlet(A_in, ws.rhs_u, st.vec_bdofs, 0.0)
     x_rr = real_splu(A_rr.tocsc()).solve(b_rr)
     x = lu_mom.solve(b_rr)
     assert np.abs(x - x_rr).max() <= 1e-12 * np.abs(x_rr).max()
@@ -284,17 +288,47 @@ def test_per_step_factorizations_symmetric_and_fill_reduced(monkeypatch):
         assert ratio <= FILL_RATIO_MAX, (A.shape, ratio)
 
 
+def test_per_step_path_builds_no_triplets_and_no_row_replacement(monkeypatch):
+    # every per-step matrix is assembled on a pattern built at set-up, and
+    # the velocity constraint is the precomputed elimination
+    from spnpflow.scenarios import scenario_energy_decay
+    from spnpflow.sparse import SparseMatrix
+
+    st = scenario_energy_decay(nx=10).make_stepper()
+    st.bootstrap_first_step()
+    calls = []
+    real_from_coo = SparseMatrix.from_coo.__func__
+    real_dirichlet = fem.apply_dirichlet
+
+    def from_coo(cls, *args, **kw):
+        calls.append("from_coo")
+        return real_from_coo(cls, *args, **kw)
+
+    def apply_dirichlet(*args, **kw):
+        calls.append("apply_dirichlet")
+        return real_dirichlet(*args, **kw)
+
+    monkeypatch.setattr(SparseMatrix, "from_coo", classmethod(from_coo))
+    monkeypatch.setattr(fem, "apply_dirichlet", apply_dirichlet)
+    st.step()
+    assert calls == []
+
+
 # Quadrature evaluations of one full step: 5 for the extrapolants, 2 for the
 # new concentrations, 1 for grad Vbar (shared by momentum, energy and
-# chemical potential), 3 in the xi stage (Vbar and each grad sigma), 2 for
-# the corrected pressure and shear, 3 for the one discrete energy.
-EVALS_PER_STEP_MAX = 16
+# chemical potential), 2 in the xi stage for the grad sigma of each species,
+# 2 for the corrected pressure and shear, 3 for the one discrete energy.
+# A forced run evaluates Vbar in the xi stage as well: its values, and the
+# chemical-potential values, feed only the forcing power.
+EVALS_PER_STEP_UNFORCED = 15
+EVALS_PER_STEP_FORCED = 16
 
 
 def test_per_step_quadrature_evaluation_budget(monkeypatch):
+    from spnpflow.manufactured import run_manufactured
     from spnpflow.scenarios import scenario_energy_decay
 
-    calls = []
+    calls, per_step = [], []
     for name in ("eval_values", "eval_grads"):
         real = getattr(fem, name)
 
@@ -303,12 +337,22 @@ def test_per_step_quadrature_evaluation_budget(monkeypatch):
             return _real(*args, **kw)
 
         monkeypatch.setattr(fem, name, counted)
-    st = scenario_energy_decay(nx=10).make_stepper()
-    st.bootstrap_first_step()
-    for _ in range(2):
+    real_advance = Stepper._advance
+
+    def advance(self, bdf1):
         calls.clear()
-        st.step()
-        assert len(calls) <= EVALS_PER_STEP_MAX
+        new = real_advance(self, bdf1)
+        per_step.append(len(calls))
+        return new
+
+    monkeypatch.setattr(Stepper, "_advance", advance)
+    scenario_energy_decay(nx=10).make_stepper().run(n_steps=3)
+    assert len(per_step) == 3
+    assert max(per_step) <= EVALS_PER_STEP_UNFORCED
+    per_step.clear()
+    run_manufactured(n_steps=3, n_cells=4)
+    assert len(per_step) == 3
+    assert max(per_step) <= EVALS_PER_STEP_FORCED
 
 
 # ----------------------------------------------------------------------
