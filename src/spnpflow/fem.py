@@ -7,7 +7,9 @@ form's CSR sparsity pattern is built once per mesh and cached with the
 geometry, together with the CSR position of every local element entry; an
 assembly is then one einsum and one ``bincount`` into fresh read-only data
 sharing the pattern's index arrays.  The scalar P2 forms share one pattern,
-so the scheme adds their matrices as data vectors.
+and so do the vector mass and the deformation form (the vector mass stores
+its zero off-diagonal blocks), so the scheme adds their matrices as data
+vectors.  One gradient form couples velocity and pressure.
 
 Nonlinear coefficients are always point values at quadrature points, taken
 from the finite-element expansions of their fields.
@@ -272,10 +274,11 @@ def _coeff_array(coeff, mesh):
 # Blocks of the vector-valued forms, (block row, block column), row-major;
 # every other form is one scalar block.
 _SCALAR = ((0, 0),)
+_VELOCITY = ((0, 0), (0, 1), (1, 0), (1, 1))
 _BLOCKS = {
-    "vector_mass": ((0, 0), (1, 1)),
-    "deformation": ((0, 0), (0, 1), (1, 0), (1, 1)),
-    "div_coupling": ((0, 0), (1, 0)),
+    "vector_mass": _VELOCITY,
+    "deformation": _VELOCITY,
+    "gradient": ((0, 0), (1, 0)),
 }
 
 # 2 D(phi_j e_b) : D(phi_i e_a) = delta_ab grad phi_i . grad phi_j
@@ -321,22 +324,6 @@ class Pattern:
         """Sum local element matrices, laid out as ``slot``, into a matrix."""
         return self.csr(np.bincount(self.slot, weights=local.ravel(),
                                     minlength=self.nnz))
-
-    def positions(self, A):
-        """Positions in this pattern's data of the stored entries of the
-        canonical CSR matrix ``A``, whose pattern this one must contain."""
-        def keys(indptr, indices):
-            rows = np.repeat(np.arange(self.shape[0], dtype=np.int64),
-                             np.diff(indptr))
-            return rows * self.shape[1] + indices
-        if A.shape != self.shape:
-            raise ValueError("matrix shape differs from the pattern's")
-        own = keys(self.indptr, self.indices)
-        theirs = keys(A.indptr, A.indices)
-        pos = np.minimum(np.searchsorted(own, theirs), own.size - 1)
-        if not np.array_equal(own[pos], theirs):
-            raise ValueError("matrix pattern is not contained in this one")
-        return pos
 
 
 def _scalar_pattern(test, trial):
@@ -387,7 +374,8 @@ def pattern(form, trial, test, mesh):
 
     Forms on the same spaces with the same blocks share one pattern, so
     their matrices add as data vectors: mass, stiffness and advection on P2
-    share the scalar P2 pattern.
+    share the scalar P2 pattern, and the vector mass and the deformation
+    form share the full 2x2 velocity pattern.
     """
     return geometry(mesh).pattern(test, trial, _BLOCKS.get(form, _SCALAR))
 
@@ -400,10 +388,10 @@ def assemble(form, trial, test, mesh, coeff=None):
     mass          (w phi_trial, phi_test), optional scalar/field/array w
     stiffness     (w grad phi_trial . grad phi_test)
     advection     ((b . grad phi_trial) phi_test), b array (n_el, n_q, 2)
-    grad_x/grad_y (d phi_trial, phi_test)
-    vector_mass   block-diagonal mass on a 2-component space
+    vector_mass   block-diagonal mass on a 2-component space, its zero
+                  off-diagonal blocks stored
     deformation   (2 w D(u) : D(v)) on a 2-component space
-    div_coupling  ((div v) q), vector test space, scalar trial space
+    gradient      (grad q, v), vector test space, scalar trial space
 
     Directional-gradient forms like (grad a . grad phi) psi are "advection"
     with b = grad a evaluated at quadrature points.  The matrix is laid on
@@ -422,18 +410,15 @@ def assemble(form, trial, test, mesh, coeff=None):
     elif form == "advection":
         local = np.einsum("eq,iq,eqd,ejqd->eij", Ww, phi_t,
                           np.asarray(coeff), g_s, optimize=True)
-    elif form in ("grad_x", "grad_y"):
-        d = 0 if form == "grad_x" else 1
-        local = np.einsum("eq,iq,ejq->eij", Ww, phi_t, g_s[..., d],
-                          optimize=True)
     elif form == "vector_mass":
-        local = np.einsum("eq,iq,jq->eij", Ww, phi_t, phi_s, optimize=True)
-        local = np.stack([local, local])
+        mass = np.einsum("eq,iq,jq->eij", Ww, phi_t, phi_s, optimize=True)
+        zero = np.zeros_like(mass)
+        local = np.stack([mass, zero, zero, mass])
     elif form == "deformation":
         local = np.einsum("eq,abcd,eiqc,ejqd->abeij", Ww, _DEFORMATION,
                           g_t, g_s, optimize=True)
-    elif form == "div_coupling":
-        local = np.einsum("eq,eiqa,jq->aeij", Ww, g_t, phi_s, optimize=True)
+    elif form == "gradient":
+        local = np.einsum("eq,iq,ejqa->aeij", Ww, phi_t, g_s, optimize=True)
     else:
         raise ValueError(f"unknown form {form!r}")
     return pattern(form, trial, test, mesh).assemble(local)
@@ -618,11 +603,6 @@ def error_norm_l2(field, exact, mesh):
         diff = vals[..., k] - ex[k]
         total += integrate(diff * diff, mesh)
     return float(np.sqrt(total))
-
-
-def mean_value(field, mesh):
-    """Quadrature mean of a scalar field."""
-    return integrate(eval_values(field, mesh), mesh) / mesh.area
 
 
 def basis_integrals(dofmap, mesh):

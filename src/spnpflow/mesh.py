@@ -22,10 +22,7 @@ class Mesh:
     triangles : (n_tris, 3) int array
         Vertex indices, counterclockwise.
     edges : (n_edges, 2) int array
-        Unique edges as sorted vertex pairs.
-    edge_tris : (n_edges, 2) int array
-        Adjacent triangle ids per edge, -1 in the second slot for boundary
-        edges.
+        Unique edges as sorted vertex pairs, in lexicographic order.
     tri_edges : (n_tris, 3) int array
         Edge ids of each triangle in local order (v0,v1), (v1,v2), (v2,v0).
     boundary_edges : dict
@@ -36,17 +33,16 @@ class Mesh:
         (nx, ny) cell counts.
     """
 
-    def __init__(self, nodes, triangles, edges, edge_tris, tri_edges,
-                 boundary_edges, extents, shape):
+    def __init__(self, nodes, triangles, edges, tri_edges, boundary_edges,
+                 extents, shape):
         self.nodes = nodes
         self.triangles = triangles
         self.edges = edges
-        self.edge_tris = edge_tris
         self.tri_edges = tri_edges
         self.boundary_edges = boundary_edges
         self.extents = extents
         self.shape = shape
-        for arr in (nodes, triangles, edges, edge_tris, tri_edges):
+        for arr in (nodes, triangles, edges, tri_edges):
             arr.setflags(write=False)
         for arr in boundary_edges.values():
             arr.setflags(write=False)
@@ -84,6 +80,9 @@ class Mesh:
 def build_rect_mesh(xmin, xmax, ymin, ymax, nx, ny):
     """Build the uniform triangulation of [xmin,xmax] x [ymin,ymax].
 
+    Everything is index arithmetic and one sort of the edge keys; an edge
+    met by one triangle only lies on the boundary.
+
     Parameters
     ----------
     xmin, xmax, ymin, ymax : float
@@ -106,40 +105,25 @@ def build_rect_mesh(xmin, xmax, ymin, ymax, nx, ny):
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    # cell (i, j), row by row, splits into (n00, n10, n11), (n00, n11, n01)
+    j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
+    n00 = j * (nx + 1) + i
+    n01 = n00 + nx + 1
+    tris = np.stack([n00, n00 + 1, n01 + 1, n00, n01 + 1, n01],
+                    axis=1).reshape(-1, 3)
 
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    t = 0
-    for j in range(ny):
-        for i in range(nx):
-            n00 = vid(i, j)
-            n10 = vid(i + 1, j)
-            n01 = vid(i, j + 1)
-            n11 = vid(i + 1, j + 1)
-            tris[t] = (n00, n10, n11)
-            tris[t + 1] = (n00, n11, n01)
-            t += 2
-
-    # unique edge list; tri_edges keeps the local order (v0,v1),(v1,v2),(v2,v0)
-    raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    raw.sort(axis=1)
-    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-    n_tris = tris.shape[0]
-    tri_edges = np.column_stack([inverse[:n_tris],
-                                 inverse[n_tris:2 * n_tris],
-                                 inverse[2 * n_tris:]])
-
-    edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-    for t in range(n_tris):
-        for e in tri_edges[t]:
-            if edge_tris[e, 0] == -1:
-                edge_tris[e, 0] = t
-            else:
-                edge_tris[e, 1] = t
+    # unique edges by the key a * n_nodes + b of the sorted pair (a, b);
+    # tri_edges keeps the local order (v0,v1),(v1,v2),(v2,v0)
+    n_nodes = nodes.shape[0]
+    a, b = tris, np.roll(tris, -1, axis=1)
+    keys, inverse, counts = np.unique(
+        np.minimum(a, b) * n_nodes + np.maximum(a, b),
+        return_inverse=True, return_counts=True)
+    edges = np.column_stack([keys // n_nodes, keys % n_nodes])
+    tri_edges = inverse.reshape(tris.shape)
 
     tol = 1e-12 * max(xmax - xmin, ymax - ymin)
-    on_boundary = np.flatnonzero(edge_tris[:, 1] == -1)
+    on_boundary = np.flatnonzero(counts == 1)
     mids = 0.5 * (nodes[edges[on_boundary, 0]] + nodes[edges[on_boundary, 1]])
     boundary_edges = {
         "left": on_boundary[np.abs(mids[:, 0] - xmin) < tol],
@@ -148,7 +132,7 @@ def build_rect_mesh(xmin, xmax, ymin, ymax, nx, ny):
         "top": on_boundary[np.abs(mids[:, 1] - ymax) < tol],
     }
 
-    return Mesh(nodes, tris, edges, edge_tris, tri_edges, boundary_edges,
+    return Mesh(nodes, tris, edges, tri_edges, boundary_edges,
                 (float(xmin), float(xmax), float(ymin), float(ymax)), (nx, ny))
 
 

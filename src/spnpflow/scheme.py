@@ -74,7 +74,6 @@ class StepWorkspace:
     u1_tilde: fem.Field = None
     u2_tilde: fem.Field = None
     u_tilde: fem.Field = None
-    psi: fem.Field = None
     zeta1: float = 0.0
     zeta2: float = 0.0
     xi: float = 1.0
@@ -124,26 +123,23 @@ class Stepper:
         self.K2 = fem.assemble("stiffness", self.p2, self.p2, mesh)
         self.Mv = fem.assemble("vector_mass", self.p2, self.p2, mesh)
         self.K1 = fem.assemble("stiffness", self.p1, self.p1, mesh)
-        self.Cx = fem.assemble("grad_x", self.p1, self.p2, mesh)
-        self.Cy = fem.assemble("grad_y", self.p1, self.p2, mesh)
-        self.Ddiv = fem.assemble("div_coupling", self.p1, self.p2, mesh)
+        # the Taylor-Hood gradient (grad q, v) couples velocity and
+        # pressure; on the free velocity rows it is minus (div v, q)
+        self.G = fem.assemble("gradient", self.p1, self.p2, mesh)
+        self._GT = self.G.T.tocsr()
         self.m2 = fem.basis_integrals(self.p2, mesh)
         self.m1 = fem.basis_integrals(self.p1, mesh)
-        self._CxT = self.Cx.T.tocsr()
-        self._CyT = self.Cy.T.tocsr()
 
         # M2, K2 and the per-step advection and steric stiffness share this
         # pattern, so the transport matrix is a sum of their data vectors
         self._transport_pattern = fem.pattern("mass", self.p2, self.p2, mesh)
-        # the momentum matrix lives on the deformation pattern; Mv's data
-        # are placed on it once, and its zero velocity Dirichlet rows and
-        # columns are eliminated by a gather built here
+        # Mv and the deformation form share the velocity pattern, so the
+        # momentum matrix is a sum of their data vectors; its zero velocity
+        # Dirichlet rows and columns are eliminated by a gather built here
         bd = self.p2.boundary_dofs
         self.vec_bdofs = np.concatenate([bd, bd + n2])
-        momentum = fem.pattern("deformation", self.p2, self.p2, mesh)
-        self._mv_momentum = np.zeros(momentum.nnz)
-        self._mv_momentum[momentum.positions(self.Mv)] = self.Mv.data
-        self._velocity_bc = fem.DirichletElimination(momentum, self.vec_bdofs)
+        self._velocity_bc = fem.DirichletElimination(
+            fem.pattern("deformation", self.p2, self.p2, mesh), self.vec_bdofs)
 
         self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1)
         self._m2_solver = factorize(self.M2)
@@ -188,7 +184,7 @@ class Stepper:
             p0 = fem.zero_field(self.p1)
         else:
             p0 = fem.interpolate(p0_fn, self.p1)
-            p0.coefficients -= fem.mean_value(p0, mesh)
+            p0.coefficients -= self.m1 @ p0.coefficients / mesh.area
 
         vbar0, multiplier = self.solve_potential(c0, t=0.0)
         e0 = model.energy_spnp(c0, fem.eval_grads(vbar0, mesh), params, mesh)
@@ -342,7 +338,7 @@ class Stepper:
         p2 = self.p2
 
         ws.Kdef = fem.assemble("deformation", p2, p2, mesh, coeff=ws.mu_star)
-        A = self._velocity_bc.matrix((a0 / dt) * self._mv_momentum
+        A = self._velocity_bc.matrix((a0 / dt) * self.Mv.data
                                      + (1.0 / params.re) * ws.Kdef.data)
 
         adv = np.einsum("eqj,eqkj->eqk", ws.u_star_vals, ws.u_star_grads)
@@ -351,7 +347,7 @@ class Stepper:
         coul = self._charge(c_new)[..., None] * ws.grad_vbar
         ws.coul_vec = fem.assemble_vector("vector_source", p2, mesh, coul)
 
-        ws.rhs_u = self.Mv @ hist_u / dt + self.Ddiv @ self.curr.p.coefficients
+        ws.rhs_u = self.Mv @ hist_u / dt - self.G @ self.curr.p.coefficients
         if self.sources is not None and self.sources.f_u is not None:
             fu = self.sources.f_u
             ws.rhs_u += fem.assemble_vector("vector_source", p2, mesh,
@@ -449,25 +445,21 @@ class Stepper:
 
     def pressure_poisson(self, u_tilde, a0):
         """Zero-mean pressure increment from the projection step."""
-        dt = self.params.dt
-        ux = u_tilde.component(0)
-        uy = u_tilde.component(1)
-        rhs = (a0 / dt) * (self._CxT @ ux + self._CyT @ uy)
+        rhs = (a0 / self.params.dt) * (self._GT @ u_tilde.coefficients)
         sol, _, _ = self._psi_solver.solve(rhs, subtract_mean=True)
         return fem.Field(self.p1, sol)
 
     def correct(self, ws, psi, a0):
         """Project the corrected velocity, update pressure and viscosity."""
         params = self.params
-        dt = params.dt
-        scale = dt / a0
-        ux = self._m2_solver.solve(
-            self.M2 @ ws.u_tilde.component(0) - scale * (self.Cx @ psi.coefficients))[0]
-        uy = self._m2_solver.solve(
-            self.M2 @ ws.u_tilde.component(1) - scale * (self.Cy @ psi.coefficients))[0]
+        n2 = self.n2
+        b = self.Mv @ ws.u_tilde.coefficients \
+            - (params.dt / a0) * (self.G @ psi.coefficients)
+        ux = self._m2_solver.solve(b[:n2])[0]
+        uy = self._m2_solver.solve(b[n2:])[0]
         u_new = fem.Field(self.p2, np.concatenate([ux, uy]), components=2)
         p_new = fem.Field(self.p1, psi.coefficients + self.curr.p.coefficients)
-        p_new.coefficients -= fem.mean_value(p_new, self.mesh)
+        p_new.coefficients -= self.m1 @ p_new.coefficients / self.mesh.area
         mu_new = model.carreau_viscosity(
             model.shear_rate_sq(u_new, self.mesh), params)
         return u_new, p_new, mu_new
@@ -508,7 +500,8 @@ class Stepper:
                           c=c_new, vbar=vbar_new, v=v_new, mu_q=mu_new,
                           r=r_new, xi=float(xi))
 
-        div, split = self._log_identities(ws, psi, a0)
+        kdef_ut = ws.Kdef @ u_tilde.coefficients
+        div, split = self._log_identities(ws, psi, a0, kdef_ut)
         e_total = self._run_checks(new, targets)
 
         self.prev = self.curr
@@ -516,8 +509,7 @@ class Stepper:
         self.step_index += 1
         self.records.append(self._record(
             new, e_total, xi=xi,
-            visc_dissip=float(u_tilde.coefficients
-                              @ (ws.Kdef @ u_tilde.coefficients)) / params.re,
+            visc_dissip=float(u_tilde.coefficients @ kdef_ut) / params.re,
             ionic_dissip=xi ** 2 * (params.co / params.pe) * g_total,
             e_spnp=e_spnp, multiplier=multiplier, div_residual=div,
             split_residual=split, zeta2=ws.zeta2))
@@ -571,18 +563,17 @@ class Stepper:
             t=new.t, e_total=e_total, masses=masses, min_c=mins,
             xi=float(xi), r=float(new.r), **values)
 
-    def _log_identities(self, ws, psi, a0):
+    def _log_identities(self, ws, psi, a0, kdef_ut):
         """Discrete divergence and split-consistency residuals of this step,
-        (div, split)."""
+        (div, split); ``kdef_ut`` is Kdef times the composite velocity."""
         params = self.params
         dt = params.dt
         ut = ws.u_tilde
-        div_vec = self._CxT @ ut.component(0) + self._CyT @ ut.component(1)
+        div_vec = self._GT @ ut.coefficients
         d = div_vec - (dt / a0) * (self.K1 @ psi.coefficients)
         div_rel = np.linalg.norm(d) / max(np.linalg.norm(div_vec), 1e-300)
 
-        lhs = (a0 / dt) * (self.Mv @ ut.coefficients) \
-            + (ws.Kdef @ ut.coefficients) / params.re
+        lhs = (a0 / dt) * (self.Mv @ ut.coefficients) + kdef_ut / params.re
         rhs = ws.rhs_u - ws.xi * ws.adv_vec - params.co * ws.xi * ws.coul_vec
         free = np.ones(lhs.size, dtype=bool)
         free[self.vec_bdofs] = False

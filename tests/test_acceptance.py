@@ -143,9 +143,9 @@ def test_criterion_6_kernel_oracles():
         "deformation": (assemble("deformation", p2, p2, mesh,
                                  coeff_q).toarray(),
                         oracles.dense_deformation(mesh, p2, p2, coeff)),
-        "pressure coupling": (assemble("div_coupling", p1, p2,
-                                       mesh).toarray(),
-                              oracles.dense_div_coupling(mesh, p1, p2)),
+        "pressure coupling": (assemble("gradient", p1, p2, mesh).toarray(),
+                              np.vstack([oracles.dense_grad(mesh, p1, p2, 0),
+                                         oracles.dense_grad(mesh, p1, p2, 1)])),
     }
     worst = {name: float(np.abs(a - b).max()) for name, (a, b)
              in checks.items()}

@@ -127,13 +127,15 @@ def test_advection_matches_dense_oracle(two_tri):
     assert np.abs(A - dense).max() <= 1e-12
 
 
-def test_mixed_grad_matches_dense_oracle(two_tri):
+def test_gradient_matches_dense_oracle(two_tri):
+    # (grad q, v): the x block, then the y block of the velocity rows
     p2 = dof_map(two_tri, 2)
     p1 = dof_map(two_tri, 1)
-    for form, axis in (("grad_x", 0), ("grad_y", 1)):
-        A = assemble(form, p1, p2, two_tri).toarray()
+    G = assemble("gradient", p1, p2, two_tri).toarray()
+    n = p2.n_dofs
+    for axis in (0, 1):
         dense = oracles.dense_grad(two_tri, p1, p2, axis)
-        assert np.abs(A - dense).max() <= 1e-12
+        assert np.abs(G[axis * n:(axis + 1) * n] - dense).max() <= 1e-12
 
 
 def test_deformation_matches_dense_oracle(two_tri):
@@ -146,12 +148,20 @@ def test_deformation_matches_dense_oracle(two_tri):
     assert np.abs(A - dense).max() <= 1e-12
 
 
-def test_div_coupling_matches_dense_oracle(two_tri):
-    p2 = dof_map(two_tri, 2)
-    p1 = dof_map(two_tri, 1)
-    A = assemble("div_coupling", p1, p2, two_tri).toarray()
-    dense = oracles.dense_div_coupling(two_tri, p1, p2)
-    assert np.abs(A - dense).max() <= 1e-12
+def test_gradient_is_minus_div_coupling_on_free_velocity_rows(unit_mesh):
+    # (div v, q) = -(v, grad q) for every velocity basis function that
+    # vanishes on the boundary, so the one gradient also serves as the
+    # momentum equation's pressure term; the boundary rows, which the
+    # velocity constraint removes, keep the boundary integral of (v.n) q
+    p2 = dof_map(unit_mesh, 2)
+    p1 = dof_map(unit_mesh, 1)
+    G = assemble("gradient", p1, p2, unit_mesh).toarray()
+    D = oracles.dense_div_coupling(unit_mesh, p1, p2)
+    bd = p2.boundary_dofs
+    fixed = np.zeros(2 * p2.n_dofs, dtype=bool)
+    fixed[np.concatenate([bd, bd + p2.n_dofs])] = True
+    assert np.abs(G[~fixed] + D[~fixed]).max() <= 1e-12
+    assert np.abs(G[fixed] + D[fixed]).max() > 1e-3
 
 
 def test_vector_mass_block_structure(two_tri):
@@ -162,6 +172,7 @@ def test_vector_mass_block_structure(two_tri):
     assert np.abs(Mv[:n, :n] - M).max() == 0.0
     assert np.abs(Mv[n:, n:] - M).max() == 0.0
     assert np.abs(Mv[:n, n:]).max() == 0.0
+    assert np.abs(Mv[n:, :n]).max() == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -303,10 +314,9 @@ def _assert_canonical_csr(A, shape):
 @pytest.mark.parametrize("form,trial_order,test_order,block", [
     ("mass", 2, 2, (1, 1)),
     ("stiffness", 1, 1, (1, 1)),
-    ("grad_x", 1, 2, (1, 1)),
+    ("gradient", 1, 2, (2, 1)),
     ("vector_mass", 2, 2, (2, 2)),
     ("deformation", 2, 2, (2, 2)),
-    ("div_coupling", 1, 2, (2, 1)),
 ])
 def test_matrix_contract_assemble(unit_mesh, form, trial_order, test_order,
                                   block):
@@ -338,23 +348,6 @@ def test_matrix_contract_constraints(unit_mesh):
     assert np.array_equal(Z[:n, :n].toarray(), K.toarray())
 
 
-def test_pattern_positions_place_a_contained_matrix(unit_mesh):
-    # the vector mass placed on the deformation pattern, as the momentum
-    # matrix needs it; a matrix outside the pattern is refused
-    p2 = dof_map(unit_mesh, 2)
-    n = p2.n_dofs
-    mom = fem.pattern("deformation", p2, p2, unit_mesh)
-    Mv = assemble("vector_mass", p2, p2, unit_mesh)
-    data = np.zeros(mom.nnz)
-    data[mom.positions(Mv)] = Mv.data
-    assert np.array_equal(mom.csr(data).toarray(), Mv.toarray())
-    with pytest.raises(ValueError):
-        fem.pattern("mass", p2, p2, unit_mesh).positions(Mv)
-    far = sp.csr_matrix(([1.0], ([0], [2 * n - 1])), shape=(2 * n, 2 * n))
-    with pytest.raises(ValueError):
-        mom.positions(far)
-
-
 def test_solve_zero_mean_zero_rhs(unit_mesh):
     p2 = dof_map(unit_mesh, 2)
     K = assemble("stiffness", p2, p2, unit_mesh)
@@ -373,9 +366,10 @@ def test_solve_zero_mean_eigenfunction_order():
         b = assemble_vector(
             "source", p2, mesh,
             lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
-        x, _, _ = ZeroMeanSolver(K, basis_integrals(p2, mesh)).solve(b)
+        m2 = basis_integrals(p2, mesh)
+        x, _, _ = ZeroMeanSolver(K, m2).solve(b)
         V = Field(p2, x)
-        assert abs(fem.mean_value(V, mesh)) <= 1e-12
+        assert abs(m2 @ x / mesh.area) <= 1e-12
         errs.append(error_norm_l2(
             V, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)
             / (2 * np.pi ** 2), mesh))
@@ -450,11 +444,8 @@ def _coo_reference(form, trial, test, mesh, coeff):
             "mass": lambda: {(0, 0): mass},
             "stiffness": lambda: {(0, 0): np.einsum(
                 "eq,eiqd,ejqd->eij", Ww, g_t, g_s)},
-            "grad_x": lambda: {(0, 0): np.einsum(
-                "eq,iq,ejq->eij", Ww, phi_t, gx_s)},
-            "grad_y": lambda: {(0, 0): np.einsum(
-                "eq,iq,ejq->eij", Ww, phi_t, gy_s)},
-            "vector_mass": lambda: {(0, 0): mass, (1, 1): mass},
+            "vector_mass": lambda: {(0, 0): mass, (0, 1): 0 * mass,
+                                    (1, 0): 0 * mass, (1, 1): mass},
             "deformation": lambda: {
                 (0, 0): np.einsum("eq,eiq,ejq->eij", 2 * Ww, gx_t, gx_s)
                 + np.einsum("eq,eiq,ejq->eij", Ww, gy_t, gy_s),
@@ -462,9 +453,9 @@ def _coo_reference(form, trial, test, mesh, coeff):
                 (1, 0): np.einsum("eq,eiq,ejq->eij", Ww, gx_t, gy_s),
                 (1, 1): np.einsum("eq,eiq,ejq->eij", 2 * Ww, gy_t, gy_s)
                 + np.einsum("eq,eiq,ejq->eij", Ww, gx_t, gx_s)},
-            "div_coupling": lambda: {
-                (0, 0): np.einsum("eq,eiq,jq->eij", Ww, gx_t, phi_s),
-                (1, 0): np.einsum("eq,eiq,jq->eij", Ww, gy_t, phi_s)},
+            "gradient": lambda: {
+                (0, 0): np.einsum("eq,iq,ejq->eij", Ww, phi_t, gx_s),
+                (1, 0): np.einsum("eq,iq,ejq->eij", Ww, phi_t, gy_s)},
         }[form]()
     rows, cols, vals = [], [], []
     for (r, c), local in blocks.items():
@@ -482,9 +473,8 @@ def _coo_reference(form, trial, test, mesh, coeff):
 
 
 FORMS = (("mass", 2, 2), ("stiffness", 2, 2), ("stiffness", 1, 1),
-         ("advection", 2, 2), ("grad_x", 1, 2), ("grad_y", 1, 2),
-         ("vector_mass", 2, 2), ("deformation", 2, 2),
-         ("div_coupling", 1, 2))
+         ("advection", 2, 2), ("vector_mass", 2, 2), ("deformation", 2, 2),
+         ("gradient", 1, 2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -517,3 +507,11 @@ def test_assembly_matches_coo_reference(nx, ny, seed):
                        coeff=rng.uniform(0.5, 2.0, shape))):
         assert np.shares_memory(A.indices, shared.indices)
         assert np.shares_memory(A.indptr, shared.indptr)
+
+    # and so do the momentum matrix's two terms, Mv and Kdef
+    velocity = fem.pattern("deformation", p2, p2, mesh)
+    for A in (assemble("vector_mass", p2, p2, mesh),
+              assemble("deformation", p2, p2, mesh,
+                       coeff=rng.uniform(0.5, 2.0, shape))):
+        assert np.shares_memory(A.indices, velocity.indices)
+        assert np.shares_memory(A.indptr, velocity.indptr)

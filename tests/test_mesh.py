@@ -37,7 +37,7 @@ def test_invariants_random_grids(nx, ny):
     assert (areas > 0).all()
     assert abs(areas.sum() - m.area) <= 1e-14 * m.area
     # interior edges touch 2 triangles, boundary edges 1
-    counts = (m.edge_tris >= 0).sum(axis=1)
+    counts = np.bincount(m.tri_edges.ravel())
     boundary = m.boundary_edge_ids()
     assert (counts[boundary] == 1).all()
     interior = np.setdiff1d(np.arange(m.n_edges), boundary)

@@ -317,11 +317,12 @@ def test_per_step_path_builds_no_triplets_and_no_row_replacement(monkeypatch):
 # Quadrature evaluations of one full step: 5 for the extrapolants, 2 for the
 # new concentrations, 1 for grad Vbar (shared by momentum, energy and
 # chemical potential), 2 in the xi stage for the grad sigma of each species,
-# 2 for the corrected pressure and shear, 3 for the one discrete energy.
+# 1 for the corrected shear, 3 for the one discrete energy; the pressure mean
+# comes from the P1 basis integrals.
 # A forced run evaluates Vbar in the xi stage as well: its values, and the
 # chemical-potential values, feed only the forcing power.
-EVALS_PER_STEP_UNFORCED = 15
-EVALS_PER_STEP_FORCED = 16
+EVALS_PER_STEP_UNFORCED = 14
+EVALS_PER_STEP_FORCED = 15
 
 
 def test_per_step_quadrature_evaluation_budget(monkeypatch):
