@@ -127,8 +127,9 @@ def test_advection_matches_dense_oracle(two_tri):
     assert np.abs(A - dense).max() <= 1e-12
 
 
-def test_gradient_matches_dense_oracle(two_tri):
-    # (grad q, v): the x block, then the y block of the velocity rows
+def test_mixed_grad_matches_dense_oracle(two_tri):
+    # the gradient form (grad q, v): its x block, then its y block of the
+    # velocity rows
     p2 = dof_map(two_tri, 2)
     p1 = dof_map(two_tri, 1)
     G = assemble("gradient", p1, p2, two_tri).toarray()
@@ -148,11 +149,12 @@ def test_deformation_matches_dense_oracle(two_tri):
     assert np.abs(A - dense).max() <= 1e-12
 
 
-def test_gradient_is_minus_div_coupling_on_free_velocity_rows(unit_mesh):
-    # (div v, q) = -(v, grad q) for every velocity basis function that
-    # vanishes on the boundary, so the one gradient also serves as the
-    # momentum equation's pressure term; the boundary rows, which the
-    # velocity constraint removes, keep the boundary integral of (v.n) q
+def test_div_coupling_matches_dense_oracle(unit_mesh):
+    # the pressure coupling is -G: (div v, q) = -(v, grad q) for every
+    # velocity basis function that vanishes on the boundary, so the one
+    # gradient also serves as the momentum equation's pressure term; the
+    # boundary rows, which the velocity constraint removes, keep the
+    # boundary integral of (v.n) q
     p2 = dof_map(unit_mesh, 2)
     p1 = dof_map(unit_mesh, 1)
     G = assemble("gradient", p1, p2, unit_mesh).toarray()
