@@ -1,15 +1,19 @@
 """Reference elements, quadrature, form assembly and constraint handling.
 
-Assembly is vectorized over all triangles at once: basis values are tabulated
-on the reference triangle, pushed to physical gradients per cell through the
-(affine) Jacobian, and contracted with quadrature weights via einsum.  Each
-form's CSR sparsity pattern is built once per mesh and cached with the
-geometry, together with the CSR position of every local element entry; an
-assembly is then one einsum and one ``bincount`` into fresh read-only data
-sharing the pattern's index arrays.  The scalar P2 forms share one pattern,
-and so do the vector mass and the deformation form (the vector mass stores
-its zero off-diagonal blocks), so the scheme adds their matrices as data
-vectors.  One gradient form couples velocity and pressure.
+Assembly is vectorized over all triangles at once.  On the affine elements
+every quadrature contraction factors into a reference tensor, tabulated
+once per pair of elements, and a per-cell geometric factor built from the
+inverse Jacobian: a form is one matmul of the quadrature-weighted
+coefficient with the reference tensor, then one batched per-cell product
+with the geometric factor; a field is evaluated by one matmul of its cell
+coefficients with the tabulated basis.  Each form's CSR sparsity pattern is
+built once per mesh and cached with the geometry, together with the CSR
+position of every local element entry; an assembly then ends in one
+``bincount`` into fresh read-only data sharing the pattern's index arrays.
+The scalar P2 forms share one pattern, and so do the vector mass and the
+deformation form (the vector mass stores its zero off-diagonal blocks), so
+the scheme adds their matrices as data vectors.  One gradient form couples
+velocity and pressure.
 
 Nonlinear coefficients are always point values at quadrature points, taken
 from the finite-element expansions of their fields.
@@ -121,8 +125,24 @@ class RefElement:
         return vals, np.stack(grads)
 
 
+# 2 D(phi_j e_b) : D(phi_i e_a) = delta_ab grad phi_i . grad phi_j
+#                                 + d_b phi_i d_a phi_j, as C[a, b, c, d]
+# contracted with d_c phi_i d_d phi_j
+_I2 = np.eye(2)
+_DEFORMATION = (np.einsum("ab,cd->abcd", _I2, _I2)
+                + np.einsum("bc,ad->abcd", _I2, _I2))
+
+
 class _Geometry:
-    """Per-mesh assembly tables: Jacobians, physical gradients, quadrature."""
+    """Per-mesh assembly tables: Jacobians, quadrature, the per-cell
+    geometric factors of the affine map and the reference tensors.
+
+    A physical gradient is a reference gradient times ``inv``, so each
+    quadrature contraction of a form factors into a reference tensor, the
+    same on every cell, and a per-cell product with ``inv``, ``metric`` or
+    ``strain`` (the tensor representation of Kirby & Logg, ACM TOMS 32,
+    2006).  No per-cell table of physical gradients is kept.
+    """
 
     def __init__(self, mesh, rule):
         self.mesh = mesh
@@ -140,13 +160,21 @@ class _Geometry:
         inv /= det[:, None, None]
         self.jac = B
         self.det = det                             # = 2 * area
-        self.inv = inv
+        self.inv = inv                             # [e, r, d] = d xi_r / d x_d
+        self.inv_t = np.ascontiguousarray(inv.transpose(0, 2, 1))
+        # metric[e, r s] = sum_d inv[e, r, d] inv[e, s, d]
+        self.metric = (inv @ self.inv_t).reshape(-1, 4, 1)
+        # strain[e, r s, a b] = sum_cd C[a, b, c, d] inv[e, r, c] inv[e, s, d]
+        self.strain = np.einsum("abcd,erc,esd->ersab", _DEFORMATION, inv, inv,
+                                optimize=True).reshape(-1, 4, 4)
         self.wdet = rule.weights[None, :] * det[:, None]   # (n_el, n_q)
         bary = rule.points
         self.qpoints = (bary[None, :, 0, None] * p[:, None, 0, :]
                         + bary[None, :, 1, None] * p[:, None, 1, :]
                         + bary[None, :, 2, None] * p[:, None, 2, :])
-        self._elements = {}
+        self._refs = {}
+        self._evals = {}
+        self._pairs = {}
         self._patterns = {}
 
     def pattern(self, test, trial, blocks):
@@ -161,13 +189,60 @@ class _Geometry:
                     self.pattern(test, trial, _SCALAR), blocks)
         return self._patterns[key]
 
-    def element(self, order):
-        if order not in self._elements:
-            ref = RefElement(order, self.rule)
-            # phys_grads[e, a, q, d] = sum_r ref.grads[a, q, r] * inv[e, r, d]
-            phys = np.einsum("aqr,erd->eaqd", ref.grads, self.inv)
-            self._elements[order] = (ref.values, phys)
-        return self._elements[order]
+    def ref(self, order):
+        """The reference element of ``order`` on this geometry's rule."""
+        if order not in self._refs:
+            self._refs[order] = RefElement(order, self.rule)
+        return self._refs[order]
+
+    def eval_tables(self, order, components):
+        """Basis values (n_b k, n_q k) and reference gradients
+        (n_b k, n_q k 2) of ``order`` for ``k = components``, block-diagonal
+        in the component, so that coefficients gathered per cell, component
+        fastest, give values (n_el, n_q, k) and reference gradients
+        (n_el, n_q, k, 2) in one matmul each."""
+        key = (order, components)
+        if key not in self._evals:
+            ref, eye = self.ref(order), np.eye(components)
+            n_b, n_q = ref.values.shape
+            self._evals[key] = (
+                np.einsum("aq,kl->akql", ref.values, eye).reshape(
+                    n_b * components, -1),
+                np.einsum("aqr,kl->akqlr", ref.grads, eye).reshape(
+                    n_b * components, -1))
+        return self._evals[key]
+
+    def pair(self, test_order, trial_order):
+        """Reference tensors of a (test, trial) pair of elements."""
+        key = (test_order, trial_order)
+        if key not in self._pairs:
+            self._pairs[key] = _RefPair(self.ref(test_order),
+                                        self.ref(trial_order))
+        return self._pairs[key]
+
+
+class _RefPair:
+    """Reference tensors of a (test, trial) pair of elements, laid out so
+    that a quadrature-weighted coefficient (n_el, n_q) meets each in one
+    matmul.  phi and G are the basis values and reference gradients; i, j
+    index test and trial functions, q quadrature points, r and s reference
+    directions.
+
+    mass[q, i j]          = phi_i(q) phi_j(q)
+    grad_grad[q, i j r s] = G_i,q,r G_j,q,s
+    value_grad[q, i j r]  = phi_i(q) G_j,q,r
+    advection[q r, i j]   = phi_i(q) G_j,q,r
+    """
+
+    def __init__(self, test, trial):
+        phi_t, g_t = test.values, test.grads
+        phi_s, g_s = trial.values, trial.grads
+        n_q = phi_t.shape[1]
+        self.mass = np.einsum("iq,jq->qij", phi_t, phi_s).reshape(n_q, -1)
+        self.grad_grad = np.einsum("iqr,jqs->qijrs", g_t, g_s).reshape(n_q, -1)
+        self.value_grad = np.einsum("iq,jqr->qijr", phi_t, g_s).reshape(n_q, -1)
+        self.advection = np.einsum("iq,jqr->qrij", phi_t, g_s).reshape(
+            2 * n_q, -1)
 
 
 def geometry(mesh):
@@ -232,16 +307,21 @@ def interpolate(fn, dofmap, components=1):
     return Field(dofmap, np.concatenate(blocks), components)
 
 
+def _cell_coefficients(field):
+    """Coefficients gathered per cell, (n_el, n_b * components), with the
+    component index fastest."""
+    cells = field.dofmap.cell_to_dofs
+    c = field.coefficients.reshape(field.components, -1).T[cells]
+    return c.reshape(cells.shape[0], -1)
+
+
 def eval_values(field, mesh):
     """Field values at quadrature points: (n_el, n_q) or (n_el, n_q, 2)."""
     geo = geometry(mesh)
-    phi, _ = geo.element(field.dofmap.order)
-    cells = field.dofmap.cell_to_dofs
-    if field.components == 1:
-        return np.einsum("ea,aq->eq", field.coefficients[cells], phi)
-    comps = [np.einsum("ea,aq->eq", field.component(k)[cells], phi)
-             for k in range(field.components)]
-    return np.stack(comps, axis=-1)
+    k = field.components
+    values, _ = geo.eval_tables(field.dofmap.order, k)
+    vals = _cell_coefficients(field) @ values
+    return vals if k == 1 else vals.reshape(geo.wdet.shape + (k,))
 
 
 def eval_grads(field, mesh):
@@ -251,13 +331,11 @@ def eval_grads(field, mesh):
     [i, j] = d u_i / d x_j.
     """
     geo = geometry(mesh)
-    _, gphys = geo.element(field.dofmap.order)
-    cells = field.dofmap.cell_to_dofs
-    if field.components == 1:
-        return np.einsum("ea,eaqd->eqd", field.coefficients[cells], gphys)
-    comps = [np.einsum("ea,eaqd->eqd", field.component(k)[cells], gphys)
-             for k in range(field.components)]
-    return np.stack(comps, axis=2)
+    k = field.components
+    _, grads = geo.eval_tables(field.dofmap.order, k)
+    n_el, n_q = geo.wdet.shape
+    g = (_cell_coefficients(field) @ grads).reshape(n_el, n_q * k, 2) @ geo.inv
+    return g.reshape((n_el, n_q, 2) if k == 1 else (n_el, n_q, k, 2))
 
 
 def _coeff_array(coeff, mesh):
@@ -280,14 +358,6 @@ _BLOCKS = {
     "deformation": _VELOCITY,
     "gradient": ((0, 0), (1, 0)),
 }
-
-# 2 D(phi_j e_b) : D(phi_i e_a) = delta_ab grad phi_i . grad phi_j
-#                                 + d_b phi_i d_a phi_j, as C[a, b, c, d]
-# contracted with d_c phi_i d_d phi_j
-_I2 = np.eye(2)
-_DEFORMATION = (np.einsum("ab,cd->abcd", _I2, _I2)
-                + np.einsum("bc,ad->abcd", _I2, _I2))
-
 
 class Pattern:
     """CSR sparsity pattern of one form on one mesh, built once.
@@ -398,27 +468,29 @@ def assemble(form, trial, test, mesh, coeff=None):
     ``pattern(form, trial, test, mesh)`` with fresh, read-only data.
     """
     geo = geometry(mesh)
-    phi_s, g_s = geo.element(trial.order)
-    phi_t, g_t = geo.element(test.order)
+    ref = geo.pair(test.order, trial.order)
+    n_el = geo.det.size
     Ww = (geo.wdet if form == "advection"
           else geo.wdet * _coeff_array(coeff, mesh))
 
-    if form == "mass":
-        local = np.einsum("eq,iq,jq->eij", Ww, phi_t, phi_s, optimize=True)
-    elif form == "stiffness":
-        local = np.einsum("eq,eiqd,ejqd->eij", Ww, g_t, g_s, optimize=True)
+    # local is laid out (block, element, test, trial), as Pattern.slot
+    if form in ("mass", "vector_mass"):
+        local = Ww @ ref.mass
+        if form == "vector_mass":
+            zero = np.zeros_like(local)
+            local = np.stack([local, zero, zero, local])
+    elif form in ("stiffness", "deformation"):
+        S = (Ww @ ref.grad_grad).reshape(n_el, -1, 4)
+        if form == "stiffness":
+            local = S @ geo.metric
+        else:
+            local = (S @ geo.strain).transpose(2, 0, 1)
     elif form == "advection":
-        local = np.einsum("eq,iq,eqd,ejqd->eij", Ww, phi_t,
-                          np.asarray(coeff), g_s, optimize=True)
-    elif form == "vector_mass":
-        mass = np.einsum("eq,iq,jq->eij", Ww, phi_t, phi_s, optimize=True)
-        zero = np.zeros_like(mass)
-        local = np.stack([mass, zero, zero, mass])
-    elif form == "deformation":
-        local = np.einsum("eq,abcd,eiqc,ejqd->abeij", Ww, _DEFORMATION,
-                          g_t, g_s, optimize=True)
+        beta = Ww[..., None] * (np.asarray(coeff) @ geo.inv_t)
+        local = beta.reshape(n_el, -1) @ ref.advection
     elif form == "gradient":
-        local = np.einsum("eq,iq,ejqa->aeij", Ww, phi_t, g_s, optimize=True)
+        local = ((Ww @ ref.value_grad).reshape(n_el, -1, 2)
+                 @ geo.inv).transpose(2, 0, 1)
     else:
         raise ValueError(f"unknown form {form!r}")
     return pattern(form, trial, test, mesh).assemble(local)
@@ -454,25 +526,23 @@ def assemble_vector(functional, test, mesh, coeff):
     vector_source (f . v) on a 2-component test space
     """
     geo = geometry(mesh)
-    phi, gphys = geo.element(test.order)
+    ref = geo.ref(test.order)
     W = geo.wdet
 
     if functional == "source":
-        f = _functional_array(coeff, mesh)
-        local = np.einsum("eq,iq->ei", W * f, phi)
+        local = (W * _functional_array(coeff, mesh)) @ ref.values.T
         return _scatter_vector(local, test.cell_to_dofs, test.n_dofs)
     if functional == "vecflux":
-        b = np.asarray(coeff)
-        local = np.einsum("eq,eqd,eiqd->ei", W, b, gphys)
+        beta = W[..., None] * (np.asarray(coeff) @ geo.inv_t)
+        grads = ref.grads.reshape(ref.grads.shape[0], -1)   # [i, q r]
+        local = beta.reshape(W.shape[0], -1) @ grads.T
         return _scatter_vector(local, test.cell_to_dofs, test.n_dofs)
     if functional == "vector_source":
         f = _functional_array(coeff, mesh, vector=True)
-        out = np.zeros(2 * test.n_dofs)
-        for k in range(2):
-            local = np.einsum("eq,iq->ei", W * f[..., k], phi)
-            out[k * test.n_dofs:(k + 1) * test.n_dofs] = \
-                _scatter_vector(local, test.cell_to_dofs, test.n_dofs)
-        return out
+        local = (W * np.moveaxis(f, -1, 0)) @ ref.values.T
+        return np.concatenate([
+            _scatter_vector(local[k], test.cell_to_dofs, test.n_dofs)
+            for k in range(2)])
     raise ValueError(f"unknown functional {functional!r}")
 
 

@@ -449,12 +449,12 @@ class Stepper:
         sol, _, _ = self._psi_solver.solve(rhs, subtract_mean=True)
         return fem.Field(self.p1, sol)
 
-    def correct(self, ws, psi, a0):
-        """Project the corrected velocity, update pressure and viscosity."""
+    def correct(self, ws, psi, a0, mv_ut):
+        """Project the corrected velocity, update pressure and viscosity;
+        ``mv_ut`` is Mv times the composite velocity."""
         params = self.params
         n2 = self.n2
-        b = self.Mv @ ws.u_tilde.coefficients \
-            - (params.dt / a0) * (self.G @ psi.coefficients)
+        b = mv_ut - (params.dt / a0) * (self.G @ psi.coefficients)
         ux = self._m2_solver.solve(b[:n2])[0]
         uy = self._m2_solver.solve(b[n2:])[0]
         u_new = fem.Field(self.p2, np.concatenate([ux, uy]), components=2)
@@ -494,14 +494,15 @@ class Stepper:
             ws, c_new, vbar_new, a0, hist_r, t_new)
         r_new, v_new, u_tilde = self.update_r_v_u(ws, vbar_new, sqrt_eb)
         psi = self.pressure_poisson(u_tilde, a0)
-        u_new, p_new, mu_new = self.correct(ws, psi, a0)
+        mv_ut = self.Mv @ u_tilde.coefficients
+        u_new, p_new, mu_new = self.correct(ws, psi, a0, mv_ut)
 
         new = model.State(t=t_new, u=u_new, p=p_new, sigma=sigma_new,
                           c=c_new, vbar=vbar_new, v=v_new, mu_q=mu_new,
                           r=r_new, xi=float(xi))
 
         kdef_ut = ws.Kdef @ u_tilde.coefficients
-        div, split = self._log_identities(ws, psi, a0, kdef_ut)
+        div, split = self._log_identities(ws, psi, a0, mv_ut, kdef_ut)
         e_total = self._run_checks(new, targets)
 
         self.prev = self.curr
@@ -563,9 +564,10 @@ class Stepper:
             t=new.t, e_total=e_total, masses=masses, min_c=mins,
             xi=float(xi), r=float(new.r), **values)
 
-    def _log_identities(self, ws, psi, a0, kdef_ut):
+    def _log_identities(self, ws, psi, a0, mv_ut, kdef_ut):
         """Discrete divergence and split-consistency residuals of this step,
-        (div, split); ``kdef_ut`` is Kdef times the composite velocity."""
+        (div, split); ``mv_ut`` and ``kdef_ut`` are Mv and Kdef times the
+        composite velocity."""
         params = self.params
         dt = params.dt
         ut = ws.u_tilde
@@ -573,7 +575,7 @@ class Stepper:
         d = div_vec - (dt / a0) * (self.K1 @ psi.coefficients)
         div_rel = np.linalg.norm(d) / max(np.linalg.norm(div_vec), 1e-300)
 
-        lhs = (a0 / dt) * (self.Mv @ ut.coefficients) + kdef_ut / params.re
+        lhs = (a0 / dt) * mv_ut + kdef_ut / params.re
         rhs = ws.rhs_u - ws.xi * ws.adv_vec - params.co * ws.xi * ws.coul_vec
         free = np.ones(lhs.size, dtype=bool)
         free[self.vec_bdofs] = False

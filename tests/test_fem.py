@@ -10,7 +10,7 @@ from spnpflow.errors import CompatibilityError
 from spnpflow.fem import (Field, RefElement, apply_dirichlet, assemble,
                           assemble_vector, basis_integrals, error_norm_l2,
                           interpolate, quad_rule, ZeroMeanSolver)
-from spnpflow.mesh import build_rect_mesh, dof_map
+from spnpflow.mesh import Mesh, build_rect_mesh, dof_map
 from spnpflow.sparse import factorize
 
 
@@ -426,13 +426,20 @@ def test_interpolation_order_cubic():
 # fixed-pattern assembly against independent coordinate assembly
 # ----------------------------------------------------------------------
 
+def _physical(order, mesh):
+    """Basis values (n_b, n_q) and physical gradients (n_el, n_b, n_q, 2),
+    the reference gradients pushed through each cell's inverse Jacobian."""
+    ref = RefElement(order)
+    return ref.values, np.einsum("aqr,erd->eaqd", ref.grads,
+                                 fem.geometry(mesh).inv)
+
+
 def _coo_reference(form, trial, test, mesh, coeff):
-    """The element matrices of ``form`` by plain einsum, summed by SciPy
-    from coordinate triplets."""
-    geo = fem.geometry(mesh)
-    phi_s, g_s = geo.element(trial.order)
-    phi_t, g_t = geo.element(test.order)
-    W = geo.wdet
+    """The element matrices of ``form`` by plain einsum on physical
+    gradients, summed by SciPy from coordinate triplets."""
+    phi_s, g_s = _physical(trial.order, mesh)
+    phi_t, g_t = _physical(test.order, mesh)
+    W = fem.geometry(mesh).wdet
     n_t, n_s = test.n_dofs, trial.n_dofs
     if form == "advection":
         blocks = {(0, 0): np.einsum("eq,iq,eqd,ejqd->eij", W, phi_t, coeff,
@@ -517,3 +524,94 @@ def test_assembly_matches_coo_reference(nx, ny, seed):
                        coeff=rng.uniform(0.5, 2.0, shape))):
         assert np.shares_memory(A.indices, velocity.indices)
         assert np.shares_memory(A.indptr, velocity.indptr)
+
+
+# ----------------------------------------------------------------------
+# reference-tensor kernels on a mesh with a different Jacobian per cell
+# ----------------------------------------------------------------------
+
+def _skewed_mesh(nx, ny, seed):
+    """``build_rect_mesh(0, 2, 0, 1, nx, ny)`` with every interior node
+    moved by up to h/8 per coordinate (h the shorter cell side), which
+    keeps every triangle positively oriented.  On the uniform mesh the
+    inverse Jacobians share zero and repeated entries, so a swapped pair of
+    reference and physical indices could go unseen there."""
+    m = build_rect_mesh(0.0, 2.0, 0.0, 1.0, nx, ny)
+    x, y = m.nodes.T
+    interior = ((x > 1e-9) & (x < 2.0 - 1e-9)
+                & (y > 1e-9) & (y < 1.0 - 1e-9))
+    h = min(2.0 / nx, 1.0 / ny)
+    nodes = m.nodes.copy()
+    rng = np.random.default_rng(seed)
+    nodes[interior] += rng.uniform(-h / 8, h / 8, (interior.sum(), 2))
+    mesh = Mesh(nodes, m.triangles, m.edges, m.tri_edges, m.boundary_edges,
+                m.extents, m.shape)
+    assert (mesh.signed_areas() > 0).all()
+    return mesh
+
+
+def _rel_err(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+SKEWED = dict(nx=st.integers(2, 5), ny=st.integers(2, 5),
+              seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=10, deadline=None)
+@given(**SKEWED)
+def test_forms_match_einsum_on_skewed_mesh(nx, ny, seed):
+    mesh = _skewed_mesh(nx, ny, seed)
+    rng = np.random.default_rng(seed)
+    shape = fem.geometry(mesh).wdet.shape
+    spaces = {k: dof_map(mesh, k) for k in (1, 2)}
+    for form, trial_order, test_order in FORMS:
+        trial, test = spaces[trial_order], spaces[test_order]
+        coeff = (rng.standard_normal(shape + (2,)) if form == "advection"
+                 else rng.uniform(0.5, 2.0, shape))
+        A = assemble(form, trial, test, mesh, coeff)
+        ref = _coo_reference(form, trial, test, mesh, coeff)
+        assert _rel_err(A.toarray(), ref.toarray()) <= 1e-13, form
+
+
+@settings(max_examples=10, deadline=None)
+@given(**SKEWED)
+def test_evaluation_and_functionals_match_einsum_on_skewed_mesh(nx, ny,
+                                                                seed):
+    mesh = _skewed_mesh(nx, ny, seed)
+    rng = np.random.default_rng(seed)
+    W = fem.geometry(mesh).wdet
+    for order in (1, 2):
+        space = dof_map(mesh, order)
+        phi, g = _physical(order, mesh)
+        cells = space.cell_to_dofs
+        for k in (1, 2):
+            f = Field(space, rng.standard_normal(k * space.n_dofs), k)
+            c = [f.component(i)[cells] for i in range(k)]
+            vals = np.stack([np.einsum("ea,aq->eq", ci, phi) for ci in c], -1)
+            grads = np.stack([np.einsum("ea,eaqd->eqd", ci, g) for ci in c],
+                             2)
+            if k == 1:
+                vals, grads = vals[..., 0], grads[:, :, 0]
+            assert fem.eval_values(f, mesh).shape == vals.shape
+            assert fem.eval_grads(f, mesh).shape == grads.shape
+            assert _rel_err(fem.eval_values(f, mesh), vals) <= 1e-13
+            assert _rel_err(fem.eval_grads(f, mesh), grads) <= 1e-13
+
+        def scatter(local):
+            out = np.zeros(space.n_dofs)
+            np.add.at(out, cells, local)
+            return out
+
+        f = rng.standard_normal(W.shape)
+        b = rng.standard_normal(W.shape + (2,))
+        source = scatter(np.einsum("eq,iq->ei", W * f, phi))
+        vecflux = scatter(np.einsum("eq,eqd,eiqd->ei", W, b, g))
+        vector_source = np.concatenate(
+            [scatter(np.einsum("eq,iq->ei", W * b[..., i], phi))
+             for i in range(2)])
+        for name, coeff, ref in (("source", f, source),
+                                 ("vecflux", b, vecflux),
+                                 ("vector_source", b, vector_source)):
+            out = assemble_vector(name, space, mesh, coeff)
+            assert _rel_err(out, ref) <= 1e-13, (name, order)

@@ -223,7 +223,8 @@ def test_correct_identity_when_psi_zero():
     ws.u_tilde = fem.Field(st.p2, rng.standard_normal(2 * st.p2.n_dofs),
                            components=2)
     psi = fem.zero_field(st.p1)
-    u, p, mu = st.correct(ws, psi, a0=1.5)
+    u, p, mu = st.correct(ws, psi, a0=1.5,
+                          mv_ut=st.Mv @ ws.u_tilde.coefficients)
     assert np.abs(u.coefficients - ws.u_tilde.coefficients).max() <= 1e-9
     assert np.abs(p.coefficients - st.curr.p.coefficients).max() <= 1e-12
 
