@@ -338,12 +338,22 @@ def eval_grads(field, mesh):
     return g.reshape((n_el, n_q, 2) if k == 1 else (n_el, n_q, k, 2))
 
 
-def _coeff_array(coeff, mesh):
-    """Normalize a form coefficient to a (n_el, n_q) array (or scalar 1.0)."""
+def _quad_values(coeff, mesh, vector=False):
+    """A form or functional coefficient at the quadrature points, as values
+    that broadcast to (n_el, n_q), with a trailing axis of 2 for a
+    ``vector`` callable.  Takes a callable of (x, y) (returning one value
+    per component for ``vector``), a Field, a scalar, an array or None (1).
+    """
     if coeff is None:
         return 1.0
     if isinstance(coeff, Field):
         return eval_values(coeff, mesh)
+    if callable(coeff):
+        xy = quad_points_physical(mesh)
+        out = coeff(xy[..., 0], xy[..., 1])
+        if vector:
+            return np.stack(np.broadcast_arrays(*out), axis=-1)
+        return np.asarray(out, dtype=np.float64)
     if np.isscalar(coeff):
         return float(coeff)
     return np.asarray(coeff)
@@ -471,7 +481,7 @@ def assemble(form, trial, test, mesh, coeff=None):
     ref = geo.pair(test.order, trial.order)
     n_el = geo.det.size
     Ww = (geo.wdet if form == "advection"
-          else geo.wdet * _coeff_array(coeff, mesh))
+          else geo.wdet * _quad_values(coeff, mesh))
 
     # local is laid out (block, element, test, trial), as Pattern.slot
     if form in ("mass", "vector_mass"):
@@ -496,22 +506,6 @@ def assemble(form, trial, test, mesh, coeff=None):
     return pattern(form, trial, test, mesh).assemble(local)
 
 
-def _functional_array(coeff, mesh, vector=False):
-    if callable(coeff):
-        xy = quad_points_physical(mesh)
-        out = coeff(xy[..., 0], xy[..., 1])
-        if vector:
-            return np.stack([np.broadcast_to(np.asarray(c, dtype=np.float64),
-                                             xy.shape[:2]) for c in out], axis=-1)
-        return np.broadcast_to(np.asarray(out, dtype=np.float64), xy.shape[:2])
-    if isinstance(coeff, Field):
-        return eval_values(coeff, mesh)
-    if np.isscalar(coeff):
-        shape = geometry(mesh).wdet.shape
-        return np.full(shape + ((2,) if vector else ()), float(coeff))
-    return np.asarray(coeff)
-
-
 def _scatter_vector(local, cells, n_dofs):
     return np.bincount(cells.ravel(), weights=local.ravel(), minlength=n_dofs)
 
@@ -530,7 +524,7 @@ def assemble_vector(functional, test, mesh, coeff):
     W = geo.wdet
 
     if functional == "source":
-        local = (W * _functional_array(coeff, mesh)) @ ref.values.T
+        local = (W * _quad_values(coeff, mesh)) @ ref.values.T
         return _scatter_vector(local, test.cell_to_dofs, test.n_dofs)
     if functional == "vecflux":
         beta = W[..., None] * (np.asarray(coeff) @ geo.inv_t)
@@ -538,7 +532,8 @@ def assemble_vector(functional, test, mesh, coeff):
         local = beta.reshape(W.shape[0], -1) @ grads.T
         return _scatter_vector(local, test.cell_to_dofs, test.n_dofs)
     if functional == "vector_source":
-        f = _functional_array(coeff, mesh, vector=True)
+        f = np.broadcast_to(_quad_values(coeff, mesh, vector=True),
+                            W.shape + (2,))
         local = (W * np.moveaxis(f, -1, 0)) @ ref.values.T
         return np.concatenate([
             _scatter_vector(local[k], test.cell_to_dofs, test.n_dofs)
@@ -547,38 +542,26 @@ def assemble_vector(functional, test, mesh, coeff):
 
 
 def apply_dirichlet(A, b, dofs, values):
-    """Impose Dirichlet values on a SciPy CSR matrix by row replacement.
-
-    Rows listed in ``dofs`` become identity rows and the matching entries of
-    ``b`` are set to ``values``.
-    """
-    dofs = np.asarray(dofs, dtype=np.int64)
-    b = np.asarray(b, dtype=np.float64).copy()
-    if dofs.size == 0:
-        return A, b
-    values = np.broadcast_to(np.asarray(values, dtype=np.float64), dofs.shape)
-    m = A.tocsr(copy=True)
-    row_mask = np.zeros(m.shape[0], dtype=bool)
-    row_mask[dofs] = True
-    nnz_rows = np.repeat(row_mask, np.diff(m.indptr))
-    m.data[nnz_rows] = 0.0
-    m.eliminate_zeros()
-    eye = sp.coo_matrix((np.ones(dofs.size), (dofs, dofs)), shape=m.shape)
-    m = (m + eye.tocsr()).tocsr()
-    m.sort_indices()
-    b[dofs] = values
-    return m, b
+    """Impose Dirichlet ``values``, in the order of ``dofs``, on a square
+    CSR matrix and its right-hand side in one shot: the eliminated matrix
+    of :class:`DirichletElimination`, symmetric for a symmetric ``A``, and
+    the lifted right-hand side."""
+    g = np.zeros(A.shape[0])
+    g[dofs] = values
+    bc = DirichletElimination(A, dofs)
+    return bc.matrix(A.data), bc.rhs(b, bc.lift(A, g))
 
 
 class DirichletElimination:
-    """Zero Dirichlet values on a fixed pattern, by eliminating the rows and
-    the columns of ``dofs``.
+    """Dirichlet data on a fixed pattern (a :class:`Pattern` or a CSR
+    matrix), by eliminating the rows and the columns of ``dofs``.
 
     Each constrained row keeps only a unit diagonal, so a symmetric matrix
-    stays symmetric.  As the data are zero, the free rows of a right-hand
-    side are unchanged; its constrained rows must be set to zero.  The
-    reduced pattern and the gather onto it are computed here, once, with
-    no sort; :meth:`matrix` then costs one gather per matrix.
+    stays symmetric.  Data g enter the right-hand side through a lift: the
+    free rows get ``b - A g``, the constrained rows ``g``.  The reduced
+    pattern and the gather onto it are computed here, once, with no sort;
+    :meth:`matrix` then costs one gather per matrix.  ``dofs`` is kept
+    sorted, and ``free`` masks the other rows.
     """
 
     def __init__(self, pattern, dofs):
@@ -587,7 +570,8 @@ class DirichletElimination:
             raise ValueError("Dirichlet elimination needs a square pattern")
         fixed = np.zeros(n, dtype=bool)
         fixed[dofs] = True
-        dofs = np.flatnonzero(fixed)
+        self.dofs = dofs = np.flatnonzero(fixed)
+        self.free = ~fixed
         row = np.repeat(np.arange(n), np.diff(pattern.indptr))
         keep = ~fixed[row] & ~fixed[pattern.indices]
         indptr = np.zeros(n + 1, dtype=np.int32)
@@ -608,6 +592,21 @@ class DirichletElimination:
         out = np.ones(self.pattern.nnz)
         out[self._dest] = data[self._source]
         return self.pattern.csr(out)
+
+    def lift(self, A, g):
+        """The data's part of a right-hand side: ``-A g`` on the free rows
+        and ``g`` on the constrained ones; ``g`` is zero on the free dofs."""
+        out = -(A @ g)
+        out[self.dofs] = g[self.dofs]
+        return out
+
+    def rhs(self, b, lift=None):
+        """A copy of ``b`` with its constrained rows zeroed, plus ``lift``."""
+        out = np.array(b, dtype=np.float64)
+        out[self.dofs] = 0.0
+        if lift is not None:
+            out += lift
+        return out
 
 
 def zero_mean_system(A, weight):

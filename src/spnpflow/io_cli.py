@@ -296,11 +296,20 @@ def build_scenario(cfg):
     return scen
 
 
+def _make_out_dir(path):
+    """Create an output directory before any run, so that a path that
+    cannot hold output fails at once, as a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+
+
 def run_config(cfg):
     """Run a scenario config end to end, writing diagnostics and snapshots."""
     scen = build_scenario(cfg)
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     mesh = scen.build_mesh()
     stepper = scen.make_stepper(mesh=mesh, strict_energy=cfg.strict_energy)
     snaps = []
@@ -399,9 +408,9 @@ def _dispatch(args):
             raise ConfigError(f"bad --steps list: {exc}") from exc
         if not steps:
             raise ConfigError("--steps must name at least one count")
+        _make_out_dir(args.out)
         rows = manufactured.convergence_study(steps, args.h_cells)
         print(manufactured.format_convergence_table(rows))
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "convergence.csv")
         manufactured.write_convergence_csv(rows, path)
         print(f"wrote {path}")

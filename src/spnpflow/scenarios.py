@@ -156,25 +156,17 @@ def count_interior_extrema(chi, mesh, rel_floor=1e-6):
     ignored so numerical ripple around zero does not register.
     """
     vals = chi.coefficients
-    scale = np.abs(vals).max()
-    if scale == 0.0:
-        return 0
-    neighbors = [[] for _ in range(mesh.n_nodes)]
-    for a, b in mesh.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    boundary = set()
-    for side_edges in mesh.boundary_edges.values():
-        for e in side_edges:
-            boundary.update(mesh.edges[e])
-    count = 0
-    for v in range(mesh.n_nodes):
-        if v in boundary or abs(vals[v]) < rel_floor * scale:
-            continue
-        nb = vals[neighbors[v]]
-        if np.all(vals[v] > nb) or np.all(vals[v] < nb):
-            count += 1
-    return count
+    # each vertex's neighbour max and min over both ends of every edge
+    ends, others = mesh.edges.ravel(), mesh.edges[:, ::-1].ravel()
+    nb_max = np.full(mesh.n_nodes, -np.inf)
+    nb_min = np.full(mesh.n_nodes, np.inf)
+    np.maximum.at(nb_max, ends, vals[others])
+    np.minimum.at(nb_min, ends, vals[others])
+    interior = np.ones(mesh.n_nodes, dtype=bool)
+    interior[mesh.edges[mesh.boundary_edge_ids()]] = False
+    extremum = (vals > nb_max) | (vals < nb_min)
+    large = np.abs(vals) >= rel_floor * np.abs(vals).max()
+    return int(np.count_nonzero(interior & extremum & large))
 
 
 def kinetic_energy(u, mesh):

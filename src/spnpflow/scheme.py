@@ -147,17 +147,16 @@ class Stepper:
         lamK2 = params.lam * self.K2
         if bc_mode == "zero_mean":
             self._pot_solver = fem.ZeroMeanSolver(lamK2, self.m2)
-            self._pot_dofs = None
-            self._pot_vals = None
         else:
+            # V = 1 on the left side and 0 on the right, eliminated from
+            # the symmetric lam K2; each step adds the data's lift
             left = self.p2.boundary_dofs_by_side["left"]
-            right = self.p2.boundary_dofs_by_side["right"]
-            self._pot_dofs = np.concatenate([left, right])
-            self._pot_vals = np.concatenate([np.ones(left.size),
-                                             np.zeros(right.size)])
-            A_V, _ = fem.apply_dirichlet(lamK2, np.zeros(n2),
-                                         self._pot_dofs, self._pot_vals)
-            self._pot_solver = factorize(A_V)
+            self._pot_bc = fem.DirichletElimination(lamK2, np.concatenate(
+                [left, self.p2.boundary_dofs_by_side["right"]]))
+            g = np.zeros(n2)
+            g[left] = 1.0
+            self._pot_lift = self._pot_bc.lift(lamK2, g)
+            self._pot_solver = factorize(self._pot_bc.matrix(lamK2.data))
 
         self.prev = None
         self.curr = None
@@ -327,7 +326,7 @@ class Stepper:
             subtract = self.neutralize_net_charge or self.sources is not None
             sol, mult, _ = self._pot_solver.solve(rhs, subtract_mean=subtract)
             return fem.Field(self.p2, sol), mult
-        rhs[self._pot_dofs] = self._pot_vals
+        rhs = self._pot_bc.rhs(rhs, self._pot_lift)
         sol, _ = self._pot_solver.solve(rhs)
         return fem.Field(self.p2, sol), np.nan
 
@@ -355,13 +354,9 @@ class Stepper:
         rhs2 = -ws.adv_vec - params.co * ws.coul_vec
 
         # zero data: the eliminated columns leave the free rows unchanged
-        rhs1 = ws.rhs_u.copy()
-        rhs1[self.vec_bdofs] = 0.0
-        rhs2[self.vec_bdofs] = 0.0
-
         solver = factorize(A)
-        u1 = solver.solve(rhs1)[0]
-        u2 = solver.solve(rhs2)[0]
+        u1 = solver.solve(self._velocity_bc.rhs(ws.rhs_u))[0]
+        u2 = solver.solve(self._velocity_bc.rhs(rhs2))[0]
         ws.u1_tilde = fem.Field(p2, u1, components=2)
         ws.u2_tilde = fem.Field(p2, u2, components=2)
         return ws.u1_tilde, ws.u2_tilde
@@ -577,8 +572,7 @@ class Stepper:
 
         lhs = (a0 / dt) * mv_ut + kdef_ut / params.re
         rhs = ws.rhs_u - ws.xi * ws.adv_vec - params.co * ws.xi * ws.coul_vec
-        free = np.ones(lhs.size, dtype=bool)
-        free[self.vec_bdofs] = False
+        free = self._velocity_bc.free
         split_rel = np.linalg.norm((lhs - rhs)[free]) \
             / max(np.linalg.norm(rhs[free]), 1e-300)
         return float(div_rel), float(split_rel)

@@ -10,8 +10,8 @@ through scipy), with each solution's residual checked.
 Every factorization uses one fixed SuperLU setting: a minimum-degree column
 ordering on the pattern of A^T + A (``MMD_AT_PLUS_A``) with ``SymmetricMode``,
 which prefers diagonal pivots.  The finite-element matrices of the scheme are
-structurally symmetric (the momentum matrix, with its Dirichlet rows and
-columns eliminated, is symmetric), and on them this ordering roughly halves
+structurally symmetric (the matrices with Dirichlet rows and columns
+eliminated are symmetric), and on them this ordering roughly halves
 the L+U fill that the default COLAMD ordering gives.  The default
 ``diag_pivot_thresh`` is kept, so partial pivoting still takes over where a
 diagonal pivot is too small, as on the zero diagonal of the zero-mean

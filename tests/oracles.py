@@ -1,5 +1,5 @@
-"""Independent brute-force oracles used to cross-check the assembly kernels
-and the manufactured sources.
+"""Independent brute-force oracles used to cross-check the assembly kernels,
+the Dirichlet elimination and the manufactured sources.
 
 Nothing here shares code with the production path: basis functions are
 monomial polynomials obtained by inverting a Vandermonde system at the
@@ -10,6 +10,7 @@ applying fourth-order finite differences to the exact fields.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 P1_MONOMIALS = ((0, 0), (1, 0), (0, 1))
 P2_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -204,6 +205,41 @@ def dense_vecflux(mesh, test, b_fn):
         out[test.cell_to_dofs[tri]] += np.einsum(
             "p,ip->i", w, bx * g[..., 0] + by * g[..., 1])
     return out
+
+
+def row_replacement(A, b, dofs, values):
+    """Dirichlet data by row replacement, the reference for the symmetric
+    elimination: the rows of ``dofs`` become identity rows and ``b`` takes
+    ``values`` there; the columns stay, so the matrix is not symmetric."""
+    fixed = np.zeros(A.shape[0])
+    fixed[dofs] = 1.0
+    b = np.array(b, dtype=np.float64)
+    b[dofs] = values
+    return (sp.diags(1.0 - fixed) @ A + sp.diags(fixed)).tocsr(), b
+
+
+def interior_extrema_loop(vals, mesh, rel_floor=1e-6):
+    """Strict interior local extrema of a vertex field, vertex by vertex
+    over neighbour lists: the reference of the vectorised count."""
+    scale = np.abs(vals).max()
+    if scale == 0.0:
+        return 0
+    neighbors = [[] for _ in range(mesh.n_nodes)]
+    for a, b in mesh.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    boundary = set()
+    for side_edges in mesh.boundary_edges.values():
+        for e in side_edges:
+            boundary.update(mesh.edges[e])
+    count = 0
+    for v in range(mesh.n_nodes):
+        if v in boundary or abs(vals[v]) < rel_floor * scale:
+            continue
+        nb = vals[neighbors[v]]
+        if np.all(vals[v] > nb) or np.all(vals[v] < nb):
+            count += 1
+    return count
 
 
 # ----------------------------------------------------------------------

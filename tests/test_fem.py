@@ -261,14 +261,23 @@ def test_apply_dirichlet_homogeneous_poisson(unit_mesh):
     assert x.max() > 0.0   # interior bulge of the membrane problem
 
 
+def _left_right_data(dofmap):
+    """The Dirichlet potential's data: 1 on the left side, 0 on the right,
+    listed left side first (not in sorted dof order)."""
+    left = dofmap.boundary_dofs_by_side["left"]
+    right = dofmap.boundary_dofs_by_side["right"]
+    return (np.concatenate([left, right]),
+            np.concatenate([np.ones(left.size), np.zeros(right.size)]))
+
+
 def test_apply_dirichlet_left_right_harmonic(unit_mesh):
     p2 = dof_map(unit_mesh, 2)
     K = assemble("stiffness", p2, p2, unit_mesh)
-    left = p2.boundary_dofs_by_side["left"]
-    right = p2.boundary_dofs_by_side["right"]
-    dofs = np.concatenate([left, right])
-    vals = np.concatenate([np.ones(left.size), np.zeros(right.size)])
+    dofs, vals = _left_right_data(p2)
     A, b = apply_dirichlet(K, np.zeros(p2.n_dofs), dofs, vals)
+    # symmetric as the assembled K is, to rounding; row replacement would
+    # leave the constrained columns, |A - A^T| = 4/3 here
+    assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     x, _ = factorize(A).solve(b)
     err = error_norm_l2(Field(p2, x), lambda x_, y_: 1.0 - x_, unit_mesh)
     assert err <= 1e-12
@@ -283,25 +292,37 @@ def test_apply_dirichlet_empty_set(unit_mesh):
     assert np.array_equal(b2, b)
 
 
-def test_dirichlet_elimination_symmetric(unit_mesh):
-    # zero data eliminated from rows and columns on the fixed pattern: a
-    # symmetric matrix with unit constrained diagonals, and the solution of
-    # row replacement
+@pytest.mark.parametrize("data", ["zero", "left_right"])
+def test_dirichlet_elimination_symmetric(unit_mesh, data):
+    # Dirichlet data eliminated from rows and columns on the fixed pattern:
+    # a symmetric matrix with unit constrained diagonals, the lifted
+    # right-hand side, and the solution of row replacement
     p1 = dof_map(unit_mesh, 1)
-    dofs = p1.boundary_dofs
+    if data == "zero":
+        dofs, vals = p1.boundary_dofs, np.zeros(p1.boundary_dofs.size)
+    else:
+        dofs, vals = _left_right_data(p1)
     K = assemble("stiffness", p1, p1, unit_mesh)
     f = assemble_vector("source", p1, unit_mesh, 1.0)
     bc = fem.DirichletElimination(fem.pattern("stiffness", p1, p1, unit_mesh),
                                   dofs)
+    g = np.zeros(p1.n_dofs)
+    g[dofs] = vals
     A2 = bc.matrix(K.data)
-    b2 = f.copy()
-    b2[dofs] = 0.0
+    b2 = bc.rhs(f, bc.lift(K, g))
     expected = K.toarray()
     expected[dofs, :] = 0.0
     expected[:, dofs] = 0.0
     expected[dofs, dofs] = 1.0
     assert np.array_equal(A2.toarray(), expected)
-    A1, b1 = apply_dirichlet(K, f, dofs, 0.0)
+    expected_b = f - K @ g
+    expected_b[dofs] = vals
+    assert np.array_equal(b2, expected_b)
+    # the one-shot form takes the data in the caller's dof order
+    A3, b3 = apply_dirichlet(K, f, dofs, vals)
+    assert np.array_equal(A3.toarray(), expected)
+    assert np.array_equal(b3, expected_b)
+    A1, b1 = oracles.row_replacement(K, f, dofs, vals)
     x1, _ = factorize(A1).solve(b1)
     x2, _ = factorize(A2).solve(b2)
     assert np.abs(x1 - x2).max() <= 1e-11

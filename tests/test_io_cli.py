@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from spnpflow import fem, model
+from spnpflow import fem, manufactured, model
 from spnpflow.errors import ConfigError
 from spnpflow.io_cli import (CSV_HEADER, RunConfig, build_scenario, cli_main,
                              emit_config, parse_config, read_diagnostics_csv,
@@ -270,6 +270,28 @@ def test_cli_structural_failure_exit_code(tmp_path, capsys):
     code = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 2
     assert "structural" in capsys.readouterr().err
+
+
+def test_cli_scenario_unusable_out_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main(["scenario", "energy-decay", "--nx", "5", "--dt", "1e-2",
+                     "--t-final", "0.02", "--out", str(taken)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_converge_unusable_out_fails_before_the_study(tmp_path, capsys,
+                                                          monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def study(*args, **kw):
+        raise AssertionError("the study ran before the output check")
+
+    monkeypatch.setattr(manufactured, "convergence_study", study)
+    assert cli_main(["converge", "--h-cells", "8", "--steps", "2,4",
+                     "--out", str(taken)]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_usage_error_maps_to_config_exit():

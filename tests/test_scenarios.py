@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from spnpflow import fem, model
 from spnpflow.mesh import build_rect_mesh, dof_map
 from spnpflow.scenarios import (STERIC_MATRICES, count_interior_extrema,
@@ -98,6 +99,25 @@ def test_stream_function_two_vortices_detected():
                       * np.sin(2 * np.pi * y)), p2, components=2)
     chi = stream_function(u, mesh)
     assert count_interior_extrema(chi, mesh) == 2
+
+
+def test_count_interior_extrema_matches_loop_reference():
+    # random vertex fields, with ties, zeros and an all-zero field, on
+    # square and non-square meshes
+    rng = np.random.default_rng(1)
+    for n in (2, 3, 8):
+        mesh = build_rect_mesh(0, 1, 0, 2, n, n + 1)
+        p1 = dof_map(mesh, 1)
+        for case in range(8):
+            vals = rng.standard_normal(p1.n_dofs)
+            if case % 4 == 1:
+                vals = np.round(vals)
+            elif case % 4 == 2:
+                vals *= rng.random(p1.n_dofs) < 0.3
+            elif case == 3:
+                vals[:] = 0.0
+            assert count_interior_extrema(fem.Field(p1, vals), mesh) \
+                == oracles.interior_extrema_loop(vals, mesh), (n, case)
 
 
 def test_scenario_overrides_apply():

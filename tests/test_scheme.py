@@ -278,7 +278,8 @@ def test_per_step_factorizations_symmetric_and_fill_reduced(monkeypatch):
     # the same (second-order) step
     ws, params = workspaces[-1], st.params
     A_in = (1.5 / params.dt) * st.Mv + (1.0 / params.re) * ws.Kdef
-    A_rr, b_rr = fem.apply_dirichlet(A_in, ws.rhs_u, st.vec_bdofs, 0.0)
+    A_rr, b_rr = oracles.row_replacement(A_in, ws.rhs_u, st.vec_bdofs,
+                                         0.0)
     x_rr = real_splu(A_rr.tocsc()).solve(b_rr)
     x = lu_mom.solve(b_rr)
     assert np.abs(x - x_rr).max() <= 1e-12 * np.abs(x_rr).max()
