@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CompatibilityError
-from .sparse import SparseMatrix, factorize
+from .sparse import Reordering, SparseMatrix, factorize
 
 # Symmetric 12-point rule on the reference triangle, exact through degree 6.
 # Parameters refined to machine precision against the monomial integrals
@@ -141,7 +141,8 @@ class _Geometry:
     quadrature contraction of a form factors into a reference tensor, the
     same on every cell, and a per-cell product with ``inv``, ``metric`` or
     ``strain`` (the tensor representation of Kirby & Logg, ACM TOMS 32,
-    2006).  No per-cell table of physical gradients is kept.
+    2006).  No per-cell table of physical gradients is kept.  ``metric``
+    keeps the (0,0), (0,1) and (1,1) entries of the symmetric metric.
     """
 
     def __init__(self, mesh, rule):
@@ -162,8 +163,8 @@ class _Geometry:
         self.det = det                             # = 2 * area
         self.inv = inv                             # [e, r, d] = d xi_r / d x_d
         self.inv_t = np.ascontiguousarray(inv.transpose(0, 2, 1))
-        # metric[e, r s] = sum_d inv[e, r, d] inv[e, s, d]
-        self.metric = (inv @ self.inv_t).reshape(-1, 4, 1)
+        # metric[e, r s] = sum_d inv[e, r, d] inv[e, s, d], r <= s
+        self.metric = (inv @ self.inv_t).reshape(-1, 4)[:, [0, 1, 3], None]
         # strain[e, r s, a b] = sum_cd C[a, b, c, d] inv[e, r, c] inv[e, s, d]
         self.strain = np.einsum("abcd,erc,esd->ersab", _DEFORMATION, inv, inv,
                                 optimize=True).reshape(-1, 4, 4)
@@ -186,7 +187,8 @@ class _Geometry:
                 self._patterns[key] = _scalar_pattern(test, trial)
             else:
                 self._patterns[key] = _block_pattern(
-                    self.pattern(test, trial, _SCALAR), blocks)
+                    self.pattern(test, trial, _SCALAR), blocks,
+                    self.det.size)
         return self._patterns[key]
 
     def ref(self, order):
@@ -229,9 +231,17 @@ class _RefPair:
     directions.
 
     mass[q, i j]          = phi_i(q) phi_j(q)
-    grad_grad[q, i j r s] = G_i,q,r G_j,q,s
     value_grad[q, i j r]  = phi_i(q) G_j,q,r
     advection[q r, i j]   = phi_i(q) G_j,q,r
+
+    The symmetric forms, on one element, are contracted on the pairs
+    p = (i, j) with i <= j only, and ``mirror`` copies the result of pair
+    p(min(i, j), max(i, j)) to (i, j), so entries (i, j) and (j, i) are the
+    same number:
+
+    grad_grad[q, p r s]   = G_i,q,r G_j,q,s
+    stiffness[q, p k]     = G_i,q,0 G_j,q,0, G_i,q,0 G_j,q,1 + G_i,q,1 G_j,q,0,
+                            G_i,q,1 G_j,q,1 for the metric's k = 00, 01, 11
     """
 
     def __init__(self, test, trial):
@@ -239,10 +249,30 @@ class _RefPair:
         phi_s, g_s = trial.values, trial.grads
         n_q = phi_t.shape[1]
         self.mass = np.einsum("iq,jq->qij", phi_t, phi_s).reshape(n_q, -1)
-        self.grad_grad = np.einsum("iqr,jqs->qijrs", g_t, g_s).reshape(n_q, -1)
         self.value_grad = np.einsum("iq,jqr->qijr", phi_t, g_s).reshape(n_q, -1)
         self.advection = np.einsum("iq,jqr->qrij", phi_t, g_s).reshape(
             2 * n_q, -1)
+        if test is not trial:
+            return
+        n_b = phi_t.shape[0]
+        i, j = np.triu_indices(n_b)
+        g_i, g_j = g_t[i].transpose(1, 0, 2), g_t[j].transpose(1, 0, 2)
+        gg = g_i[..., :, None] * g_j[..., None, :]          # (q, p, r, s)
+        self.grad_grad = gg.reshape(n_q, -1)
+        self.stiffness = np.stack(
+            [gg[..., 0, 0], gg[..., 0, 1] + gg[..., 1, 0], gg[..., 1, 1]],
+            axis=-1).reshape(n_q, -1)
+        pair = np.empty((n_b, n_b), dtype=np.intp)
+        pair[i, j] = pair[j, i] = np.arange(i.size)
+        self.mirror = pair.ravel()
+        # deformation: the product with ``strain`` gives, per pair p and
+        # block ab, the entry (a i, b j); block (0,1) takes its entries
+        # below the diagonal from (1,0) of the transposed pair, and block
+        # (1,0) mirrors (0,1)
+        lower = np.tri(n_b, k=-1, dtype=bool)
+        b01 = np.where(lower, 4 * pair + 2, 4 * pair + 1)
+        self.deformation = np.concatenate(
+            [4 * pair, b01, b01.T, 4 * pair + 3], axis=None)
 
 
 def geometry(mesh):
@@ -373,7 +403,7 @@ class Pattern:
     """CSR sparsity pattern of one form on one mesh, built once.
 
     ``slot`` maps every entry of the local element matrices, flattened in
-    (block, element, test, trial) order, to its position in the CSR data,
+    (element, block, test, trial) order, to its position in the CSR data,
     so assembly is a single ``bincount``.  The index arrays are read-only
     and shared by every matrix made on the pattern.  Entries whose value is
     zero stay stored.
@@ -419,11 +449,12 @@ def _scalar_pattern(test, trial):
                    slot.astype(np.int32))
 
 
-def _block_pattern(scalar, blocks):
+def _block_pattern(scalar, blocks, n_el):
     """Pattern of a block matrix whose ``blocks`` each have the scalar
-    pattern.  Row r of block row R holds, for each of R's blocks in column
-    order, the entries of scalar row r, so every position follows from the
-    scalar one arithmetically, with no second sort."""
+    pattern, on ``n_el`` elements.  Row r of block row R holds, for each of
+    R's blocks in column order, the entries of scalar row r, so every
+    position follows from the scalar one arithmetically, with no second
+    sort."""
     n_t, n_s = scalar.shape
     nnz = scalar.nnz
     start = scalar.indptr.astype(np.int64)
@@ -441,12 +472,12 @@ def _block_pattern(scalar, blocks):
         for j, c in enumerate(cols):
             pos = offset + (len(cols) - 1) * first + j * count + k
             indices[pos] = scalar.indices + c * n_s
-            slot.append(pos[scalar.slot])
+            slot.append(pos[scalar.slot].reshape(n_el, -1))
         indptr.append(offset + len(cols) * start[:-1])
         offset += len(cols) * nnz
     indptr = np.concatenate(indptr + [[offset]]).astype(np.int32)
     return Pattern((n_rows * n_t, n_cols * n_s), indptr, indices,
-                   np.concatenate(slot).astype(np.int32))
+                   np.stack(slot, axis=1).ravel().astype(np.int32))
 
 
 def pattern(form, trial, test, mesh):
@@ -483,24 +514,28 @@ def assemble(form, trial, test, mesh, coeff=None):
     Ww = (geo.wdet if form == "advection"
           else geo.wdet * _quad_values(coeff, mesh))
 
-    # local is laid out (block, element, test, trial), as Pattern.slot
+    # local is laid out (element, block, test, trial), as Pattern.slot
     if form in ("mass", "vector_mass"):
         local = Ww @ ref.mass
         if form == "vector_mass":
             zero = np.zeros_like(local)
-            local = np.stack([local, zero, zero, local])
+            local = np.stack([local, zero, zero, local], axis=1)
     elif form in ("stiffness", "deformation"):
-        S = (Ww @ ref.grad_grad).reshape(n_el, -1, 4)
+        if test.order != trial.order:
+            raise ValueError(f"{form} needs one test and trial space")
+        # exactly symmetric: each pair (i <= j) is contracted once
         if form == "stiffness":
-            local = S @ geo.metric
+            local = ((Ww @ ref.stiffness).reshape(n_el, -1, 3)
+                     @ geo.metric)[:, ref.mirror, 0]
         else:
-            local = (S @ geo.strain).transpose(2, 0, 1)
+            S = (Ww @ ref.grad_grad).reshape(n_el, -1, 4)
+            local = (S @ geo.strain).reshape(n_el, -1)[:, ref.deformation]
     elif form == "advection":
         beta = Ww[..., None] * (np.asarray(coeff) @ geo.inv_t)
         local = beta.reshape(n_el, -1) @ ref.advection
     elif form == "gradient":
         local = ((Ww @ ref.value_grad).reshape(n_el, -1, 2)
-                 @ geo.inv).transpose(2, 0, 1)
+                 @ geo.inv).transpose(0, 2, 1)
     else:
         raise ValueError(f"unknown form {form!r}")
     return pattern(form, trial, test, mesh).assemble(local)
@@ -583,8 +618,9 @@ class DirichletElimination:
         indices[kept] = pattern.indices[keep]
         indices[~kept] = dofs
         self.pattern = Pattern((n, n), indptr, indices)
-        self._dest = np.flatnonzero(kept)
-        self._source = np.flatnonzero(keep)
+        # masks of the kept entries on the reduced and the original pattern
+        self._dest = kept
+        self._source = keep
 
     def matrix(self, data):
         """The constrained CSR matrix of the matrix with ``data`` on the
@@ -592,6 +628,14 @@ class DirichletElimination:
         out = np.ones(self.pattern.nnz)
         out[self._dest] = data[self._source]
         return self.pattern.csr(out)
+
+    def reordering(self, order):
+        """The :class:`~spnpflow.sparse.Reordering` by ``order`` of the
+        constrained matrices that takes the data on the original pattern:
+        this elimination's gather and the permutation's, composed into
+        one."""
+        return Reordering(self.pattern, order).after(
+            self._dest, np.flatnonzero(self._source))
 
     def lift(self, A, g):
         """The data's part of a right-hand side: ``-A g`` on the free rows
@@ -623,15 +667,24 @@ def zero_mean_system(A, weight):
     return SparseMatrix.from_coo(n + 1, n + 1, rows, cols, vals).to_scipy()
 
 
+def vector_ordering(dofmap):
+    """The dof map's elimination order for a 2-component field, node-blocked:
+    the x and y unknowns of each dof are adjacent."""
+    order = dofmap.ordering
+    return np.stack([order, order + dofmap.n_dofs], axis=1).ravel()
+
+
 class ZeroMeanSolver:
     """Pure-Neumann solver under a zero-mean constraint, factored once.
 
-    Factors ``zero_mean_system(A, weight)``; the layout of the augmented
+    Factors ``zero_mean_system(A, weight)``, eliminating the unknowns of A
+    in ``order`` and the multiplier last; the layout of the augmented
     vectors (the multiplier as last entry) is known only here.
     """
 
-    def __init__(self, A, weight):
-        self._lu = factorize(zero_mean_system(A, weight))
+    def __init__(self, A, weight, order):
+        self._lu = factorize(zero_mean_system(A, weight),
+                             np.append(order, A.shape[0]))
 
     def solve(self, b, subtract_mean=False):
         """Solve for right-hand side ``b``; returns (x, multiplier, report).

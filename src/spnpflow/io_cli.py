@@ -305,6 +305,15 @@ def _make_out_dir(path):
         raise ConfigError(f"cannot create output directory: {exc}") from exc
 
 
+def _write_output(write, *args):
+    """Call an output writer; an output file that cannot be written is a
+    config error, like an output directory that cannot be created."""
+    try:
+        write(*args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def run_config(cfg):
     """Run a scenario config end to end, writing diagnostics and snapshots."""
     scen = build_scenario(cfg)
@@ -316,13 +325,13 @@ def run_config(cfg):
 
     def snapshot_cb(state, t):
         path = os.path.join(out_dir, f"snapshot_t{t:.6f}.vtk")
-        write_snapshot(state, mesh, path)
+        _write_output(write_snapshot, state, mesh, path)
         snaps.append(path)
 
     records = stepper.run(snapshot_times=scen.snapshot_times,
                           snapshot_cb=snapshot_cb)
     csv_path = os.path.join(out_dir, "diagnostics.csv")
-    write_diagnostics_csv(records, csv_path)
+    _write_output(write_diagnostics_csv, records, csv_path)
     return records, csv_path, snaps
 
 
@@ -412,7 +421,7 @@ def _dispatch(args):
         rows = manufactured.convergence_study(steps, args.h_cells)
         print(manufactured.format_convergence_table(rows))
         path = os.path.join(args.out, "convergence.csv")
-        manufactured.write_convergence_csv(rows, path)
+        _write_output(manufactured.write_convergence_csv, rows, path)
         print(f"wrote {path}")
         return EXIT_OK
 

@@ -1,6 +1,9 @@
-"""Uniform rectangle triangulations and Lagrange P1/P2 degree-of-freedom maps."""
+"""Uniform rectangle triangulations, Lagrange P1/P2 degree-of-freedom maps
+and the nested-dissection ordering of their unknowns."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +186,27 @@ class DofMap:
         self.boundary_dofs_by_side = by_side
         self.boundary_dofs = np.unique(np.concatenate(list(by_side.values())))
 
+    def grid_indices(self):
+        """Integer coordinates of all dofs on the half grid, (n_dofs, 2):
+        vertex (i, j) of the cell grid is (2i, 2j) and an edge midpoint
+        the sum of its ends' grid indices.  They follow from the vertex
+        numbering of :func:`build_rect_mesh`, so they hold on a mesh whose
+        nodes were moved."""
+        mesh = self.mesh
+        j, i = np.divmod(np.arange(mesh.n_nodes), mesh.shape[0] + 1)
+        ij = np.column_stack([i, j])
+        if self.order == 1:
+            return 2 * ij
+        return np.vstack([2 * ij, ij[mesh.edges[:, 0]] + ij[mesh.edges[:, 1]]])
+
+    @cached_property
+    def ordering(self):
+        """The nested-dissection order of the dofs, read-only: entry k is
+        the dof eliminated k-th (see :func:`nested_dissection`)."""
+        order = nested_dissection(self.grid_indices(), self.mesh.shape)
+        order.setflags(write=False)
+        return order
+
     def dof_coords(self):
         """Coordinates of all dofs, (n_dofs, 2)."""
         mesh = self.mesh
@@ -195,3 +219,69 @@ class DofMap:
 def dof_map(mesh, order):
     """Build the P1 or P2 dof map for a mesh."""
     return DofMap(mesh, order)
+
+
+def bisection_paths(grid, shape):
+    """The bisection tree of points on the half grid of an nx x ny cell
+    grid, as one base-3 path per point; returns ``(paths, levels)``.
+
+    A box of cells is bisected across its longer side (x on a tie) at its
+    middle vertex grid line, and the two halves are bisected in turn until
+    a box is one cell wide.  Digit d of a path, most significant first,
+    says where the point went at depth d: 0 into the lower half, 1 into
+    the upper half, 2 onto the separator line.  A path ends at the point's
+    separator or leaf box and is padded with zeros to ``levels`` digits,
+    so comparing paths as integers orders the halves before their
+    separator.  Every level is vectorised over all of its boxes.
+    """
+    grid = np.asarray(grid, dtype=np.int64)
+    n = grid.shape[0]
+    lo = np.zeros((1, 2), dtype=np.int64)          # box corners, in cells
+    hi = np.array([shape], dtype=np.int64)
+    box = np.zeros(n, dtype=np.int64)              # -1 once a point is placed
+    paths = np.zeros(n, dtype=np.int64)
+    levels = 0
+    while (box >= 0).any():
+        size = hi - lo
+        axis = (size[:, 1] > size[:, 0]).astype(np.int64)
+        cut = np.arange(len(size))
+        length = size[cut, axis]
+        mid = lo[cut, axis] + length // 2
+        split = length >= 2
+        # points of the boxes that split get a digit; the rest, in leaf
+        # boxes, are placed
+        live = np.flatnonzero(box >= 0)
+        b = box[live]
+        leaf = ~split[b]
+        box[live[leaf]] = -1
+        live, b = live[~leaf], b[~leaf]
+        c = grid[live, axis[b]]
+        digit = np.where(c == 2 * mid[b], 2, (c > 2 * mid[b]).astype(np.int64))
+        paths *= 3
+        paths[live] += digit
+        levels += 1
+        # the two halves of every splitting box, numbered in split order
+        parent = np.flatnonzero(split)
+        child = np.full(len(size), -1, dtype=np.int64)
+        child[parent] = 2 * np.arange(parent.size)
+        box[live] = np.where(digit == 2, -1, child[b] + digit)
+        k, a = np.arange(parent.size), axis[parent]
+        lo = np.repeat(lo[parent], 2, axis=0)
+        hi = np.repeat(hi[parent], 2, axis=0)
+        hi[2 * k, a] = mid[parent]
+        lo[2 * k + 1, a] = mid[parent]
+    return paths, levels
+
+
+def nested_dissection(grid, shape):
+    """George's nested-dissection order (SIAM J. Numer. Anal. 10, 1973) of
+    points on the half grid of an nx x ny cell grid, by
+    :func:`bisection_paths`: each box's two halves come first and its
+    separator last, and the points of a leaf box or of a separator line are
+    in natural, row-major, order.  ``grid`` holds integer half-grid
+    coordinates, so one ordering serves P1 and P2 dofs; entry k of the
+    result is the index of the point eliminated k-th."""
+    grid = np.asarray(grid, dtype=np.int64)
+    paths, _ = bisection_paths(grid, shape)
+    natural = grid[:, 1] * (2 * shape[0] + 1) + grid[:, 0]
+    return np.lexsort((natural, paths))

@@ -145,7 +145,7 @@ def stream_function(u, mesh):
     K = fem.assemble("stiffness", p1, p1, mesh)
     b = fem.assemble_vector("source", p1, mesh, vorticity)
     A, b = fem.apply_dirichlet(K, b, p1.boundary_dofs, 0.0)
-    chi, _ = factorize(A).solve(b)
+    chi, _ = factorize(A, p1.ordering).solve(b)
     return fem.Field(p1, chi)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import fem, model
 from .errors import NonFiniteError, PositivityError, StructuralViolation
 from .mesh import dof_map
-from .sparse import factorize
+from .sparse import Factorization, Reordering, factorize
 
 MASS_RTOL = 1e-10
 ENERGY_RTOL = 1e-10
@@ -130,23 +130,33 @@ class Stepper:
         self.m2 = fem.basis_integrals(self.p2, mesh)
         self.m1 = fem.basis_integrals(self.p1, mesh)
 
-        # M2, K2 and the per-step advection and steric stiffness share this
-        # pattern, so the transport matrix is a sum of their data vectors
-        self._transport_pattern = fem.pattern("mass", self.p2, self.p2, mesh)
+        # every system is factored in the nested-dissection order of its
+        # space; the per-step ones through a reordering built here, so a
+        # step's matrix reaches SuperLU by one gather of its data.
+        # M2, K2 and the per-step advection and steric stiffness share the
+        # transport pattern, so the transport matrix is a sum of their data
+        # vectors
+        self._transport = Reordering(
+            fem.pattern("mass", self.p2, self.p2, mesh), self.p2.ordering)
         # Mv and the deformation form share the velocity pattern, so the
-        # momentum matrix is a sum of their data vectors; its zero velocity
-        # Dirichlet rows and columns are eliminated by a gather built here
+        # momentum matrix is a sum of their data vectors; the elimination
+        # of its zero velocity Dirichlet rows and columns and the ordering
+        # are one gather
         bd = self.p2.boundary_dofs
         self.vec_bdofs = np.concatenate([bd, bd + n2])
         self._velocity_bc = fem.DirichletElimination(
             fem.pattern("deformation", self.p2, self.p2, mesh), self.vec_bdofs)
+        self._momentum = self._velocity_bc.reordering(
+            fem.vector_ordering(self.p2))
 
-        self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1)
-        self._m2_solver = factorize(self.M2)
+        self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1,
+                                              self.p1.ordering)
+        self._m2_solver = factorize(self.M2, self.p2.ordering)
 
         lamK2 = params.lam * self.K2
         if bc_mode == "zero_mean":
-            self._pot_solver = fem.ZeroMeanSolver(lamK2, self.m2)
+            self._pot_solver = fem.ZeroMeanSolver(lamK2, self.m2,
+                                                  self.p2.ordering)
         else:
             # V = 1 on the left side and 0 on the right, eliminated from
             # the symmetric lam K2; each step adds the data's lift
@@ -156,7 +166,8 @@ class Stepper:
             g = np.zeros(n2)
             g[left] = 1.0
             self._pot_lift = self._pot_bc.lift(lamK2, g)
-            self._pot_solver = factorize(self._pot_bc.matrix(lamK2.data))
+            self._pot_solver = factorize(self._pot_bc.matrix(lamK2.data),
+                                         self.p2.ordering)
 
         self.prev = None
         self.curr = None
@@ -272,7 +283,6 @@ class Stepper:
         if wii != 0.0:
             data += (wii / pe) * fem.assemble(
                 "stiffness", p2, p2, mesh, coeff=c_star_vals[species]).data
-        A = self._transport_pattern.csr(data)
 
         rhs = self.M2 @ hist[species] / dt
         rhs -= (zi / pe) * (self.K2 @ ws.v_star.coefficients)
@@ -287,7 +297,9 @@ class Stepper:
             f = self.sources.f_sigma[species]
             rhs += fem.assemble_vector("source", p2, mesh,
                                        lambda x, y: f(x, y, t_new))
-        return fem.Field(p2, factorize(A).solve(rhs)[0])
+        lu = Factorization(self._transport.matrix(data),
+                           self._transport.order)
+        return fem.Field(p2, lu.solve(rhs)[0])
 
     def renormalize_concentration(self, sigma_new, mass_target):
         """Exponentiate pointwise and rescale to the target mass."""
@@ -337,8 +349,11 @@ class Stepper:
         p2 = self.p2
 
         ws.Kdef = fem.assemble("deformation", p2, p2, mesh, coeff=ws.mu_star)
-        A = self._velocity_bc.matrix((a0 / dt) * self.Mv.data
-                                     + (1.0 / params.re) * ws.Kdef.data)
+        # the summed data are freed before SuperLU runs
+        solver = Factorization(
+            self._momentum.matrix((a0 / dt) * self.Mv.data
+                                  + (1.0 / params.re) * ws.Kdef.data),
+            self._momentum.order)
 
         adv = np.einsum("eqj,eqkj->eqk", ws.u_star_vals, ws.u_star_grads)
         ws.adv_vec = fem.assemble_vector("vector_source", p2, mesh, adv)
@@ -354,7 +369,6 @@ class Stepper:
         rhs2 = -ws.adv_vec - params.co * ws.coul_vec
 
         # zero data: the eliminated columns leave the free rows unchanged
-        solver = factorize(A)
         u1 = solver.solve(self._velocity_bc.rhs(ws.rhs_u))[0]
         u2 = solver.solve(self._velocity_bc.rhs(rhs2))[0]
         ws.u1_tilde = fem.Field(p2, u1, components=2)

@@ -7,19 +7,24 @@ once per solver.
 Every linear system, a SciPy sparse matrix, is solved by sparse LU (SuperLU
 through scipy), with each solution's residual checked.
 
-Every factorization uses one fixed SuperLU setting: a minimum-degree column
-ordering on the pattern of A^T + A (``MMD_AT_PLUS_A``) with ``SymmetricMode``,
-which prefers diagonal pivots.  The finite-element matrices of the scheme are
-structurally symmetric (the matrices with Dirichlet rows and columns
-eliminated are symmetric), and on them this ordering roughly halves
-the L+U fill that the default COLAMD ordering gives.  The default
-``diag_pivot_thresh`` is kept, so partial pivoting still takes over where a
-diagonal pivot is too small, as on the zero diagonal of the zero-mean
-multiplier row.
+The caller chooses the elimination order; the scheme uses the geometric
+nested-dissection order of its mesh (``DofMap.ordering``), built once per
+mesh, with the two velocity components of a dof adjacent and a zero-mean
+multiplier last.  A :class:`Reordering` applies the order as one gather of
+the CSR data into the CSC form of P A P^T, with index arrays computed once
+per pattern, so a re-factored matrix costs no sort and no format change.
+SuperLU then factors P A P^T in its ``NATURAL`` column order with
+``SymmetricMode``, which prefers diagonal pivots.  The finite-element
+matrices of the scheme are structurally symmetric, and on their regular
+grids nested dissection gives less L+U fill than minimum degree.  The
+default ``diag_pivot_thresh`` is kept, so partial pivoting still takes over
+where a diagonal pivot is too small, as on the zero diagonal of the
+zero-mean multiplier row.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,16 +107,77 @@ class SparseMatrix:
                              shape=self.shape)
 
 
-class Factorization:
-    """Direct LU factorization reusable for several right-hand sides."""
+class Reordering:
+    """The symmetric permutation P A P^T of the matrices on one square CSR
+    pattern (a :class:`~spnpflow.fem.Pattern` or a CSR matrix), in CSC
+    form, applied as one gather of their data.
 
-    def __init__(self, A):
-        if A.shape[0] != A.shape[1]:
+    ``order[k]`` is the index of A whose row and column become row and
+    column k.  The CSC index arrays of P A P^T and the CSR data position of
+    each of their entries are computed here, once per pattern.
+    """
+
+    def __init__(self, pattern, order):
+        n = pattern.shape[0]
+        if pattern.shape != (n, n):
             raise ValueError("direct solver needs a square matrix")
-        self._As = A.tocsr()
+        order = np.asarray(order, dtype=np.intp)
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("order must be a permutation of the unknowns")
+        self.order = order
+        self.shape = (n, n)
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = np.arange(n, dtype=np.int32)
+        # the rows of P A in new order, their columns renumbered, carry the
+        # CSR position of every entry as data; SciPy's compiled transpose
+        # then sorts them by new column, and each column by new row
+        rows = sp.csr_matrix(
+            (np.arange(pattern.indices.size, dtype=np.int32),
+             pattern.indices, pattern.indptr), shape=self.shape)[order]
+        rows.indices = rank[rows.indices]
+        rows.has_sorted_indices = False
+        Pc = rows.tocsc()
+        self.indptr = Pc.indptr.astype(np.int32, copy=False)
+        self.indices = Pc.indices.astype(np.int32, copy=False)
+        self._source = Pc.data
+        self._unit = np.empty(0, dtype=np.int32)
+
+    @property
+    def nnz(self):
+        return self.indices.size
+
+    def after(self, dest, source):
+        """This reordering of the matrices whose CSR data on the pattern
+        are one except at positions ``dest``, which take ``data[source]``
+        of the data on another pattern: the two gathers composed into one,
+        as a new object."""
+        composed = np.full(self.nnz, -1, dtype=np.int32)
+        composed[dest] = source
+        composed = composed[self._source]
+        out = copy.copy(self)
+        out._unit = np.flatnonzero(composed < 0).astype(np.int32)
+        composed[out._unit] = 0
+        out._source = composed
+        return out
+
+    def matrix(self, data):
+        """P A P^T in CSC form, for the matrix A with ``data``."""
+        out = data[self._source]
+        out[self._unit] = 1.0
+        A = sp.csc_matrix((out, self.indices, self.indptr), shape=self.shape)
+        A.has_canonical_format = True
+        return A
+
+
+class Factorization:
+    """SuperLU factors of P A P^T, given in CSC form with the ``order`` of
+    :class:`Reordering`, reusable for several right-hand sides of A x = b."""
+
+    def __init__(self, Ac, order):
+        self._Ac = Ac
+        self._order = order
         try:
-            self._lu = spla.splu(self._As.tocsc(),
-                                 permc_spec="MMD_AT_PLUS_A",
+            self._lu = spla.splu(Ac, permc_spec="NATURAL",
                                  options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # SuperLU reports exact singularity this way
             raise SingularMatrixError(str(exc)) from exc
@@ -121,15 +187,25 @@ class Factorization:
         nb = np.linalg.norm(b)
         if nb == 0.0:
             return np.zeros_like(b), SolveReport(0.0)
+        b = b[self._order]
         x = self._lu.solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("direct solve produced non-finite values")
-        rel = np.linalg.norm(self._As @ x - b) / nb
+        # the 2-norm does not see the permutation
+        rel = np.linalg.norm(self._Ac @ x - b) / nb
         if rel > 1e-10:
             raise SolverError(f"direct solve residual {rel:.3e} exceeds 1e-10")
-        return x, SolveReport(float(rel))
+        out = np.empty_like(x)
+        out[self._order] = x
+        return out, SolveReport(float(rel))
 
 
-def factorize(A):
-    """Factorize A once; returns an object with .solve(b)."""
-    return Factorization(A)
+def factorize(A, order):
+    """Factorize the square SciPy matrix A once, eliminating its unknowns
+    in ``order``; returns an object with .solve(b).  For set-up matrices:
+    a matrix re-factored on a fixed pattern keeps its :class:`Reordering`."""
+    A = sp.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return Factorization(Reordering(A, order).matrix(A.data), order)

@@ -159,7 +159,8 @@ def test_criterion_6_kernel_oracles():
         b = assemble_vector("source", d2, m,
                             lambda x, y: np.cos(np.pi * x)
                             * np.cos(np.pi * y))
-        x, _, _ = ZeroMeanSolver(K, basis_integrals(d2, m)).solve(b)
+        x, _, _ = ZeroMeanSolver(K, basis_integrals(d2, m),
+                                  d2.ordering).solve(b)
         errs.append(fem.error_norm_l2(
             Field(d2, x), lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)
             / (2 * np.pi ** 2), m))

@@ -256,7 +256,7 @@ def test_apply_dirichlet_homogeneous_poisson(unit_mesh):
     f = assemble_vector("source", p1, unit_mesh,
                         lambda x, y: np.ones_like(x))
     A, b = apply_dirichlet(K, f, p1.boundary_dofs, 0.0)
-    x, _ = factorize(A).solve(b)
+    x, _ = factorize(A, p1.ordering).solve(b)
     assert np.abs(x[p1.boundary_dofs]).max() <= 1e-14
     assert x.max() > 0.0   # interior bulge of the membrane problem
 
@@ -275,10 +275,10 @@ def test_apply_dirichlet_left_right_harmonic(unit_mesh):
     K = assemble("stiffness", p2, p2, unit_mesh)
     dofs, vals = _left_right_data(p2)
     A, b = apply_dirichlet(K, np.zeros(p2.n_dofs), dofs, vals)
-    # symmetric as the assembled K is, to rounding; row replacement would
+    # exactly symmetric, as the assembled K is; row replacement would
     # leave the constrained columns, |A - A^T| = 4/3 here
-    assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
-    x, _ = factorize(A).solve(b)
+    assert (A != A.T).nnz == 0
+    x, _ = factorize(A, p2.ordering).solve(b)
     err = error_norm_l2(Field(p2, x), lambda x_, y_: 1.0 - x_, unit_mesh)
     assert err <= 1e-12
 
@@ -323,8 +323,8 @@ def test_dirichlet_elimination_symmetric(unit_mesh, data):
     assert np.array_equal(A3.toarray(), expected)
     assert np.array_equal(b3, expected_b)
     A1, b1 = oracles.row_replacement(K, f, dofs, vals)
-    x1, _ = factorize(A1).solve(b1)
-    x2, _ = factorize(A2).solve(b2)
+    x1, _ = factorize(A1, p1.ordering).solve(b1)
+    x2, _ = factorize(A2, p1.ordering).solve(b2)
     assert np.abs(x1 - x2).max() <= 1e-11
 
 
@@ -375,7 +375,7 @@ def test_solve_zero_mean_zero_rhs(unit_mesh):
     p2 = dof_map(unit_mesh, 2)
     K = assemble("stiffness", p2, p2, unit_mesh)
     w = basis_integrals(p2, unit_mesh)
-    x, mult, _ = ZeroMeanSolver(K, w).solve(np.zeros(p2.n_dofs))
+    x, mult, _ = ZeroMeanSolver(K, w, p2.ordering).solve(np.zeros(p2.n_dofs))
     assert np.abs(x).max() == 0.0
     assert mult == 0.0
 
@@ -390,7 +390,7 @@ def test_solve_zero_mean_eigenfunction_order():
             "source", p2, mesh,
             lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         m2 = basis_integrals(p2, mesh)
-        x, _, _ = ZeroMeanSolver(K, m2).solve(b)
+        x, _, _ = ZeroMeanSolver(K, m2, p2.ordering).solve(b)
         V = Field(p2, x)
         assert abs(m2 @ x / mesh.area) <= 1e-12
         errs.append(error_norm_l2(
@@ -404,7 +404,8 @@ def test_solve_zero_mean_incompatible_rhs(unit_mesh):
     p1 = dof_map(unit_mesh, 1)
     K = assemble("stiffness", p1, p1, unit_mesh)
     b = assemble_vector("source", p1, unit_mesh, 1.0)   # constant rhs
-    solver = ZeroMeanSolver(K, basis_integrals(p1, unit_mesh))
+    solver = ZeroMeanSolver(K, basis_integrals(p1, unit_mesh),
+                            p1.ordering)
     with pytest.raises(CompatibilityError):
         solver.solve(b)
     # mean subtraction absorbs the imbalance into the multiplier
@@ -593,6 +594,21 @@ def test_forms_match_einsum_on_skewed_mesh(nx, ny, seed):
         A = assemble(form, trial, test, mesh, coeff)
         ref = _coo_reference(form, trial, test, mesh, coeff)
         assert _rel_err(A.toarray(), ref.toarray()) <= 1e-13, form
+
+
+@settings(max_examples=10, deadline=None)
+@given(**SKEWED)
+def test_symmetric_forms_exactly_symmetric_on_skewed_mesh(nx, ny, seed):
+    # entries (i, j) and (j, i) are one number, not two sums of the same
+    # terms in different orders
+    mesh = _skewed_mesh(nx, ny, seed)
+    rng = np.random.default_rng(seed)
+    for form, order in (("stiffness", 1), ("stiffness", 2),
+                        ("deformation", 2)):
+        space = dof_map(mesh, order)
+        coeff = Field(space, rng.uniform(0.5, 2.0, space.n_dofs))
+        A = assemble(form, space, space, mesh, coeff)
+        assert (A != A.T).nnz == 0, form
 
 
 @settings(max_examples=10, deadline=None)

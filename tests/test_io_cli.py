@@ -294,6 +294,43 @@ def test_cli_converge_unusable_out_fails_before_the_study(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output", ["diagnostics.csv",
+                                    "snapshot_t0.010000.vtk"])
+def test_cli_unwritable_output_file_is_config_error(tmp_path, capsys,
+                                                    output):
+    # a directory where an output file goes: the run ends in exit 1, not
+    # in an escaping IsADirectoryError
+    out = tmp_path / "out"
+    (out / output).mkdir(parents=True)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = energy-decay\nnx = 5\ndt = 1e-2\n"
+                   "t_final = 0.02\nsnapshot_times = 0.01\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: cannot write output" in err and output in err
+
+
+def test_cli_scenario_unwritable_diagnostics_is_config_error(tmp_path,
+                                                            capsys):
+    out = tmp_path / "out"
+    (out / "diagnostics.csv").mkdir(parents=True)
+    assert cli_main(["scenario", "energy-decay", "--nx", "5", "--dt", "1e-2",
+                     "--t-final", "0.02", "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_converge_unwritable_table_is_config_error(tmp_path, capsys,
+                                                       monkeypatch):
+    (tmp_path / "convergence.csv").mkdir()
+    monkeypatch.setattr(manufactured, "convergence_study",
+                        lambda steps, h_cells: [])
+    monkeypatch.setattr(manufactured, "format_convergence_table",
+                        lambda rows: "")
+    assert cli_main(["converge", "--h-cells", "8", "--steps", "2,4",
+                     "--out", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_usage_error_maps_to_config_exit():
     assert cli_main(["run"]) == 1          # missing --config
     assert cli_main(["not-a-command"]) == 1

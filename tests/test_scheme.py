@@ -241,7 +241,8 @@ def test_correct_newtonian_viscosity():
 
 # L+U nnz of the scheme's factorization over a default (COLAMD) SuperLU
 # factorization of the same matrix.  Measured at nx = 20 (energy-decay,
-# step 2): 0.727 momentum, 0.696 transport; 0.597 and 0.554 at nx = 40.
+# step 2, nested dissection): 0.809 momentum, 0.776 transport; 0.601 and
+# 0.616 at nx = 40.
 FILL_RATIO_MAX = 0.85
 
 
@@ -281,7 +282,10 @@ def test_per_step_factorizations_symmetric_and_fill_reduced(monkeypatch):
     A_rr, b_rr = oracles.row_replacement(A_in, ws.rhs_u, st.vec_bdofs,
                                          0.0)
     x_rr = real_splu(A_rr.tocsc()).solve(b_rr)
-    x = lu_mom.solve(b_rr)
+    # SuperLU factors P A P^T, with the velocity's elimination order
+    order = fem.vector_ordering(st.p2)
+    x = np.empty_like(x_rr)
+    x[order] = lu_mom.solve(b_rr[order])
     assert np.abs(x - x_rr).max() <= 1e-12 * np.abs(x_rr).max()
 
     for A, lu in ((A_mom, lu_mom), (A_tr, lu_tr)):

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spnpflow.errors import SingularMatrixError
-from spnpflow.sparse import SparseMatrix, factorize
+from spnpflow.errors import SingularMatrixError, SolverError
+from spnpflow.sparse import Reordering, SparseMatrix, factorize
+
+
+def shuffled(n, seed=0):
+    """A non-identity elimination order of n unknowns."""
+    return np.random.default_rng(seed).permutation(n)
 
 
 def random_sparse(n, density, seed):
@@ -35,7 +40,7 @@ def test_csr_invariants():
 def test_solve_direct_identity():
     A = sp.identity(6, format="csr")
     b = np.linspace(0, 1, 6)
-    x, report = factorize(A).solve(b)
+    x, report = factorize(A, shuffled(6)).solve(b)
     assert np.allclose(x, b)
     assert report.residual == 0.0
 
@@ -51,7 +56,7 @@ def test_solve_direct_tridiagonal_vs_dense_lu():
             rows.append(i); cols.append(i + 1); vals.append(-1.0)
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     b = np.ones(n)
-    x, _ = factorize(A).solve(b)
+    x, _ = factorize(A, np.arange(n)).solve(b)
     expected = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - expected).max() <= 1e-12
 
@@ -59,17 +64,32 @@ def test_solve_direct_tridiagonal_vs_dense_lu():
 def test_solve_direct_singular():
     A = sp.csr_matrix(np.ones((3, 3)))
     with pytest.raises(SingularMatrixError):
-        factorize(A).solve(np.ones(3))
+        factorize(A, [2, 0, 1]).solve(np.ones(3))
+
+
+def test_solve_direct_residual_check_under_permutation():
+    # the Hilbert matrix of order 14 (condition ~1e18) factors, but its
+    # solution misses b by far more than 1e-10 relative
+    n = 14
+    i = np.arange(n)
+    A = sp.csr_matrix(1.0 / (i[:, None] + i[None, :] + 1.0))
+    with pytest.raises(SolverError, match="residual"):
+        factorize(A, i[::-1]).solve(np.ones(n))
 
 
 def test_solve_direct_rejects_rectangular():
     with pytest.raises(ValueError, match="square"):
-        factorize(sp.csr_matrix((3, 2))).solve(np.ones(3))
+        factorize(sp.csr_matrix((3, 2)), np.arange(3)).solve(np.ones(3))
+
+
+def test_solve_direct_rejects_non_permutation():
+    with pytest.raises(ValueError, match="permutation"):
+        factorize(sp.identity(3, format="csr"), [0, 1, 1])
 
 
 def test_solve_direct_zero_rhs():
     A, _ = random_sparse(8, 0.4, seed=5)
-    x, report = factorize(A.to_scipy()).solve(np.zeros(8))
+    x, report = factorize(A.to_scipy(), shuffled(8)).solve(np.zeros(8))
     assert np.array_equal(x, np.zeros(8))
     assert report.residual == 0.0
 
@@ -80,5 +100,33 @@ def test_direct_then_spmv_roundtrip():
         A = A.to_scipy()
         rng = np.random.default_rng(100 + seed)
         b = rng.standard_normal(25)
-        x, _ = factorize(A).solve(b)
+        x, _ = factorize(A, shuffled(25, seed)).solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_reordering_is_the_permuted_matrix_in_csc():
+    A, dense = random_sparse(20, 0.3, seed=7)
+    A = A.to_scipy()
+    order = shuffled(20, seed=1)
+    Ac = Reordering(A, order).matrix(A.data)
+    assert Ac.format == "csc"
+    assert Ac.has_canonical_format
+    assert np.array_equal(Ac.toarray(), dense[np.ix_(order, order)])
+
+
+def test_reordering_composed_with_a_gather():
+    # the matrix that is one at every position but ``dest``, which take
+    # ``data[source]`` of another data vector, reordered in the same gather
+    A, dense = random_sparse(12, 0.4, seed=2)
+    A = A.to_scipy()
+    rng = np.random.default_rng(3)
+    dest = rng.choice(A.nnz, A.nnz // 2, replace=False)
+    source = rng.integers(0, 50, dest.size)
+    data = rng.standard_normal(50)
+    expected = np.ones(A.nnz)
+    expected[dest] = data[source]
+    order = shuffled(12, seed=4)
+    plain = Reordering(A, order)
+    composed = plain.after(dest, source)
+    assert np.array_equal(composed.matrix(data).toarray(),
+                          plain.matrix(expected).toarray())
