@@ -3,9 +3,13 @@
 The exact fields are trigonometric with a common exp(-t) decay; all space and
 time derivatives are coded in closed form.  The forcing terms for each
 equation follow by substituting the exact fields into the continuous system,
-including the shear-dependent stress divergence; the test suite checks them
-against a fourth-order finite-difference application of the same operators
-at random space-time points.
+including the shear-dependent stress divergence.  Every field is a
+polynomial in sin(pi x), cos(pi x), sin(pi y), cos(pi y) and exp(-t), so
+each forcing call evaluates these five values once and forms the rest as
+products.  The test suite checks the forcing against the per-term closed
+forms built from the ``ExactSolution`` methods and against a fourth-order
+finite-difference application of the same operators at random space-time
+points.
 """
 
 from __future__ import annotations
@@ -125,13 +129,18 @@ class ExactSolution:
 
 @dataclass
 class SourceTerms:
-    """Forcing callables derived from the exact solution."""
+    """Forcing callables derived from the exact solution.
+
+    ``f_sigma`` holds the transport sources divided by the exact
+    concentrations, c+ then c-.
+    """
 
     f_u: object
     f_cp: object
     f_cn: object
     f_v: object
     dfv_dt: object
+    f_sigma: list
 
 
 def exact_solution_sec41(params=None):
@@ -139,105 +148,130 @@ def exact_solution_sec41(params=None):
     return ExactSolution()
 
 
-def _shear_and_grad(ex, x, y, t):
-    """s = 2 D(u):D(u) and its spatial gradient in closed form."""
-    d11 = ex.u1_x(x, y, t)
-    d22 = ex.u2_y(x, y, t)
-    mix = ex.u1_y(x, y, t) + ex.u2_x(x, y, t)
-    s = 2.0 * (d11 ** 2 + d22 ** 2) + mix ** 2
-    mix_x = ex.u1_xy(x, y, t) + ex.u2_xx(x, y, t)
-    mix_y = ex.u1_yy(x, y, t) + ex.u2_xy(x, y, t)
-    s_x = 4 * d11 * ex.u1_xx(x, y, t) + 4 * d22 * ex.u2_xy(x, y, t) \
-        + 2 * mix * mix_x
-    s_y = 4 * d11 * ex.u1_xy(x, y, t) + 4 * d22 * ex.u2_yy(x, y, t) \
-        + 2 * mix * mix_y
-    return s, s_x, s_y, d11, d22, mix
+def _trig(x, y, t):
+    """(sin pi x, cos pi x, sin pi y, cos pi y, exp(-t)): every exact field
+    is a polynomial in these five values."""
+    px, py = PI * x, PI * y
+    return np.sin(px), np.cos(px), np.sin(py), np.cos(py), np.exp(-t)
 
 
-def _stress_divergence(ex, params, x, y, t):
-    """div(2 mu D(u)) = mu lap(u) + 2 D(u) grad(mu) for divergence-free u."""
-    s, s_x, s_y, d11, d22, mix = _shear_and_grad(ex, x, y, t)
-    mu = model.carreau_viscosity(s, params)
-    if params.k == 1.0:
-        mu_x = np.zeros_like(s)
-        mu_y = np.zeros_like(s)
-    else:
-        dmu = (params.mu0 - params.mu_inf) * 0.5 * (params.k - 1.0) \
-            * params.lambda1 ** 2 \
-            * np.power(1.0 + params.lambda1 ** 2 * s, 0.5 * (params.k - 3.0))
-        mu_x = dmu * s_x
-        mu_y = dmu * s_y
-    lap1 = ex.u1_xx(x, y, t) + ex.u1_yy(x, y, t)
-    lap2 = ex.u2_xx(x, y, t) + ex.u2_yy(x, y, t)
-    div1 = mu * lap1 + 2.0 * d11 * mu_x + mix * mu_y
-    div2 = mu * lap2 + mix * mu_x + 2.0 * d22 * mu_y
-    return div1, div2
+def _phi(sx, cx, sy, cy, e):
+    """phi = cos(pi x) cos(pi y) e^-t and its gradient.  The exact fields
+    are c+ = 1.2 + phi, c- = 1.2 - phi, p = phi and V = phi / pi^2."""
+    cye = cy * e
+    return cx * cye, -PI * sx * cye, -PI * cx * (sy * e)
 
 
-def _transport_divergence(ex, params, species, x, y, t):
-    """div(c_i grad g_i) in closed form for the exact fields."""
-    if species == 0:
-        c, cx, cy, clap = (ex.cp(x, y, t), ex.cp_x(x, y, t),
-                           ex.cp_y(x, y, t), ex.cp_lap(x, y, t))
-        zi = params.z[0]
-    else:
-        c, cx, cy, clap = (ex.cn(x, y, t), ex.cn_x(x, y, t),
-                           ex.cn_y(x, y, t), ex.cn_lap(x, y, t))
-        zi = params.z[1]
-    w = params.w_steric
-    others = [
-        (ex.cp_x(x, y, t), ex.cp_y(x, y, t), ex.cp_lap(x, y, t)),
-        (ex.cn_x(x, y, t), ex.cn_y(x, y, t), ex.cn_lap(x, y, t)),
-    ]
-    gx = cx / c + zi * ex.v_x(x, y, t)
-    gy = cy / c + zi * ex.v_y(x, y, t)
-    glap = clap / c - (cx ** 2 + cy ** 2) / c ** 2 + zi * ex.v_lap(x, y, t)
-    for j in range(2):
-        ojx, ojy, ojlap = others[j]
-        gx = gx + w[species, j] * ojx
-        gy = gy + w[species, j] * ojy
-        glap = glap + w[species, j] * ojlap
-    return cx * gx + cy * gy + c * glap
+def _velocity(sx, cx, sy, cy, e):
+    """(u1, u2, parts) with u1 = pi sin^2(pi x) sin(2 pi y) e^-t and
+    u2 = -pi sin(2 pi x) sin^2(pi y) e^-t.  ``parts`` = (pi e^-t,
+    sin^2 pi x, sin^2 pi y, sin 2 pi x, sin 2 pi y), the products every
+    derivative of u is formed from; the double angles come from the
+    single ones."""
+    a = PI * e
+    sx2, sy2 = sx * sx, sy * sy
+    s2x, s2y = 2.0 * sx * cx, 2.0 * sy * cy
+    return a * sx2 * s2y, -a * s2x * sy2, (a, sx2, sy2, s2x, s2y)
+
+
+def _transport_source(trig, params, species):
+    """(f_c, c) of species 0 (c+) or 1 (c-).
+
+    With c = 1.2 + s phi (s = +1, -1) and g = log c + z V + sum_j w_j c_j,
+    c grad g = s grad phi + k c grad phi with k = z / pi^2 + w_0 - w_1, so
+    div(c grad g) = lap c + k div(c grad phi).
+    """
+    phi, phi_x, phi_y = _phi(*trig)
+    u1, u2, _ = _velocity(*trig)
+    s = 1.0 - 2.0 * species
+    w = params.w_steric[species]
+    k = params.z[species] / PI ** 2 + w[0] - w[1]
+    c = 1.2 + s * phi
+    lap_phi = (-2.0 * PI ** 2) * phi
+    div = s * lap_phi + k * (s * (phi_x * phi_x + phi_y * phi_y)
+                             + c * lap_phi)
+    f = s * (u1 * phi_x + u2 * phi_y - phi) - div / params.pe
+    return f, c
+
+
+def _momentum_source(trig, params):
+    """d_t u + (u.grad)u - div(2 mu D(u))/Re + grad p + Co rho grad V."""
+    phi, phi_x, phi_y = _phi(*trig)
+    u1, u2, (a, sx2, sy2, s2x, s2y) = _velocity(*trig)
+    c2x, c2y = 1.0 - 2.0 * sx2, 1.0 - 2.0 * sy2
+    a1, a2 = PI * a, PI ** 2 * a
+    # u2_y = -u1_x, u2_xy = -u1_xx, u2_yy = -u1_xy
+    u1_x = a1 * s2x * s2y
+    u1_y = 2.0 * a1 * sx2 * c2y
+    u2_x = -2.0 * a1 * c2x * sy2
+    u1_xx = 2.0 * a2 * c2x * s2y
+    u1_xy = 2.0 * a2 * s2x * c2y
+    # 2 sin^2 + cos 2 = 1 turns the mixed derivative's two terms into one
+    mix = u1_y + u2_x
+    mix_x = 2.0 * a2 * s2x
+    mix_y = -2.0 * a2 * s2y
+    lap1 = 2.0 * a2 * s2y * (1.0 - 4.0 * sx2)
+    lap2 = 2.0 * a2 * s2x * (4.0 * sy2 - 1.0)
+
+    # s = 2 D(u):D(u); mu'(s) = (mu - mu_inf) (k-1) lambda1^2 / (2 q),
+    # q = 1 + lambda1^2 s, so one power gives both
+    shear = 4.0 * u1_x * u1_x + mix * mix
+    mu = model.carreau_viscosity(shear, params)
+    lam2 = params.lambda1 ** 2
+    dmu = (mu - params.mu_inf) * (0.5 * (params.k - 1.0) * lam2) \
+        / (1.0 + lam2 * shear)
+    mu_x = dmu * (8.0 * u1_x * u1_xx + 2.0 * mix * mix_x)
+    mu_y = dmu * (8.0 * u1_x * u1_xy + 2.0 * mix * mix_y)
+    div1 = mu * lap1 + 2.0 * u1_x * mu_x + mix * mu_y
+    div2 = mu * lap2 + mix * mu_x - 2.0 * u1_x * mu_y
+
+    z0, z1 = params.z
+    charge = 1.2 * (z0 + z1) + (z0 - z1) * phi
+    # grad p + Co rho grad V = (1 + Co rho / pi^2) grad phi
+    g = 1.0 + (params.co / PI ** 2) * charge
+    f1 = u1 * u1_x + u2 * u1_y - u1 - div1 / params.re + g * phi_x
+    f2 = u1 * u2_x - u2 * u1_x - u2 - div2 / params.re + g * phi_y
+    return f1, f2
 
 
 def source_terms(exact, params):
-    """Forcing terms that make the exact fields solve the full system."""
-    ex = exact
+    """Forcing terms that make the exact fields of ``exact`` (an
+    ``ExactSolution``) solve the full system under ``params``.
+
+    Each callable evaluates the five values of ``_trig`` once and forms
+    every field it needs as products of them.
+    """
 
     def f_u(x, y, t):
-        div1, div2 = _stress_divergence(ex, params, x, y, t)
-        adv1 = ex.u1(x, y, t) * ex.u1_x(x, y, t) \
-            + ex.u2(x, y, t) * ex.u1_y(x, y, t)
-        adv2 = ex.u1(x, y, t) * ex.u2_x(x, y, t) \
-            + ex.u2(x, y, t) * ex.u2_y(x, y, t)
-        charge = ex.cp(x, y, t) * params.z[0] + ex.cn(x, y, t) * params.z[1]
-        f1 = -ex.u1(x, y, t) + adv1 - div1 / params.re + ex.p_x(x, y, t) \
-            + params.co * charge * ex.v_x(x, y, t)
-        f2 = -ex.u2(x, y, t) + adv2 - div2 / params.re + ex.p_y(x, y, t) \
-            + params.co * charge * ex.v_y(x, y, t)
-        return f1, f2
+        return _momentum_source(_trig(x, y, t), params)
 
     def f_cp(x, y, t):
-        adv = ex.u1(x, y, t) * ex.cp_x(x, y, t) \
-            + ex.u2(x, y, t) * ex.cp_y(x, y, t)
-        return ex.cp_t(x, y, t) + adv \
-            - _transport_divergence(ex, params, 0, x, y, t) / params.pe
+        return _transport_source(_trig(x, y, t), params, 0)[0]
 
     def f_cn(x, y, t):
-        adv = ex.u1(x, y, t) * ex.cn_x(x, y, t) \
-            + ex.u2(x, y, t) * ex.cn_y(x, y, t)
-        return ex.cn_t(x, y, t) + adv \
-            - _transport_divergence(ex, params, 1, x, y, t) / params.pe
+        return _transport_source(_trig(x, y, t), params, 1)[0]
+
+    def sigma_source(species):
+        def f_sigma(x, y, t):
+            f, c = _transport_source(_trig(x, y, t), params, species)
+            return f / c
+        return f_sigma
+
+    # -lam lap V - rho with lap V = -2 phi and rho = z0 c+ + z1 c-
+    z0, z1 = params.z
+    v_coeff = 2.0 * params.lam - z0 + z1
+
+    def phi(x, y, t):
+        return np.cos(PI * x) * (np.cos(PI * y) * np.exp(-t))
 
     def f_v(x, y, t):
-        charge = ex.cp(x, y, t) * params.z[0] + ex.cn(x, y, t) * params.z[1]
-        return -params.lam * ex.v_lap(x, y, t) - charge
+        return v_coeff * phi(x, y, t) - 1.2 * (z0 + z1)
 
     def dfv_dt(x, y, t):
-        # every exact field carries exp(-t), so the source does too
-        return -f_v(x, y, t)
+        return -v_coeff * phi(x, y, t)
 
-    return SourceTerms(f_u=f_u, f_cp=f_cp, f_cn=f_cn, f_v=f_v, dfv_dt=dfv_dt)
+    return SourceTerms(f_u=f_u, f_cp=f_cp, f_cn=f_cn, f_v=f_v, dfv_dt=dfv_dt,
+                       f_sigma=[sigma_source(0), sigma_source(1)])
 
 
 # ----------------------------------------------------------------------
@@ -260,17 +294,11 @@ class ConvergenceRow:
 
 
 def build_source_pack(exact, sources):
-    """Wire the derived sources into the scheme's right-hand sides."""
-    return SourcePack(
-        f_u=lambda x, y, t: sources.f_u(x, y, t),
-        f_c=[sources.f_cp, sources.f_cn],
-        f_sigma=[
-            lambda x, y, t: sources.f_cp(x, y, t) / exact.cp(x, y, t),
-            lambda x, y, t: sources.f_cn(x, y, t) / exact.cn(x, y, t),
-        ],
-        f_v=sources.f_v,
-        dfv_dt=sources.dfv_dt,
-    )
+    """Wire the derived sources for ``exact`` into the scheme's right-hand
+    sides; the log-transformed transport sources are ``sources.f_sigma``."""
+    return SourcePack(f_u=sources.f_u, f_c=[sources.f_cp, sources.f_cn],
+                      f_sigma=list(sources.f_sigma), f_v=sources.f_v,
+                      dfv_dt=sources.dfv_dt)
 
 
 def run_manufactured(n_steps, n_cells, t_final=0.5, params=None):

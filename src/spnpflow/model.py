@@ -129,7 +129,9 @@ class Concentration:
     would undershoot.  ``exp_nodal``, ``sigma_quad`` and ``exp_quad`` are
     what :func:`exp_log_field` returns, which the caller has already
     computed to find ``scale``.  The quadrature values ``quad`` and
-    ``log_quad`` = log(scale) + sigma are read-only.
+    ``log_quad`` = log(scale) + sigma are read-only; the stepper sets
+    ``log_quad`` to None when a level becomes the older of its two stored
+    levels, since only the newest level's log values are read.
     """
 
     def __init__(self, sigma, scale, exp_nodal, sigma_quad, exp_quad):

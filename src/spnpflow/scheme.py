@@ -514,6 +514,10 @@ class Stepper:
         div, split = self._log_identities(ws, psi, a0, mv_ut, kdef_ut)
         e_total = self._run_checks(new, targets)
 
+        # the energy and the chemical potentials read the newest level's
+        # log values only
+        for c in self.curr.c:
+            c.log_quad = None
         self.prev = self.curr
         self.curr = new
         self.step_index += 1

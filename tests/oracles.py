@@ -12,6 +12,8 @@ applying fourth-order finite differences to the exact fields.
 import numpy as np
 import scipy.sparse as sp
 
+from spnpflow.manufactured import SourceTerms
+
 P1_MONOMIALS = ((0, 0), (1, 0), (0, 1))
 P2_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
@@ -243,6 +245,124 @@ def interior_extrema_loop(vals, mesh, rel_floor=1e-6):
 
 
 # ----------------------------------------------------------------------
+# per-term closed forms of the manufactured sources
+# ----------------------------------------------------------------------
+
+def _carreau(s, params):
+    return params.mu_inf + (params.mu0 - params.mu_inf) \
+        * (1.0 + params.lambda1 ** 2 * s) ** (0.5 * (params.k - 1.0))
+
+
+def _shear_and_grad(ex, x, y, t):
+    """s = 2 D(u):D(u) and its spatial gradient in closed form."""
+    d11 = ex.u1_x(x, y, t)
+    d22 = ex.u2_y(x, y, t)
+    mix = ex.u1_y(x, y, t) + ex.u2_x(x, y, t)
+    s = 2.0 * (d11 ** 2 + d22 ** 2) + mix ** 2
+    mix_x = ex.u1_xy(x, y, t) + ex.u2_xx(x, y, t)
+    mix_y = ex.u1_yy(x, y, t) + ex.u2_xy(x, y, t)
+    s_x = 4 * d11 * ex.u1_xx(x, y, t) + 4 * d22 * ex.u2_xy(x, y, t) \
+        + 2 * mix * mix_x
+    s_y = 4 * d11 * ex.u1_xy(x, y, t) + 4 * d22 * ex.u2_yy(x, y, t) \
+        + 2 * mix * mix_y
+    return s, s_x, s_y, d11, d22, mix
+
+
+def _stress_divergence(ex, params, x, y, t):
+    """div(2 mu D(u)) = mu lap(u) + 2 D(u) grad(mu) for divergence-free u."""
+    s, s_x, s_y, d11, d22, mix = _shear_and_grad(ex, x, y, t)
+    mu = _carreau(s, params)
+    if params.k == 1.0:
+        mu_x = np.zeros_like(s)
+        mu_y = np.zeros_like(s)
+    else:
+        dmu = (params.mu0 - params.mu_inf) * 0.5 * (params.k - 1.0) \
+            * params.lambda1 ** 2 \
+            * np.power(1.0 + params.lambda1 ** 2 * s, 0.5 * (params.k - 3.0))
+        mu_x = dmu * s_x
+        mu_y = dmu * s_y
+    lap1 = ex.u1_xx(x, y, t) + ex.u1_yy(x, y, t)
+    lap2 = ex.u2_xx(x, y, t) + ex.u2_yy(x, y, t)
+    div1 = mu * lap1 + 2.0 * d11 * mu_x + mix * mu_y
+    div2 = mu * lap2 + mix * mu_x + 2.0 * d22 * mu_y
+    return div1, div2
+
+
+def _transport_divergence(ex, params, species, x, y, t):
+    """div(c_i grad g_i) in closed form for the exact fields."""
+    if species == 0:
+        c, cx, cy, clap = (ex.cp(x, y, t), ex.cp_x(x, y, t),
+                           ex.cp_y(x, y, t), ex.cp_lap(x, y, t))
+    else:
+        c, cx, cy, clap = (ex.cn(x, y, t), ex.cn_x(x, y, t),
+                           ex.cn_y(x, y, t), ex.cn_lap(x, y, t))
+    zi = params.z[species]
+    w = params.w_steric
+    others = [
+        (ex.cp_x(x, y, t), ex.cp_y(x, y, t), ex.cp_lap(x, y, t)),
+        (ex.cn_x(x, y, t), ex.cn_y(x, y, t), ex.cn_lap(x, y, t)),
+    ]
+    gx = cx / c + zi * ex.v_x(x, y, t)
+    gy = cy / c + zi * ex.v_y(x, y, t)
+    glap = clap / c - (cx ** 2 + cy ** 2) / c ** 2 + zi * ex.v_lap(x, y, t)
+    for j in range(2):
+        ojx, ojy, ojlap = others[j]
+        gx = gx + w[species, j] * ojx
+        gy = gy + w[species, j] * ojy
+        glap = glap + w[species, j] * ojlap
+    return cx * gx + cy * gy + c * glap
+
+
+def source_terms_reference(exact, params):
+    """The manufactured sources with every field and derivative taken from
+    its own ``ExactSolution`` method: the reference of
+    ``manufactured.source_terms``."""
+    ex = exact
+    z0, z1 = params.z
+
+    def charge(x, y, t):
+        return ex.cp(x, y, t) * z0 + ex.cn(x, y, t) * z1
+
+    def f_u(x, y, t):
+        div1, div2 = _stress_divergence(ex, params, x, y, t)
+        adv1 = ex.u1(x, y, t) * ex.u1_x(x, y, t) \
+            + ex.u2(x, y, t) * ex.u1_y(x, y, t)
+        adv2 = ex.u1(x, y, t) * ex.u2_x(x, y, t) \
+            + ex.u2(x, y, t) * ex.u2_y(x, y, t)
+        rho = charge(x, y, t)
+        f1 = -ex.u1(x, y, t) + adv1 - div1 / params.re + ex.p_x(x, y, t) \
+            + params.co * rho * ex.v_x(x, y, t)
+        f2 = -ex.u2(x, y, t) + adv2 - div2 / params.re + ex.p_y(x, y, t) \
+            + params.co * rho * ex.v_y(x, y, t)
+        return f1, f2
+
+    def f_cp(x, y, t):
+        adv = ex.u1(x, y, t) * ex.cp_x(x, y, t) \
+            + ex.u2(x, y, t) * ex.cp_y(x, y, t)
+        return ex.cp_t(x, y, t) + adv \
+            - _transport_divergence(ex, params, 0, x, y, t) / params.pe
+
+    def f_cn(x, y, t):
+        adv = ex.u1(x, y, t) * ex.cn_x(x, y, t) \
+            + ex.u2(x, y, t) * ex.cn_y(x, y, t)
+        return ex.cn_t(x, y, t) + adv \
+            - _transport_divergence(ex, params, 1, x, y, t) / params.pe
+
+    def f_v(x, y, t):
+        return -params.lam * ex.v_lap(x, y, t) - charge(x, y, t)
+
+    def dfv_dt(x, y, t):
+        # lap V and the charge's varying part decay as exp(-t)
+        return params.lam * ex.v_lap(x, y, t) \
+            - z0 * ex.cp_t(x, y, t) - z1 * ex.cn_t(x, y, t)
+
+    return SourceTerms(
+        f_u=f_u, f_cp=f_cp, f_cn=f_cn, f_v=f_v, dfv_dt=dfv_dt,
+        f_sigma=[lambda x, y, t: f_cp(x, y, t) / ex.cp(x, y, t),
+                 lambda x, y, t: f_cn(x, y, t) / ex.cn(x, y, t)])
+
+
+# ----------------------------------------------------------------------
 # finite-difference validation of the manufactured sources
 # ----------------------------------------------------------------------
 
@@ -261,9 +381,7 @@ def stress_tensor(ex, params, x, y, t):
     d11 = ex.u1_x(x, y, t)
     d22 = ex.u2_y(x, y, t)
     mix = ex.u1_y(x, y, t) + ex.u2_x(x, y, t)
-    s = 2.0 * (d11 ** 2 + d22 ** 2) + mix ** 2
-    mu = params.mu_inf + (params.mu0 - params.mu_inf) \
-        * (1.0 + params.lambda1 ** 2 * s) ** (0.5 * (params.k - 1.0))
+    mu = _carreau(2.0 * (d11 ** 2 + d22 ** 2) + mix ** 2, params)
     return 2.0 * mu * d11, mu * mix, 2.0 * mu * d22
 
 
@@ -273,7 +391,8 @@ def validate_sources(exact, sources, params, n_points=100, seed=7, h=5e-4):
     Each equation is re-assembled with fourth-order finite differences
     applied to the exact fields (and to the closed-form stress and flux
     tensors for the divergence terms); the analytic sources must cancel the
-    residual at every sampled point.
+    residual at every sampled point.  ``dfv_dt`` is compared with a finite
+    difference of ``f_v`` in time.
     """
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.1, 0.9, n_points)
@@ -288,7 +407,7 @@ def validate_sources(exact, sources, params, n_points=100, seed=7, h=5e-4):
     t22 = lambda a, b: stress_tensor(ex, params, a, b, t)[2]
     div1 = fd1(lambda a: t11(a, y), x, h) + fd1(lambda b: t12(x, b), y, h)
     div2 = fd1(lambda a: t12(a, y), x, h) + fd1(lambda b: t22(x, b), y, h)
-    charge = ex.cp(x, y, t) - ex.cn(x, y, t)
+    charge = params.z[0] * ex.cp(x, y, t) + params.z[1] * ex.cn(x, y, t)
     for comp, u_fn, div in ((0, ex.u1, div1), (1, ex.u2, div2)):
         dt_u = fd1(lambda s: u_fn(x, y, s), t, h)
         ux = fd1(lambda a: u_fn(a, y, t), x, h)
@@ -334,4 +453,9 @@ def validate_sources(exact, sources, params, n_points=100, seed=7, h=5e-4):
         + fd2(lambda b: ex.v(x, b, t), y, h)
     resid = -params.lam * lap_v - charge - sources.f_v(x, y, t)
     worst = max(worst, float(np.max(np.abs(resid))))
+
+    # the Poisson source's time derivative
+    resid = fd1(lambda s: sources.f_v(x, y, s), t, h) - sources.dfv_dt(x, y, t)
+    worst = max(worst, float(np.max(np.abs(resid))))
     return worst
+

@@ -8,9 +8,25 @@ from spnpflow import manufactured as mf
 from spnpflow import model
 
 
+# lam = 1 makes the Poisson source vanish under SEC41_PARAMS (-lam lap V
+# equals the charge), so these sets, with lam != 1, unequal valences and a
+# steric matrix whose species differ, are what exercise f_v and dfv_dt
+STERIC_ASYM = dict(lam=0.7, pe=1.5, re=2.0, co=3.0, mu0=1.0, mu_inf=0.5,
+                   lambda1=1.0, z=(2, -1),
+                   w_steric=np.array([[3.0, 0.5], [0.5, 1.0]]))
+PARAM_SETS = {"sec41": mf.SEC41_PARAMS,
+              "asym_k1": dict(STERIC_ASYM, k=1.0),
+              "asym_k1.5": dict(STERIC_ASYM, k=1.5)}
+LAM_NOT_ONE = ("asym_k1", "asym_k1.5")
+
+
+def make_params(name):
+    return model.Params(dt=0.05, t_final=0.5, **PARAM_SETS[name])
+
+
 @pytest.fixture(scope="module")
 def params():
-    return model.Params(dt=0.05, t_final=0.5, **mf.SEC41_PARAMS)
+    return make_params("sec41")
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +70,15 @@ def test_concentrations_positive(exact):
         assert exact.cn(X, Y, t).min() > 0
 
 
-def test_source_validation_fd(exact, sources, params):
-    worst = oracles.validate_sources(exact, sources, params, n_points=100)
-    assert worst <= 1e-6
+def test_source_validation_fd(exact):
+    for name in ("sec41",) + LAM_NOT_ONE:
+        params = make_params(name)
+        sources = mf.source_terms(exact, params)
+        worst = oracles.validate_sources(exact, sources, params, n_points=100)
+        assert worst <= 1e-6, name
 
 
-def test_poisson_source_two_evaluations(exact, sources, params):
+def test_poisson_source_two_evaluations(exact):
     # closed form vs fourth-order finite differences of the potential
     rng = np.random.default_rng(3)
     x, y, t = (rng.uniform(0.1, 0.9, 30), rng.uniform(0.1, 0.9, 30),
@@ -67,9 +86,41 @@ def test_poisson_source_two_evaluations(exact, sources, params):
     h = 1e-3
     lap = (oracles.fd2(lambda a: exact.v(a, y, t), x, h)
            + oracles.fd2(lambda b: exact.v(x, b, t), y, h))
-    charge = exact.cp(x, y, t) - exact.cn(x, y, t)
-    fd_val = -params.lam * lap - charge
-    assert np.abs(fd_val - sources.f_v(x, y, t)).max() <= 1e-6
+    for name in ("sec41",) + LAM_NOT_ONE:
+        params = make_params(name)
+        z0, z1 = params.z
+        charge = z0 * exact.cp(x, y, t) + z1 * exact.cn(x, y, t)
+        fd_val = -params.lam * lap - charge
+        f_v = mf.source_terms(exact, params).f_v(x, y, t)
+        assert np.abs(fd_val - f_v).max() <= 1e-6, name
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_sources_match_reference_forms(exact, name):
+    # every callable of the pack, f_sigma included, against the per-term
+    # closed forms; the fields are of order one, so a source that cancels
+    # to zero (f_v under SEC41_PARAMS) is compared at the size of its terms
+    params = make_params(name)
+    rng = np.random.default_rng(11)
+    x, y = rng.random((2, 40, 12))
+    t = rng.uniform(0.0, 2.0, (40, 12))
+    got = mf.build_source_pack(exact, mf.source_terms(exact, params))
+    want = mf.build_source_pack(
+        exact, oracles.source_terms_reference(exact, params))
+    pairs = {"f_u": (got.f_u, want.f_u), "f_v": (got.f_v, want.f_v),
+             "dfv_dt": (got.dfv_dt, want.dfv_dt)}
+    for i in range(2):
+        pairs[f"f_c[{i}]"] = (got.f_c[i], want.f_c[i])
+        pairs[f"f_sigma[{i}]"] = (got.f_sigma[i], want.f_sigma[i])
+    for key, (new, ref) in pairs.items():
+        a, b = new(x, y, t), ref(x, y, t)
+        if key != "f_u":
+            a, b = (a,), (b,)
+        for a, b in zip(a, b):
+            assert a.shape == x.shape, key
+            np.testing.assert_allclose(
+                a, b, rtol=1e-12, atol=1e-12 * max(np.abs(b).max(), 1.0),
+                err_msg=f"{name} {key}")
 
 
 def test_sources_decay_with_time(exact, sources):

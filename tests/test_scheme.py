@@ -331,6 +331,14 @@ EVALS_PER_STEP_UNFORCED = 14
 EVALS_PER_STEP_FORCED = 15
 
 
+def test_only_the_newest_level_keeps_log_values():
+    st = uniform_stepper(n=3)
+    st.bootstrap_first_step()
+    st.step()
+    assert all(c.log_quad is None for c in st.prev.c)
+    assert all(c.log_quad is not None for c in st.curr.c)
+
+
 def test_per_step_quadrature_evaluation_budget(monkeypatch):
     from spnpflow.manufactured import run_manufactured
     from spnpflow.scenarios import scenario_energy_decay
