@@ -524,18 +524,22 @@ def assemble(form, trial, test, mesh, coeff=None):
         if test.order != trial.order:
             raise ValueError(f"{form} needs one test and trial space")
         # exactly symmetric: each pair (i <= j) is contracted once
+        # np.take keeps the gathered pairs C-ordered, so ``slot`` order
+        # costs no transposing copy
         if form == "stiffness":
-            local = ((Ww @ ref.stiffness).reshape(n_el, -1, 3)
-                     @ geo.metric)[:, ref.mirror, 0]
+            local = np.take(((Ww @ ref.stiffness).reshape(n_el, -1, 3)
+                             @ geo.metric)[..., 0], ref.mirror, axis=1)
         else:
             S = (Ww @ ref.grad_grad).reshape(n_el, -1, 4)
-            local = (S @ geo.strain).reshape(n_el, -1)[:, ref.deformation]
+            local = np.take((S @ geo.strain).reshape(n_el, -1),
+                            ref.deformation, axis=1)
     elif form == "advection":
         beta = Ww[..., None] * (np.asarray(coeff) @ geo.inv_t)
         local = beta.reshape(n_el, -1) @ ref.advection
     elif form == "gradient":
-        local = ((Ww @ ref.value_grad).reshape(n_el, -1, 2)
-                 @ geo.inv).transpose(0, 2, 1)
+        # (X inv)^T as inv^T X^T, formed directly in (element, block) order
+        local = geo.inv_t @ (Ww @ ref.value_grad).reshape(
+            n_el, -1, 2).transpose(0, 2, 1)
     else:
         raise ValueError(f"unknown form {form!r}")
     return pattern(form, trial, test, mesh).assemble(local)

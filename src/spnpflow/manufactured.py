@@ -3,11 +3,24 @@
 The exact fields are trigonometric with a common exp(-t) decay; all space and
 time derivatives are coded in closed form.  The forcing terms for each
 equation follow by substituting the exact fields into the continuous system,
-including the shear-dependent stress divergence.  Every field is a
-polynomial in sin(pi x), cos(pi x), sin(pi y), cos(pi y) and exp(-t), so
-each forcing call evaluates these five values once and forms the rest as
-products.  The test suite checks the forcing against the per-term closed
-forms built from the ``ExactSolution`` methods and against a fourth-order
+including the shear-dependent stress divergence.
+
+With e = exp(-t), every source is a sum of exp(-t)-free space factors
+times powers of e, plus, in the momentum source, the Carreau viscosity and
+its derivative at the shear rate e^2 S0 (``_space_tables`` lists the twelve
+factors: phi0 = cos(pi x) cos(pi y), the two transport tables, and per
+velocity component the parts under e, e^2, mu and mu', and S0).  The scheme
+evaluates every source at the same quadrature points, so the callables of
+one ``source_terms`` result share a cache of these factors, keyed by a copy
+of the points: a call at points equal bit for bit to the cached ones (at any
+shape) reuses them and forms its source with one exp, a few products and,
+for the momentum, one Carreau power; any other points rebuild the cache and
+replace it.  The cache holds 14 arrays of the point-set size (the two key
+coordinates and the twelve factors), 11 MB at 64 cells (98 304 points), in
+a memory map of its own.
+
+The test suite checks the forcing against the per-term closed forms built
+from the ``ExactSolution`` methods and against a fourth-order
 finite-difference application of the same operators at random space-time
 points.
 """
@@ -15,6 +28,7 @@ points.
 from __future__ import annotations
 
 import csv
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,129 +162,205 @@ def exact_solution_sec41(params=None):
     return ExactSolution()
 
 
-def _trig(x, y, t):
-    """(sin pi x, cos pi x, sin pi y, cos pi y, exp(-t)): every exact field
-    is a polynomial in these five values."""
-    px, py = PI * x, PI * y
-    return np.sin(px), np.cos(px), np.sin(py), np.cos(py), np.exp(-t)
+class _SpaceFactors:
+    """The exp(-t)-free tables of the forcing at one point set; the
+    callables of one ``source_terms`` result share it.
+
+    Calling it with points (x, y) returns the tables of
+    :func:`_space_tables` at those points, by name.  A hit needs the
+    points, broadcast together, to equal the cached set bit for bit in C
+    order, at any shape; any other set rebuilds the tables and replaces the
+    old set, so one set is held at a time.  The tables are computed from a
+    contiguous copy of the points, which is the key, so a hit returns what
+    a rebuild would.
+    """
+
+    def __init__(self, params):
+        self.params = params
+        self._key = None
+        self._tables = None
+
+    def __call__(self, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                   np.asarray(y, dtype=np.float64))
+        if not self._hit(x, y):
+            self._key = self._tables = None
+            # the key and the tables live as long as the source callables:
+            # in a mapping of their own they pin no freed malloc-heap pages
+            # (on the heap, a cache of five such arrays raised the peak RSS
+            # of a loop of forced64 solves by 7-12 MB)
+            n, rows = x.size, 2 + len(_TABLES)
+            block = np.frombuffer(
+                mmap.mmap(-1, max(8 * rows * n, 1)), dtype=np.float64,
+                count=rows * n).reshape(rows, n)
+            block[0], block[1] = x.reshape(-1), y.reshape(-1)
+            tables = _space_tables(block[0], block[1], self.params)
+            for row, name in zip(block[2:], _TABLES):
+                row[...] = tables.pop(name)
+            self._key, self._tables = block[:2], block[2:]
+        return {name: v.reshape(x.shape)
+                for name, v in zip(_TABLES, self._tables)}
+
+    def _hit(self, x, y):
+        if self._key is None or self._key[0].size != x.size:
+            return False
+        return all(np.array_equal(k.reshape(p.shape).view(np.uint64),
+                                  p.view(np.uint64))
+                   for k, p in zip(self._key, (x, y)))
 
 
-def _phi(sx, cx, sy, cy, e):
-    """phi = cos(pi x) cos(pi y) e^-t and its gradient.  The exact fields
-    are c+ = 1.2 + phi, c- = 1.2 - phi, p = phi and V = phi / pi^2."""
-    cye = cy * e
-    return cx * cye, -PI * sx * cye, -PI * cx * (sy * e)
+_TABLES = ("phi0", "transport0", "transport1", "linear0", "linear1",
+           "quadratic0", "quadratic1", "lap0", "lap1", "shear_div0",
+           "shear_div1", "shear")
 
 
-def _velocity(sx, cx, sy, cy, e):
-    """(u1, u2, parts) with u1 = pi sin^2(pi x) sin(2 pi y) e^-t and
-    u2 = -pi sin(2 pi x) sin^2(pi y) e^-t.  ``parts`` = (pi e^-t,
-    sin^2 pi x, sin^2 pi y, sin 2 pi x, sin 2 pi y), the products every
-    derivative of u is formed from; the double angles come from the
-    single ones."""
-    a = PI * e
+def _transport_coefficients(params, species):
+    """(s, k) of species 0 (c+ = 1.2 + phi) or 1 (c- = 1.2 - phi): the sign
+    s and k = z / pi^2 + w_0 - w_1, with which c grad g = s grad phi
+    + k c grad phi for g = log c + z V + sum_j w_j c_j."""
+    w = params.w_steric[species]
+    return 1.0 - 2.0 * species, params.z[species] / PI ** 2 + w[0] - w[1]
+
+
+def _space_tables(x, y, params):
+    """The tables of the forcing at the points (x, y), by name.
+
+    With e = exp(-t), phi = phi0 e, phi0 = cos(pi x) cos(pi y) (c+- = 1.2
+    +- phi, p = phi, V = phi / pi^2) and u = (pi sin^2(pi x) sin(2 pi y),
+    -pi sin(2 pi x) sin^2(pi y)) e, every source is a sum of these tables
+    times powers of e, plus the Carreau viscosity mu(s) and mu'(s) at the
+    shear rate s = e^2 shear:
+
+    phi0           f_v and dfv_dt are multiples of e phi0
+    transport_s    f_c of species s = a_s e phi0 + e^2 transport_s
+    linear_i       f_u_i = e linear_i + e^2 quadratic_i
+    quadratic_i        - (e / Re) (mu lap_i + e^2 mu' shear_div_i)
+    lap_i          lap u_i / e
+    shear_div_i    (2 D(u) grad s)_i / e^3
+    shear          s / e^2 = 2 D(u):D(u) / e^2
+    """
+    sx, cx = np.sin(PI * x), np.cos(PI * x)
+    sy, cy = np.sin(PI * y), np.cos(PI * y)
+    phi0 = cx * cy
+    phi_x, phi_y = -PI * sx * cy, -PI * cx * sy
     sx2, sy2 = sx * sx, sy * sy
     s2x, s2y = 2.0 * sx * cx, 2.0 * sy * cy
-    return a * sx2 * s2y, -a * s2x * sy2, (a, sx2, sy2, s2x, s2y)
-
-
-def _transport_source(trig, params, species):
-    """(f_c, c) of species 0 (c+) or 1 (c-).
-
-    With c = 1.2 + s phi (s = +1, -1) and g = log c + z V + sum_j w_j c_j,
-    c grad g = s grad phi + k c grad phi with k = z / pi^2 + w_0 - w_1, so
-    div(c grad g) = lap c + k div(c grad phi).
-    """
-    phi, phi_x, phi_y = _phi(*trig)
-    u1, u2, _ = _velocity(*trig)
-    s = 1.0 - 2.0 * species
-    w = params.w_steric[species]
-    k = params.z[species] / PI ** 2 + w[0] - w[1]
-    c = 1.2 + s * phi
-    lap_phi = (-2.0 * PI ** 2) * phi
-    div = s * lap_phi + k * (s * (phi_x * phi_x + phi_y * phi_y)
-                             + c * lap_phi)
-    f = s * (u1 * phi_x + u2 * phi_y - phi) - div / params.pe
-    return f, c
-
-
-def _momentum_source(trig, params):
-    """d_t u + (u.grad)u - div(2 mu D(u))/Re + grad p + Co rho grad V."""
-    phi, phi_x, phi_y = _phi(*trig)
-    u1, u2, (a, sx2, sy2, s2x, s2y) = _velocity(*trig)
     c2x, c2y = 1.0 - 2.0 * sx2, 1.0 - 2.0 * sy2
-    a1, a2 = PI * a, PI ** 2 * a
-    # u2_y = -u1_x, u2_xy = -u1_xx, u2_yy = -u1_xy
+    del sx, cx, sy, cy
+    u1, u2 = PI * sx2 * s2y, -PI * s2x * sy2
+
+    # div(c grad g) = lap c + k div(c grad phi), so the transport source
+    # f_c = s (d_t phi + u.grad phi) - div(c grad g) / Pe
+    # = a_s e phi0 + s e^2 (u.grad phi0 - k g2 / Pe), with
+    # g2 = |grad phi0|^2 - 2 pi^2 phi0^2 and a_s = -s + 2 pi^2 (s + 1.2 k)
+    # / Pe
+    u_grad_phi = u1 * phi_x + u2 * phi_y
+    g2 = phi_x * phi_x + phi_y * phi_y - 2.0 * PI ** 2 * (phi0 * phi0)
+    tables = {"phi0": phi0}
+    for species in range(2):
+        s, k = _transport_coefficients(params, species)
+        tables[f"transport{species}"] = s * (u_grad_phi
+                                             - (k / params.pe) * g2)
+    del u_grad_phi, g2
+
+    # grad p + Co rho grad V = (1 + Co rho / pi^2) grad phi, with
+    # rho = 1.2 (z0 + z1) + (z0 - z1) phi; d_t u = -u
+    z0, z1 = params.z
+    g0 = 1.0 + (params.co / PI ** 2) * 1.2 * (z0 + z1)
+    g1 = (params.co / PI ** 2) * (z0 - z1)
+    # velocity derivatives; u2_y = -u1_x, u2_xy = -u1_xx, u2_yy = -u1_xy
+    a1, a2 = PI ** 2, PI ** 3
     u1_x = a1 * s2x * s2y
     u1_y = 2.0 * a1 * sx2 * c2y
     u2_x = -2.0 * a1 * c2x * sy2
-    u1_xx = 2.0 * a2 * c2x * s2y
-    u1_xy = 2.0 * a2 * s2x * c2y
+    tables["linear0"] = g0 * phi_x - u1
+    tables["linear1"] = g0 * phi_y - u2
+    tables["quadratic0"] = u1 * u1_x + u2 * u1_y + g1 * (phi0 * phi_x)
+    tables["quadratic1"] = u1 * u2_x - u2 * u1_x + g1 * (phi0 * phi_y)
+    del u1, u2, phi_x, phi_y
+
     # 2 sin^2 + cos 2 = 1 turns the mixed derivative's two terms into one
     mix = u1_y + u2_x
-    mix_x = 2.0 * a2 * s2x
-    mix_y = -2.0 * a2 * s2y
-    lap1 = 2.0 * a2 * s2y * (1.0 - 4.0 * sx2)
-    lap2 = 2.0 * a2 * s2x * (4.0 * sy2 - 1.0)
-
-    # s = 2 D(u):D(u); mu'(s) = (mu - mu_inf) (k-1) lambda1^2 / (2 q),
-    # q = 1 + lambda1^2 s, so one power gives both
-    shear = 4.0 * u1_x * u1_x + mix * mix
-    mu = model.carreau_viscosity(shear, params)
-    lam2 = params.lambda1 ** 2
-    dmu = (mu - params.mu_inf) * (0.5 * (params.k - 1.0) * lam2) \
-        / (1.0 + lam2 * shear)
-    mu_x = dmu * (8.0 * u1_x * u1_xx + 2.0 * mix * mix_x)
-    mu_y = dmu * (8.0 * u1_x * u1_xy + 2.0 * mix * mix_y)
-    div1 = mu * lap1 + 2.0 * u1_x * mu_x + mix * mu_y
-    div2 = mu * lap2 + mix * mu_x - 2.0 * u1_x * mu_y
-
-    z0, z1 = params.z
-    charge = 1.2 * (z0 + z1) + (z0 - z1) * phi
-    # grad p + Co rho grad V = (1 + Co rho / pi^2) grad phi
-    g = 1.0 + (params.co / PI ** 2) * charge
-    f1 = u1 * u1_x + u2 * u1_y - u1 - div1 / params.re + g * phi_x
-    f2 = u1 * u2_x - u2 * u1_x - u2 - div2 / params.re + g * phi_y
-    return f1, f2
+    del u1_y, u2_x
+    mix_x, mix_y = 2.0 * a2 * s2x, -2.0 * a2 * s2y
+    u1_xx = 2.0 * a2 * c2x * s2y
+    u1_xy = 2.0 * a2 * s2x * c2y
+    tables["lap0"] = 2.0 * a2 * s2y * (1.0 - 4.0 * sx2)
+    tables["lap1"] = 2.0 * a2 * s2x * (4.0 * sy2 - 1.0)
+    # div(2 mu D(u)) = mu lap u + mu'(s) 2 D(u) grad s
+    shear_x = 8.0 * u1_x * u1_xx + 2.0 * mix * mix_x
+    shear_y = 8.0 * u1_x * u1_xy + 2.0 * mix * mix_y
+    tables["shear_div0"] = 2.0 * u1_x * shear_x + mix * shear_y
+    tables["shear_div1"] = mix * shear_x - 2.0 * u1_x * shear_y
+    tables["shear"] = 4.0 * u1_x * u1_x + mix * mix
+    return tables
 
 
 def source_terms(exact, params):
     """Forcing terms that make the exact fields of ``exact`` (an
     ``ExactSolution``) solve the full system under ``params``.
 
-    Each callable evaluates the five values of ``_trig`` once and forms
-    every field it needs as products of them.
+    The callables share one :class:`_SpaceFactors`: each call looks up the
+    tables of its points and forms its source from them and exp(-t).
     """
+    factors = _SpaceFactors(params)
+    z0, z1 = params.z
+    lam2 = params.lambda1 ** 2
+    # f_c = a e phi0 + e^2 transport, see _space_tables
+    a = []
+    for species in range(2):
+        s, k = _transport_coefficients(params, species)
+        a.append(-s + 2.0 * PI ** 2 * (s + 1.2 * k) / params.pe)
 
     def f_u(x, y, t):
-        return _momentum_source(_trig(x, y, t), params)
+        tb = factors(x, y)
+        e = np.exp(-t)
+        e2 = e * e
+        # mu'(s) = (mu - mu_inf) (k-1) lambda1^2 / (2 q), q = 1 + lambda1^2
+        # s, so one power gives both
+        shear = e2 * tb["shear"]
+        mu = model.carreau_viscosity(shear, params)
+        dmu = (mu - params.mu_inf) * (0.5 * (params.k - 1.0) * lam2)
+        shear *= lam2
+        shear += 1.0
+        dmu /= shear
+        dmu *= e2
+        e_re = e / params.re
+        return tuple(
+            e * tb[f"linear{i}"] + e2 * tb[f"quadratic{i}"]
+            - e_re * (mu * tb[f"lap{i}"] + dmu * tb[f"shear_div{i}"])
+            for i in range(2))
 
-    def f_cp(x, y, t):
-        return _transport_source(_trig(x, y, t), params, 0)[0]
+    def transport(species, tb, e):
+        """f_c of species 0 (c+) or 1 (c-)."""
+        return (a[species] * e) * tb["phi0"] \
+            + (e * e) * tb[f"transport{species}"]
 
-    def f_cn(x, y, t):
-        return _transport_source(_trig(x, y, t), params, 1)[0]
+    def transport_source(species):
+        def f_c(x, y, t):
+            return transport(species, factors(x, y), np.exp(-t))
+        return f_c
 
     def sigma_source(species):
+        s = 1.0 - 2.0 * species
+
         def f_sigma(x, y, t):
-            f, c = _transport_source(_trig(x, y, t), params, species)
-            return f / c
+            tb, e = factors(x, y), np.exp(-t)
+            return transport(species, tb, e) / (1.2 + (s * e) * tb["phi0"])
         return f_sigma
 
     # -lam lap V - rho with lap V = -2 phi and rho = z0 c+ + z1 c-
-    z0, z1 = params.z
     v_coeff = 2.0 * params.lam - z0 + z1
 
-    def phi(x, y, t):
-        return np.cos(PI * x) * (np.cos(PI * y) * np.exp(-t))
-
     def f_v(x, y, t):
-        return v_coeff * phi(x, y, t) - 1.2 * (z0 + z1)
+        return (v_coeff * np.exp(-t)) * factors(x, y)["phi0"] \
+            - 1.2 * (z0 + z1)
 
     def dfv_dt(x, y, t):
-        return -v_coeff * phi(x, y, t)
+        return (-v_coeff * np.exp(-t)) * factors(x, y)["phi0"]
 
-    return SourceTerms(f_u=f_u, f_cp=f_cp, f_cn=f_cn, f_v=f_v, dfv_dt=dfv_dt,
+    return SourceTerms(f_u=f_u, f_cp=transport_source(0),
+                       f_cn=transport_source(1), f_v=f_v, dfv_dt=dfv_dt,
                        f_sigma=[sigma_source(0), sigma_source(1)])
 
 

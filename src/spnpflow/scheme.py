@@ -369,10 +369,10 @@ class Stepper:
         rhs2 = -ws.adv_vec - params.co * ws.coul_vec
 
         # zero data: the eliminated columns leave the free rows unchanged
-        u1 = solver.solve(self._velocity_bc.rhs(ws.rhs_u))[0]
-        u2 = solver.solve(self._velocity_bc.rhs(rhs2))[0]
-        ws.u1_tilde = fem.Field(p2, u1, components=2)
-        ws.u2_tilde = fem.Field(p2, u2, components=2)
+        u = solver.solve(np.stack([self._velocity_bc.rhs(ws.rhs_u),
+                                   self._velocity_bc.rhs(rhs2)], axis=1))[0]
+        ws.u1_tilde = fem.Field(p2, u[:, 0], components=2)
+        ws.u2_tilde = fem.Field(p2, u[:, 1], components=2)
         return ws.u1_tilde, ws.u2_tilde
 
     def _source_power(self, vbar_vals, gbar_vals, t_new):
@@ -464,9 +464,9 @@ class Stepper:
         params = self.params
         n2 = self.n2
         b = mv_ut - (params.dt / a0) * (self.G @ psi.coefficients)
-        ux = self._m2_solver.solve(b[:n2])[0]
-        uy = self._m2_solver.solve(b[n2:])[0]
-        u_new = fem.Field(self.p2, np.concatenate([ux, uy]), components=2)
+        # the x and y blocks as the two columns of one solve
+        u = self._m2_solver.solve(b.reshape(2, n2).T)[0]
+        u_new = fem.Field(self.p2, u.ravel(order="F"), components=2)
         p_new = fem.Field(self.p1, psi.coefficients + self.curr.p.coefficients)
         p_new.coefficients -= self.m1 @ p_new.coefficients / self.mesh.area
         mu_new = model.carreau_viscosity(

@@ -352,6 +352,30 @@ def test_matrix_contract_assemble(unit_mesh, form, trial_order, test_order,
     assert not A.data.flags.writeable
 
 
+@pytest.mark.parametrize("form,trial_order,test_order", [
+    ("mass", 2, 2), ("vector_mass", 2, 2), ("stiffness", 2, 2),
+    ("deformation", 2, 2), ("advection", 2, 2), ("gradient", 1, 2),
+])
+def test_forms_hand_contiguous_local_matrices(unit_mesh, monkeypatch, form,
+                                              trial_order, test_order):
+    # a local matrix in another memory order costs a transposing copy when
+    # Pattern.assemble flattens it
+    seen = []
+    original = fem.Pattern.assemble
+
+    def spy(self, local):
+        seen.append(local.flags.c_contiguous)
+        return original(self, local)
+
+    monkeypatch.setattr(fem.Pattern, "assemble", spy)
+    shape = fem.geometry(unit_mesh).wdet.shape
+    coeff = (np.ones(shape + (2,)) if form == "advection"
+             else np.linspace(1.0, 2.0, shape[0])[:, None])
+    assemble(form, dof_map(unit_mesh, trial_order),
+             dof_map(unit_mesh, test_order), unit_mesh, coeff)
+    assert seen == [True]
+
+
 def test_matrix_contract_constraints(unit_mesh):
     p2 = dof_map(unit_mesh, 2)
     n = p2.n_dofs

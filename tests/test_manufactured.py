@@ -123,6 +123,75 @@ def test_sources_match_reference_forms(exact, name):
                 err_msg=f"{name} {key}")
 
 
+# ----------------------------------------------------------------------
+# the space-factor cache of one source_terms result
+# ----------------------------------------------------------------------
+
+def evaluate_all(sources, x, y, t):
+    """Every forcing callable of ``sources`` at (x, y, t)."""
+    return (list(sources.f_u(x, y, t))
+            + [f(x, y, t) for f in (sources.f_cp, sources.f_cn, sources.f_v,
+                                    sources.dfv_dt, *sources.f_sigma)])
+
+
+def assert_as_fresh(exact, params, sources, x, y, t):
+    # bit for bit what a new source_terms result, with an empty cache, gives
+    got = evaluate_all(sources, x, y, t)
+    want = evaluate_all(mf.source_terms(exact, params), x, y, t)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Count of the table builds since the test began."""
+    calls = []
+    build = mf._space_tables
+    monkeypatch.setattr(mf, "_space_tables",
+                        lambda *args: calls.append(1) or build(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_cache_same_points_twice(exact, name, table_builds):
+    params = make_params(name)
+    sources = mf.source_terms(exact, params)
+    x, y = np.random.default_rng(21).random((2, 30, 7))
+    for t in (0.3, 0.3, 1.1):
+        assert_as_fresh(exact, params, sources, x, y, t)
+    # the same values at another shape are the same point set
+    assert_as_fresh(exact, params, sources, x.ravel(), y.ravel(), 0.7)
+    # one build for the cached result and one per fresh result
+    assert len(table_builds) == 1 + 4
+
+
+def test_cache_alternating_point_sets(exact, params, table_builds):
+    sources = mf.source_terms(exact, params)
+    rng = np.random.default_rng(22)
+    a, b = rng.random((2, 25)), rng.random((2, 40))
+    for x, y in (a, b, a):
+        assert_as_fresh(exact, params, sources, x, y, 0.4)
+    assert len(table_builds) == 3 + 3
+
+
+def test_cache_points_changed_in_place(exact, params):
+    sources = mf.source_terms(exact, params)
+    x, y = np.random.default_rng(23).random((2, 50))
+    assert_as_fresh(exact, params, sources, x, y, 0.2)
+    x[7] += 1e-3
+    y[::3] *= 0.5
+    assert_as_fresh(exact, params, sources, x, y, 0.2)
+
+
+def test_cache_array_time(exact, params):
+    sources = mf.source_terms(exact, params)
+    rng = np.random.default_rng(24)
+    x, y = rng.random((2, 20, 6))
+    for t in (rng.uniform(0.0, 2.0, (20, 6)), rng.uniform(0.0, 2.0, 6)):
+        assert_as_fresh(exact, params, sources, x, y, t)
+
+
 def test_sources_decay_with_time(exact, sources):
     # every term carries at least one exp(-t) factor
     g = np.linspace(0.05, 0.95, 12)

@@ -94,6 +94,46 @@ def test_solve_direct_zero_rhs():
     assert report.residual == 0.0
 
 
+def test_solve_two_columns_as_single_solves():
+    A, _ = random_sparse(30, 0.2, seed=8)
+    lu = factorize(A.to_scipy(), shuffled(30, seed=2))
+    b = np.random.default_rng(9).standard_normal((30, 2))
+    b[:, 1] *= 1e6      # columns of unequal scale
+    x, report = lu.solve(b)
+    assert x.shape == (30, 2)
+    singles = [lu.solve(b[:, k]) for k in range(2)]
+    for k, (xk, _) in enumerate(singles):
+        assert np.linalg.norm(x[:, k] - xk) <= 1e-14 * np.linalg.norm(xk)
+        assert x[:, k].flags.c_contiguous
+    assert report.residual == pytest.approx(
+        max(r.residual for _, r in singles), rel=1e-6, abs=1e-300)
+
+
+def test_solve_zero_column_gives_zeros():
+    A, _ = random_sparse(12, 0.4, seed=6)
+    lu = factorize(A.to_scipy(), shuffled(12))
+    b = np.zeros((12, 2))
+    b[:, 0] = np.linspace(1.0, 2.0, 12)
+    x, report = lu.solve(b)
+    assert np.array_equal(x[:, 1], np.zeros(12))
+    assert np.linalg.norm(x[:, 0] - lu.solve(b[:, 0])[0]) \
+        <= 1e-14 * np.linalg.norm(x[:, 0])
+    assert report.residual <= 1e-10
+
+
+def test_solve_residual_checked_per_column():
+    # Hilbert matrix of order 14: the solution e_0 of its first column is
+    # found to a small residual, that of a vector of ones is not
+    n = 14
+    i = np.arange(n)
+    A = sp.csr_matrix(1.0 / (i[:, None] + i[None, :] + 1.0))
+    lu = factorize(A, i[::-1])
+    good = A.toarray()[:, 0]
+    assert lu.solve(good)[1].residual <= 1e-10
+    with pytest.raises(SolverError, match="residual"):
+        lu.solve(np.stack([good, np.ones(n)], axis=1))
+
+
 def test_direct_then_spmv_roundtrip():
     for seed in range(4):
         A, _ = random_sparse(25, 0.25, seed=seed)
