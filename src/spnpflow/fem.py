@@ -173,6 +173,8 @@ class _Geometry:
         self.qpoints = (bary[None, :, 0, None] * p[:, None, 0, :]
                         + bary[None, :, 1, None] * p[:, None, 1, :]
                         + bary[None, :, 2, None] * p[:, None, 2, :])
+        # read-only, so a cache keyed on them may trust they stay put
+        self.qpoints.setflags(write=False)
         self._refs = {}
         self._evals = {}
         self._pairs = {}
@@ -285,7 +287,8 @@ def geometry(mesh):
 
 
 def quad_points_physical(mesh):
-    """Physical coordinates of all quadrature points, (n_el, n_q, 2)."""
+    """Physical coordinates of all quadrature points, (n_el, n_q, 2),
+    read-only."""
     return geometry(mesh).qpoints
 
 
@@ -389,6 +392,9 @@ def _quad_values(coeff, mesh, vector=False):
     return np.asarray(coeff)
 
 
+# Elements per block of the deformation form's contraction
+_ELEMENT_BLOCK = 1024
+
 # Blocks of the vector-valued forms, (block row, block column), row-major;
 # every other form is one scalar block.
 _SCALAR = ((0, 0),)
@@ -491,6 +497,20 @@ def pattern(form, trial, test, mesh):
     return geometry(mesh).pattern(test, trial, _BLOCKS.get(form, _SCALAR))
 
 
+def diagonal_blocks(trial, test, mesh):
+    """Positions in the data of the 2x2 velocity pattern of the entries of
+    its two diagonal blocks, in the order of the scalar pattern's data:
+    (2, nnz) int32, the (0,0) block first.  A scalar matrix scattered there
+    is the block-diagonal matrix with it in both blocks."""
+    scalar = pattern("mass", trial, test, mesh)
+    slot = pattern("vector_mass", trial, test, mesh).slot.reshape(
+        geometry(mesh).det.size, len(_VELOCITY), -1)
+    out = np.empty((2, scalar.nnz), dtype=np.int32)
+    out[0, scalar.slot] = slot[:, 0].ravel()
+    out[1, scalar.slot] = slot[:, 3].ravel()
+    return out
+
+
 def assemble(form, trial, test, mesh, coeff=None):
     """Assemble a bilinear form into a SciPy CSR matrix (rows = test dofs).
 
@@ -515,11 +535,16 @@ def assemble(form, trial, test, mesh, coeff=None):
           else geo.wdet * _quad_values(coeff, mesh))
 
     # local is laid out (element, block, test, trial), as Pattern.slot
-    if form in ("mass", "vector_mass"):
+    if form == "mass":
         local = Ww @ ref.mass
-        if form == "vector_mass":
-            zero = np.zeros_like(local)
-            local = np.stack([local, zero, zero, local], axis=1)
+    elif form == "vector_mass":
+        # the scalar mass, summed once, fills both diagonal blocks: the
+        # same sums, in the same order, as the blocks' own assembly
+        vector = pattern(form, trial, test, mesh)
+        data = np.zeros(vector.nnz)
+        data[diagonal_blocks(trial, test, mesh)] = pattern(
+            "mass", trial, test, mesh).assemble(Ww @ ref.mass).data
+        return vector.csr(data)
     elif form in ("stiffness", "deformation"):
         if test.order != trial.order:
             raise ValueError(f"{form} needs one test and trial space")
@@ -531,8 +556,14 @@ def assemble(form, trial, test, mesh, coeff=None):
                              @ geo.metric)[..., 0], ref.mirror, axis=1)
         else:
             S = (Ww @ ref.grad_grad).reshape(n_el, -1, 4)
-            local = np.take((S @ geo.strain).reshape(n_el, -1),
-                            ref.deformation, axis=1)
+            # contracted a block of elements at a time into the one local
+            # array, so the (n_el, pairs, 4) product is never whole
+            local = np.empty((n_el, ref.deformation.size))
+            for b in range(0, n_el, _ELEMENT_BLOCK):
+                e = slice(b, b + _ELEMENT_BLOCK)
+                block = S[e] @ geo.strain[e]
+                np.take(block.reshape(block.shape[0], -1), ref.deformation,
+                        axis=1, out=local[e], mode="clip")
     elif form == "advection":
         beta = Ww[..., None] * (np.asarray(coeff) @ geo.inv_t)
         local = beta.reshape(n_el, -1) @ ref.advection

@@ -10,11 +10,26 @@ step: the same formulas with the older level weighted zero.
 Structure checks (positivity, mass, solvability, energy decay) run after
 every step; mass and positivity violations abort, the energy check warns
 unless strict mode is on.
+
+The momentum matrix depends only on the extrapolated viscosity, so it is
+factored while the transport systems are solved.  One worker thread, shared
+by every :class:`Stepper` and idle between steps, assembles, factors and
+solves the transport systems, one species after another; the calling thread
+meanwhile assembles Kdef and factors the momentum matrix, and the two join
+before the transport stage (:meth:`Stepper.step_sigma`) returns.  A SuperLU
+factor is created and released on the same thread: SciPy's SuperLU frees
+only memory it finds among the allocations of the freeing thread, so a
+factor dropped on another thread leaks.  The set-up factorisations stay on
+the calling thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import traceback
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +42,73 @@ from .sparse import Factorization, Reordering, factorize
 MASS_RTOL = 1e-10
 ENERGY_RTOL = 1e-10
 ZETA2_FLOOR = -1e-12
+
+
+def _libc_function(name, argtypes):
+    """The C library's int-valued function ``name``, or None where the
+    library lacks it (both used here are glibc's)."""
+    try:
+        fn = getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):
+        return None
+    fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    return fn
+
+
+_SCHED_GETCPU = _libc_function("sched_getcpu", [])
+_MALLOC_TRIM = _libc_function("malloc_trim", [ctypes.c_size_t])
+
+
+def _leave_creator_cpu():
+    """Move the starting worker thread off the CPU of its creator.
+
+    A new thread starts on its creator's CPU, and a kernel that does not
+    balance load between CPUs (a cpuset with ``sched_load_balance`` off)
+    keeps it there, so the worker and the calling thread would take turns
+    on one CPU.  Restricting the worker to the other CPUs moves it, and
+    restoring its CPU set leaves it where it is.
+    """
+    if _SCHED_GETCPU is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        others = allowed - {_SCHED_GETCPU()}
+        if others:
+            os.sched_setaffinity(0, others)
+            os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def _release_free_memory():
+    """Hand the free pages of every malloc arena back to the system.
+
+    The worker thread allocates from an arena of its own, whose freed
+    memory the calling thread cannot reuse; without this after each
+    transport job, the two arenas' high-water marks add up.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+def _new_worker():
+    # the thread starts at the first submission and then waits for work
+    return ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="spnpflow-transport",
+                              initializer=_leave_creator_cpu)
+
+
+_WORKER = _new_worker()
+
+
+def _reset_worker():
+    # a forked child inherits the executor but not its thread
+    global _WORKER
+    _WORKER = _new_worker()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_worker)
 
 
 @dataclass
@@ -56,6 +138,8 @@ class StepWorkspace:
     ever appears as an explicit coefficient).  ``rhs_u`` is the first split
     momentum system's right-hand side before its boundary rows are set, and
     ``grad_vbar`` the new potential's gradient at quadrature points.
+    ``momentum`` is (a0, factor) of the momentum matrix, from the transport
+    stage until the momentum stage uses and drops it.
     """
 
     u_star_vals: np.ndarray
@@ -67,6 +151,7 @@ class StepWorkspace:
     grad_v_star: np.ndarray
     mu_star: np.ndarray
     Kdef: object = None
+    momentum: tuple = None
     rhs_u: np.ndarray = None
     grad_vbar: np.ndarray = None
     adv_vec: np.ndarray = None
@@ -121,7 +206,6 @@ class Stepper:
 
         self.M2 = fem.assemble("mass", self.p2, self.p2, mesh)
         self.K2 = fem.assemble("stiffness", self.p2, self.p2, mesh)
-        self.Mv = fem.assemble("vector_mass", self.p2, self.p2, mesh)
         self.K1 = fem.assemble("stiffness", self.p1, self.p1, mesh)
         # the Taylor-Hood gradient (grad q, v) couples velocity and
         # pressure; on the free velocity rows it is minus (div v, q)
@@ -138,10 +222,13 @@ class Stepper:
         # vectors
         self._transport = Reordering(
             fem.pattern("mass", self.p2, self.p2, mesh), self.p2.ordering)
-        # Mv and the deformation form share the velocity pattern, so the
-        # momentum matrix is a sum of their data vectors; the elimination
-        # of its zero velocity Dirichlet rows and columns and the ordering
-        # are one gather
+        # the vector mass Mv is M2 in the two diagonal blocks of the
+        # deformation form's velocity pattern, so the momentum matrix is
+        # the deformation data with M2's data added there; Mv is not
+        # stored, and applied as M2 per component.  The elimination of the
+        # zero velocity Dirichlet rows and columns and the ordering are one
+        # gather
+        self._mass_blocks = fem.diagonal_blocks(self.p2, self.p2, mesh)
         bd = self.p2.boundary_dofs
         self.vec_bdofs = np.concatenate([bd, bd + n2])
         self._velocity_bc = fem.DirichletElimination(
@@ -213,6 +300,17 @@ class Stepper:
                                      e_spnp=e0, multiplier=multiplier)]
         return self.curr
 
+    @property
+    def Mv(self):
+        """The vector mass matrix, assembled when asked for: a step applies
+        M2 to each velocity component instead (:meth:`vector_mass`)."""
+        return fem.assemble("vector_mass", self.p2, self.p2, self.mesh)
+
+    def vector_mass(self, v):
+        """Mv v for velocity coefficients v, the x block first."""
+        n2 = self.n2
+        return np.concatenate([self.M2 @ v[:n2], self.M2 @ v[n2:]])
+
     def _mass_targets(self, t):
         if self.mass_schedule is not None:
             return self.mass_schedule(t)
@@ -256,7 +354,36 @@ class Stepper:
         )
 
     def step_sigma(self, ws, species, a0, hist, t_new):
-        """Solve the linearized log-concentration system for one species."""
+        """Solve the linearized log-concentration systems of ``species``: a
+        sequence of indices, giving a list of new sigma fields, or one
+        index, giving one field.
+
+        The systems are assembled, factored and solved on the worker
+        thread, one after another.  Meanwhile this thread factors the
+        momentum matrix into ``ws``, unless it holds that of ``a0``
+        already.  The call returns when both sides are done, and raises
+        the error of either side.
+        """
+        one = np.ndim(species) == 0
+        pending = []
+        try:
+            for i in [species] if one else species:
+                pending.append(_WORKER.submit(self._solve_transport, ws, i,
+                                              a0, hist, t_new))
+            if ws.momentum is None or ws.momentum[0] != a0:
+                ws.momentum = (a0, self._factor_momentum(ws, a0))
+        finally:
+            wait(pending)
+        sigma = [fem.Field(self.p2, job.result()) for job in pending]
+        return sigma[0] if one else sigma
+
+    def _solve_transport(self, ws, species, a0, hist, t_new):
+        """New sigma coefficients of one species, on the worker thread.
+
+        The factor is made and released on this thread.  On an error the
+        frames of the traceback, which hold the factor, are cleared here,
+        so it is not released where the error is handled.
+        """
         mesh, params = self.mesh, self.params
         p2 = self.p2
         pe = params.pe
@@ -297,9 +424,14 @@ class Stepper:
             f = self.sources.f_sigma[species]
             rhs += fem.assemble_vector("source", p2, mesh,
                                        lambda x, y: f(x, y, t_new))
-        lu = Factorization(self._transport.matrix(data),
-                           self._transport.order)
-        return fem.Field(p2, lu.solve(rhs)[0])
+        try:
+            return Factorization(self._transport.matrix(data),
+                                 self._transport.order).solve(rhs)[0]
+        except Exception as exc:
+            traceback.clear_frames(exc.__traceback__)
+            raise
+        finally:
+            _release_free_memory()
 
     def renormalize_concentration(self, sigma_new, mass_target):
         """Exponentiate pointwise and rescale to the target mass."""
@@ -342,18 +474,32 @@ class Stepper:
         sol, _ = self._pot_solver.solve(rhs)
         return fem.Field(self.p2, sol), np.nan
 
+    def _factor_momentum(self, ws, a0):
+        """Assemble Kdef(mu*) into ``ws`` and factor the momentum matrix
+        (a0/dt) Mv + Kdef/Re, which needs nothing else of the step."""
+        params = self.params
+        ws.Kdef = fem.assemble("deformation", self.p2, self.p2, self.mesh,
+                               coeff=ws.mu_star)
+        data = (1.0 / params.re) * ws.Kdef.data
+        data[self._mass_blocks] += (a0 / params.dt) * self.M2.data
+        A = self._momentum.matrix(data)
+        # the summed data are freed before SuperLU runs
+        del data
+        return Factorization(A, self._momentum.order)
+
     def solve_velocity_split(self, ws, c_new, vbar_new, a0, hist_u, t_new):
-        """Solve the two split momentum systems (shared matrix)."""
+        """Solve the two split momentum systems (shared matrix), with the
+        factor of the transport stage when ``ws`` holds that of ``a0``."""
         mesh, params = self.mesh, self.params
         dt = params.dt
         p2 = self.p2
 
-        ws.Kdef = fem.assemble("deformation", p2, p2, mesh, coeff=ws.mu_star)
-        # the summed data are freed before SuperLU runs
-        solver = Factorization(
-            self._momentum.matrix((a0 / dt) * self.Mv.data
-                                  + (1.0 / params.re) * ws.Kdef.data),
-            self._momentum.order)
+        if ws.momentum is not None and ws.momentum[0] == a0:
+            solver = ws.momentum[1]
+        else:
+            solver = self._factor_momentum(ws, a0)
+        # released when this returns, on the thread that made it
+        ws.momentum = None
 
         adv = np.einsum("eqj,eqkj->eqk", ws.u_star_vals, ws.u_star_grads)
         ws.adv_vec = fem.assemble_vector("vector_source", p2, mesh, adv)
@@ -361,7 +507,8 @@ class Stepper:
         coul = self._charge(c_new)[..., None] * ws.grad_vbar
         ws.coul_vec = fem.assemble_vector("vector_source", p2, mesh, coul)
 
-        ws.rhs_u = self.Mv @ hist_u / dt - self.G @ self.curr.p.coefficients
+        ws.rhs_u = self.vector_mass(hist_u) / dt \
+            - self.G @ self.curr.p.coefficients
         if self.sources is not None and self.sources.f_u is not None:
             fu = self.sources.f_u
             ws.rhs_u += fem.assemble_vector("vector_source", p2, mesh,
@@ -492,8 +639,8 @@ class Stepper:
 
         ws = self.make_workspace(bdf1=bdf1)
 
-        sigma_new = [self.step_sigma(ws, i, a0, hist_sigma, t_new)
-                     for i in range(params.n_species)]
+        sigma_new = self.step_sigma(ws, range(params.n_species), a0,
+                                    hist_sigma, t_new)
         targets = self._mass_targets(t_new)
         c_new = [self.renormalize_concentration(sigma_new[i], targets[i])
                  for i in range(params.n_species)]
@@ -503,7 +650,7 @@ class Stepper:
             ws, c_new, vbar_new, a0, hist_r, t_new)
         r_new, v_new, u_tilde = self.update_r_v_u(ws, vbar_new, sqrt_eb)
         psi = self.pressure_poisson(u_tilde, a0)
-        mv_ut = self.Mv @ u_tilde.coefficients
+        mv_ut = self.vector_mass(u_tilde.coefficients)
         u_new, p_new, mu_new = self.correct(ws, psi, a0, mv_ut)
 
         new = model.State(t=t_new, u=u_new, p=p_new, sigma=sigma_new,

@@ -21,6 +21,13 @@ default ``diag_pivot_thresh`` is kept, so partial pivoting still takes over
 where a diagonal pivot is too small, as on the zero diagonal of the
 zero-mean multiplier row.
 
+A factor is made and released on one thread.  SciPy's SuperLU frees only
+the memory it finds among the allocations of the freeing thread, so a
+factor made on one thread and dropped on another leaks its L and U.  The
+scheme factors its transport systems on its one worker thread and its other
+systems on the calling thread, and keeps every :class:`Factorization` on
+the thread that made it (see :mod:`spnpflow.scheme`).
+
 Right-hand sides that share a factor are solved together:
 :meth:`Factorization.solve` takes an (n, k) array and makes one SuperLU
 solve for all k columns, checking each column's residual against that
@@ -177,7 +184,8 @@ class Reordering:
 
 class Factorization:
     """SuperLU factors of P A P^T, given in CSC form with the ``order`` of
-    :class:`Reordering`, reusable for several right-hand sides of A x = b."""
+    :class:`Reordering`, reusable for several right-hand sides of A x = b.
+    The last reference to it must be dropped on the thread that made it."""
 
     def __init__(self, Ac, order):
         self._Ac = Ac

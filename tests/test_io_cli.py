@@ -353,6 +353,50 @@ def test_cli_scenario_command(tmp_path):
     assert (tmp_path / "diagnostics.csv").exists()
 
 
+def test_cli_scenario_exits_with_the_worker_thread(tmp_path):
+    # the transport worker thread, idle after the last step, must not hold
+    # up the interpreter's exit
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spnpflow
+
+    src = str(Path(spnpflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-m", "spnpflow", "scenario", "energy-decay",
+         "--nx", "5", "--dt", "1e-2", "--t-final", "0.03",
+         "--out", str(tmp_path)], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len((tmp_path / "diagnostics.csv").read_text().splitlines()) == 5
+
+
+def test_cli_structural_error_on_worker_exit_code(tmp_path, capsys,
+                                                  monkeypatch):
+    import threading
+
+    from spnpflow.errors import NonFiniteError
+    from spnpflow.sparse import Factorization
+
+    real_solve = Factorization.solve
+    raised = []
+
+    def solve(self, b):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(1)
+            raise NonFiniteError("doctored on the worker")
+        return real_solve(self, b)
+
+    monkeypatch.setattr(Factorization, "solve", solve)
+    assert cli_main(["scenario", "energy-decay", "--nx", "5", "--dt", "1e-2",
+                     "--t-final", "0.02", "--out", str(tmp_path)]) == 2
+    assert raised
+    assert "structural failure: doctored on the worker" \
+        in capsys.readouterr().err
+
+
 def test_identical_config_reproduces_csv(tmp_path):
     cfg = RunConfig(scenario="energy-decay", nx=5, dt=1e-2, t_final=0.03,
                     out_dir=str(tmp_path / "a"))

@@ -192,6 +192,69 @@ def test_cache_array_time(exact, params):
         assert_as_fresh(exact, params, sources, x, y, t)
 
 
+def test_cache_read_only_points_hit_without_comparing(exact, params,
+                                                     table_builds,
+                                                     monkeypatch):
+    # points viewing one read-only array, as fem.quad_points_physical gives,
+    # hit by their layout; a writeable copy of them is still compared
+    sources = mf.source_terms(exact, params)
+    pts = np.random.default_rng(25).random((30, 7, 2))
+    pts.setflags(write=False)
+    assert_as_fresh(exact, params, sources, pts[..., 0], pts[..., 1], 0.3)
+    assert len(table_builds) == 1 + 1
+
+    def no_compare(*args, **kw):
+        raise AssertionError("read-only points were compared")
+
+    with monkeypatch.context() as m:
+        m.setattr(mf.np, "array_equal", no_compare)
+        for t in (0.3, 0.9):
+            evaluate_all(sources, pts[..., 0], pts[..., 1], t)
+    assert len(table_builds) == 2
+    copy = pts.copy()
+    assert_as_fresh(exact, params, sources, copy[..., 0], copy[..., 1], 0.9)
+    assert len(table_builds) == 2 + 1
+
+
+def test_cache_two_threads_alternating_point_sets(exact, params):
+    # each thread alternates two point sets, so the other thread keeps
+    # replacing the cache under it; every result must stay bit for bit
+    # what a fresh source_terms result gives
+    import sys
+    import threading
+
+    rng = np.random.default_rng(26)
+    sets = [rng.random((2, 3, 2)), rng.random((2, 5))]
+    want = [[a.tobytes() for a in evaluate_all(
+        mf.source_terms(exact, params), x, y, 0.6)] for x, y in sets]
+    sources = mf.source_terms(exact, params)
+    bad = []
+
+    def run(first):
+        for k in range(500):
+            s = (first + k) % 2
+            try:
+                got = [a.tobytes()
+                       for a in evaluate_all(sources, *sets[s], 0.6)]
+            except Exception as exc:    # a half-replaced cache
+                got = repr(exc)
+            if got != want[s]:
+                bad.append((first, k, got if isinstance(got, str) else ""))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == []
+
+
 def test_sources_decay_with_time(exact, sources):
     # every term carries at least one exp(-t) factor
     g = np.linspace(0.05, 0.95, 12)

@@ -1,8 +1,13 @@
+import gc
+import os
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 import oracles
-from spnpflow import fem, model
+from spnpflow import fem, model, scheme
 from spnpflow.errors import (CompatibilityError, PositivityError,
                              StructuralViolation)
 from spnpflow.mesh import build_rect_mesh, dof_map
@@ -368,6 +373,115 @@ def test_per_step_quadrature_evaluation_budget(monkeypatch):
     run_manufactured(n_steps=3, n_cells=4)
     assert len(per_step) == 3
     assert max(per_step) <= EVALS_PER_STEP_FORCED
+
+
+# ----------------------------------------------------------------------
+# the worker thread: each SuperLU factor is released where it was made
+# ----------------------------------------------------------------------
+
+class _TrackedLU:
+    """A SuperLU factor (which takes no weak reference) whose making and
+    releasing threads go to ``log`` as [made, released, n]."""
+
+    def __init__(self, lu, log):
+        self._lu = lu
+        entry = [threading.get_ident(), None, lu.shape[0]]
+        log.append(entry)
+        weakref.finalize(self, _released, entry)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def _released(entry):
+    entry[1] = threading.get_ident()
+
+
+def track_factors(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    log = []
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kw: _TrackedLU(
+        real_splu(*args, **kw), log))
+    return log
+
+
+def released_where_made(log):
+    gc.collect()
+    assert log and all(made == released for made, released, _ in log), log
+
+
+def test_step_factors_released_on_their_own_thread(monkeypatch):
+    from spnpflow.manufactured import run_manufactured
+    from spnpflow.scenarios import scenario_energy_decay
+
+    st = scenario_energy_decay(nx=10).make_stepper()
+    log = track_factors(monkeypatch)
+    st.run(n_steps=3)
+    main = threading.get_ident()
+    # the transport factors are made on the worker, the momentum's here
+    n2 = st.p2.n_dofs
+    assert sorted((n, made == main) for made, _, n in log) \
+        == [(n2, False)] * 6 + [(2 * n2, True)] * 3
+    del st
+    released_where_made(log)
+    log.clear()
+    run_manufactured(n_steps=2, n_cells=4)
+    released_where_made(log)
+
+
+def test_worker_error_reaches_step_and_releases_its_factor(monkeypatch):
+    from spnpflow.errors import SolverError
+    from spnpflow.scenarios import scenario_energy_decay
+    from spnpflow.sparse import Factorization
+
+    st = scenario_energy_decay(nx=6).make_stepper()
+    st.bootstrap_first_step()
+    log = track_factors(monkeypatch)
+    real_solve = Factorization.solve
+
+    def solve(self, b):
+        if threading.current_thread() is not threading.main_thread():
+            raise SolverError("doctored worker failure")
+        return real_solve(self, b)
+
+    monkeypatch.setattr(Factorization, "solve", solve)
+    with pytest.raises(SolverError, match="doctored"):
+        st.step()
+    # released on the worker before the error reached this thread, though
+    # its traceback is still alive here
+    made_on_worker = [e for e in log if e[0] != threading.get_ident()]
+    assert made_on_worker
+    assert all(made == released for made, released, _ in made_on_worker)
+    monkeypatch.setattr(Factorization, "solve", real_solve)
+    fresh = scenario_energy_decay(nx=6).make_stepper()
+    fresh.run(n_steps=2)
+    assert fresh.step_index == 2
+    del st, fresh
+    released_where_made(log)
+
+
+@pytest.mark.skipif(scheme._SCHED_GETCPU is None
+                    or not hasattr(os, "sched_setaffinity"),
+                    reason="needs sched_getcpu and sched_setaffinity")
+def test_worker_start_leaves_creator_cpu_and_keeps_cpu_set():
+    allowed = os.sched_getaffinity(0)
+    seen = {}
+
+    def start():
+        seen["before"] = scheme._SCHED_GETCPU()
+        scheme._leave_creator_cpu()
+        seen["after"] = scheme._SCHED_GETCPU()
+        seen["allowed"] = os.sched_getaffinity(0)
+
+    th = threading.Thread(target=start)
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive()
+    assert seen["allowed"] == allowed
+    if len(allowed) > 1:
+        assert seen["after"] != seen["before"]
 
 
 # ----------------------------------------------------------------------
