@@ -173,7 +173,7 @@ class _Geometry:
         self.qpoints = (bary[None, :, 0, None] * p[:, None, 0, :]
                         + bary[None, :, 1, None] * p[:, None, 1, :]
                         + bary[None, :, 2, None] * p[:, None, 2, :])
-        # read-only, so a cache keyed on them may trust they stay put
+        # read-only: every caller shares these points
         self.qpoints.setflags(write=False)
         self._refs = {}
         self._evals = {}

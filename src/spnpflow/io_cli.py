@@ -8,6 +8,7 @@ through text without loss.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -139,28 +140,33 @@ def emit_config(cfg):
     return "\n".join(lines) + "\n"
 
 
-def _parse_scenario_name(name):
-    if name == "energy-decay":
-        return ("energy-decay", None)
+# scenario name before any ":" -> (factory, type of the argument after
+# it, or None for a name without one)
+_SCENARIOS = {"energy-decay": (scenarios.scenario_energy_decay, None),
+              "steric": (scenarios.scenario_steric, int),
+              "exponent-k": (scenarios.scenario_exponent_k, float)}
+# the RunConfig keys that override a scenario's Params of the same name
+_PARAM_KEYS = ("re", "pe", "co", "lam", "mu0", "mu_inf", "lambda1", "k",
+               "b_shift")
+
+
+def _scenario_factory(name):
+    """The preset factory a scenario name selects, with its argument bound;
+    the factory itself checks the argument's value."""
     if name == "manufactured":
-        return ("manufactured", None)
-    if name.startswith("steric:"):
-        try:
-            idx = int(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad steric index in {name!r}") from exc
-        if not 0 <= idx < len(scenarios.STERIC_MATRICES):
-            raise ConfigError(f"steric index out of range in {name!r}")
-        return ("steric", idx)
-    if name.startswith("exponent-k:"):
-        try:
-            k = float(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad exponent in {name!r}") from exc
-        if k <= 0:
-            raise ConfigError("exponent k must be positive")
-        return ("exponent-k", k)
-    raise ConfigError(f"unknown scenario {name!r}")
+        raise ConfigError("manufactured runs go through the converge command "
+                          "or run_manufactured")
+    prefix, colon, arg = name.partition(":")
+    factory, arg_type = _SCENARIOS.get(prefix, (None, None))
+    if factory is None or bool(colon) != (arg_type is not None):
+        raise ConfigError(f"unknown scenario {name!r}")
+    if arg_type is None:
+        return factory
+    try:
+        value = arg_type(arg)
+    except ValueError as exc:
+        raise ConfigError(f"bad argument in scenario {name!r}") from exc
+    return functools.partial(factory, value)
 
 
 # ----------------------------------------------------------------------
@@ -255,35 +261,19 @@ def write_snapshot(state, mesh, path):
 # running configs
 # ----------------------------------------------------------------------
 
+def _given(cfg, keys):
+    """The config values of ``keys`` that are set, by key."""
+    return {key: getattr(cfg, key) for key in keys
+            if getattr(cfg, key) is not None}
+
+
 def build_scenario(cfg):
     """Scenario object for a config, with overrides applied."""
-    kind, arg = _parse_scenario_name(cfg.scenario)
-    mesh_kw = {}
-    if cfg.nx is not None:
-        mesh_kw["nx"] = cfg.nx
-    if cfg.dt is not None:
-        mesh_kw["dt"] = cfg.dt
-    if cfg.t_final is not None:
-        mesh_kw["t_final"] = cfg.t_final
-    if kind == "energy-decay":
-        scen = scenarios.scenario_energy_decay(**mesh_kw)
-    elif kind == "steric":
-        scen = scenarios.scenario_steric(arg, **mesh_kw)
-    elif kind == "exponent-k":
-        scen = scenarios.scenario_exponent_k(arg, **mesh_kw)
-    else:
-        raise ConfigError("manufactured runs go through the converge command "
-                          "or run_manufactured")
+    factory = _scenario_factory(cfg.scenario)
+    scen = factory(**_given(cfg, ("nx", "dt", "t_final")))
     if cfg.ny is not None:
         scen.ny = cfg.ny
-    param_over = {}
-    for key, attr in (("re", "re"), ("pe", "pe"), ("co", "co"),
-                      ("lam", "lam"), ("mu0", "mu0"), ("mu_inf", "mu_inf"),
-                      ("lambda1", "lambda1"), ("k", "k"),
-                      ("b_shift", "b_shift")):
-        v = getattr(cfg, key)
-        if v is not None:
-            param_over[attr] = v
+    param_over = _given(cfg, _PARAM_KEYS)
     if cfg.w is not None:
         n = int(round(len(cfg.w) ** 0.5))
         param_over["w_steric"] = np.asarray(cfg.w).reshape(n, n)
@@ -417,6 +407,11 @@ def _dispatch(args):
             raise ConfigError(f"bad --steps list: {exc}") from exc
         if not steps:
             raise ConfigError("--steps must name at least one count")
+        if args.h_cells < 1:
+            raise ConfigError(f"--h-cells must be >= 1, got {args.h_cells}")
+        if steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
+            raise ConfigError(f"--steps must be counts >= 1 in increasing "
+                              f"order, got {args.steps}")
         _make_out_dir(args.out)
         rows = manufactured.convergence_study(steps, args.h_cells)
         print(manufactured.format_convergence_table(rows))

@@ -172,16 +172,13 @@ class _SpaceFactors:
     order, at any shape; any other set rebuilds the tables and replaces the
     old set, so one set is held at a time.  The tables are computed from a
     contiguous copy of the points, which is the key, so a hit returns what
-    a rebuild would.  Points that view the same read-only array as those
-    of the last build, in the same layout (as ``fem.quad_points_physical``
-    gives), hit without a comparison: they cannot have changed.  The key,
-    the tables and that layout are published as one tuple, so a caller on
-    another thread never sees them half replaced.
+    a rebuild would.  The key and the tables are published as one tuple, so
+    a caller on another thread never sees them half replaced.
     """
 
     def __init__(self, params):
         self.params = params
-        self._cache = None      # (key, tables, read-only layout or None)
+        self._cache = None      # (key, tables)
 
     def __call__(self, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
@@ -200,32 +197,16 @@ class _SpaceFactors:
             tables = _space_tables(block[0], block[1], self.params)
             for row, name in zip(block[2:], _TABLES):
                 row[...] = tables.pop(name)
-            cache = self._cache = (block[:2], block[2:],
-                                   _read_only_layout(x, y))
+            cache = self._cache = (block[:2], block[2:])
         return {name: v.reshape(x.shape)
                 for name, v in zip(_TABLES, cache[1])}
-
-
-def _read_only_layout(x, y):
-    """(owner, layout) when the points x and y view one read-only array
-    that owns its memory, else None."""
-    owner = x.base
-    if (not isinstance(owner, np.ndarray) or y.base is not owner
-            or owner.flags.writeable or not owner.flags.owndata):
-        return None
-    return owner, tuple((p.__array_interface__["data"][0], p.shape,
-                         p.strides) for p in (x, y))
 
 
 def _hit(cache, x, y):
     """Whether ``cache`` of :class:`_SpaceFactors` holds the points."""
     if cache is None:
         return False
-    key, _, layout = cache
-    if layout is not None:
-        now = _read_only_layout(x, y)
-        if now is not None and now[0] is layout[0] and now[1] == layout[1]:
-            return True
+    key = cache[0]
     if key[0].size != x.size:
         return False
     return all(np.array_equal(k.reshape(p.shape).view(np.uint64),

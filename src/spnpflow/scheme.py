@@ -30,7 +30,7 @@ import os
 import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,14 +118,15 @@ class SourcePack:
     ``f_sigma`` is the transport source divided by the exact concentration
     (the forcing seen by the log-transformed equation).  ``f_c`` is the raw
     transport source; it feeds the power compensation that keeps the
-    auxiliary-variable ratio consistent under forcing.
+    auxiliary-variable ratio consistent under forcing.  A forced run sets
+    all five.
     """
 
-    f_u: object = None
-    f_c: list = field(default_factory=list)
-    f_sigma: list = field(default_factory=list)
-    f_v: object = None
-    dfv_dt: object = None
+    f_u: object
+    f_c: list
+    f_sigma: list
+    f_v: object
+    dfv_dt: object
 
 
 @dataclass
@@ -138,7 +139,7 @@ class StepWorkspace:
     ever appears as an explicit coefficient).  ``rhs_u`` is the first split
     momentum system's right-hand side before its boundary rows are set, and
     ``grad_vbar`` the new potential's gradient at quadrature points.
-    ``momentum`` is (a0, factor) of the momentum matrix, from the transport
+    ``momentum`` is the factor of the momentum matrix, from the transport
     stage until the momentum stage uses and drops it.
     """
 
@@ -151,7 +152,7 @@ class StepWorkspace:
     grad_v_star: np.ndarray
     mu_star: np.ndarray
     Kdef: object = None
-    momentum: tuple = None
+    momentum: Factorization = None
     rhs_u: np.ndarray = None
     grad_vbar: np.ndarray = None
     adv_vec: np.ndarray = None
@@ -320,12 +321,13 @@ class Stepper:
     # individual scheme steps
     # ------------------------------------------------------------------
 
-    def make_workspace(self, bdf1=False):
+    def make_workspace(self):
         """Extrapolated fields 2 f^n - f^{n-1} for the next step; the
-        bootstrap (``bdf1``) weights the older level zero, giving f^n."""
+        bootstrap (no older level yet) weights the older level zero,
+        giving f^n."""
         mesh = self.mesh
         n = self.curr
-        o, e = (n, 0.0) if bdf1 else (self.prev, 1.0)
+        o, e = (n, 0.0) if self.prev is None else (self.prev, 1.0)
 
         def extrap(fn, fo):
             return (1.0 + e) * fn - e * fo
@@ -353,29 +355,24 @@ class Stepper:
             mu_star=mu_star,
         )
 
-    def step_sigma(self, ws, species, a0, hist, t_new):
-        """Solve the linearized log-concentration systems of ``species``: a
-        sequence of indices, giving a list of new sigma fields, or one
-        index, giving one field.
+    def step_sigma(self, ws, a0, hist, t_new):
+        """Solve the linearized log-concentration system of every species,
+        giving the list of new sigma fields.
 
         The systems are assembled, factored and solved on the worker
         thread, one after another.  Meanwhile this thread factors the
-        momentum matrix into ``ws``, unless it holds that of ``a0``
-        already.  The call returns when both sides are done, and raises
-        the error of either side.
+        momentum matrix into ``ws.momentum``.  The call returns when both
+        sides are done, and raises the error of either side.
         """
-        one = np.ndim(species) == 0
         pending = []
         try:
-            for i in [species] if one else species:
+            for i in range(self.params.n_species):
                 pending.append(_WORKER.submit(self._solve_transport, ws, i,
                                               a0, hist, t_new))
-            if ws.momentum is None or ws.momentum[0] != a0:
-                ws.momentum = (a0, self._factor_momentum(ws, a0))
+            ws.momentum = self._factor_momentum(ws, a0)
         finally:
             wait(pending)
-        sigma = [fem.Field(self.p2, job.result()) for job in pending]
-        return sigma[0] if one else sigma
+        return [fem.Field(self.p2, job.result()) for job in pending]
 
     def _solve_transport(self, ws, species, a0, hist, t_new):
         """New sigma coefficients of one species, on the worker thread.
@@ -420,7 +417,7 @@ class Stepper:
                 flux = term if flux is None else flux + term
         if flux is not None:
             rhs -= fem.assemble_vector("vecflux", p2, mesh, flux) / pe
-        if self.sources is not None and self.sources.f_sigma:
+        if self.sources is not None:
             f = self.sources.f_sigma[species]
             rhs += fem.assemble_vector("source", p2, mesh,
                                        lambda x, y: f(x, y, t_new))
@@ -462,7 +459,7 @@ class Stepper:
         """
         rhs = fem.assemble_vector("source", self.p2, self.mesh,
                                   self._charge(c_fields))
-        if self.sources is not None and self.sources.f_v is not None:
+        if self.sources is not None:
             fv = self.sources.f_v
             rhs += fem.assemble_vector("source", self.p2, self.mesh,
                                        lambda x, y: fv(x, y, t))
@@ -487,17 +484,14 @@ class Stepper:
         del data
         return Factorization(A, self._momentum.order)
 
-    def solve_velocity_split(self, ws, c_new, vbar_new, a0, hist_u, t_new):
-        """Solve the two split momentum systems (shared matrix), with the
-        factor of the transport stage when ``ws`` holds that of ``a0``."""
+    def solve_velocity_split(self, ws, c_new, vbar_new, hist_u, t_new):
+        """Solve the two split momentum systems with the shared factor that
+        the transport stage left in ``ws``."""
         mesh, params = self.mesh, self.params
         dt = params.dt
         p2 = self.p2
 
-        if ws.momentum is not None and ws.momentum[0] == a0:
-            solver = ws.momentum[1]
-        else:
-            solver = self._factor_momentum(ws, a0)
+        solver = ws.momentum
         # released when this returns, on the thread that made it
         ws.momentum = None
 
@@ -509,7 +503,7 @@ class Stepper:
 
         ws.rhs_u = self.vector_mass(hist_u) / dt \
             - self.G @ self.curr.p.coefficients
-        if self.sources is not None and self.sources.f_u is not None:
+        if self.sources is not None:
             fu = self.sources.f_u
             ws.rhs_u += fem.assemble_vector("vector_source", p2, mesh,
                                             lambda x, y: fu(x, y, t_new))
@@ -532,10 +526,8 @@ class Stepper:
         for i, fc in enumerate(self.sources.f_c):
             fq = fc(xy[..., 0], xy[..., 1], t_new)
             total += params.co * fem.integrate(gbar_vals[i] * fq, mesh)
-        if self.sources.dfv_dt is not None:
-            dfq = self.sources.dfv_dt(xy[..., 0], xy[..., 1], t_new)
-            total += params.co * fem.integrate(vbar_vals * dfq, mesh)
-        return total
+        dfq = self.sources.dfv_dt(xy[..., 0], xy[..., 1], t_new)
+        return total + params.co * fem.integrate(vbar_vals * dfq, mesh)
 
     def compute_xi(self, ws, c_new, vbar_new, a0, hist_r, t_new):
         """Auxiliary-variable ratio from the split velocity solves."""
@@ -605,7 +597,7 @@ class Stepper:
         sol, _, _ = self._psi_solver.solve(rhs, subtract_mean=True)
         return fem.Field(self.p1, sol)
 
-    def correct(self, ws, psi, a0, mv_ut):
+    def correct(self, psi, a0, mv_ut):
         """Project the corrected velocity, update pressure and viscosity;
         ``mv_ut`` is Mv times the composite velocity."""
         params = self.params
@@ -624,34 +616,35 @@ class Stepper:
     # full steps
     # ------------------------------------------------------------------
 
-    def _advance(self, bdf1):
+    def _advance(self):
         params = self.params
         dt = params.dt
         n = self.curr
         # the BDF1 bootstrap is BDF2 with the older level weighted zero
-        o = n if bdf1 else self.prev
-        a0, wn, wo = (1.0, 1.0, 0.0) if bdf1 else (1.5, 2.0, 0.5)
+        if self.prev is None:
+            o, a0, wn, wo = n, 1.0, 1.0, 0.0
+        else:
+            o, a0, wn, wo = self.prev, 1.5, 2.0, 0.5
         t_new = n.t + dt
         hist_sigma = [wn * s.coefficients - wo * so.coefficients
                       for s, so in zip(n.sigma, o.sigma)]
         hist_u = wn * n.u.coefficients - wo * o.u.coefficients
         hist_r = wn * n.r - wo * o.r
 
-        ws = self.make_workspace(bdf1=bdf1)
+        ws = self.make_workspace()
 
-        sigma_new = self.step_sigma(ws, range(params.n_species), a0,
-                                    hist_sigma, t_new)
+        sigma_new = self.step_sigma(ws, a0, hist_sigma, t_new)
         targets = self._mass_targets(t_new)
         c_new = [self.renormalize_concentration(sigma_new[i], targets[i])
                  for i in range(params.n_species)]
         vbar_new, multiplier = self.solve_potential(c_new, t_new)
-        self.solve_velocity_split(ws, c_new, vbar_new, a0, hist_u, t_new)
+        self.solve_velocity_split(ws, c_new, vbar_new, hist_u, t_new)
         xi, e_spnp, g_total, sqrt_eb = self.compute_xi(
             ws, c_new, vbar_new, a0, hist_r, t_new)
         r_new, v_new, u_tilde = self.update_r_v_u(ws, vbar_new, sqrt_eb)
         psi = self.pressure_poisson(u_tilde, a0)
         mv_ut = self.vector_mass(u_tilde.coefficients)
-        u_new, p_new, mu_new = self.correct(ws, psi, a0, mv_ut)
+        u_new, p_new, mu_new = self.correct(psi, a0, mv_ut)
 
         new = model.State(t=t_new, u=u_new, p=p_new, sigma=sigma_new,
                           c=c_new, vbar=vbar_new, v=v_new, mu_q=mu_new,
@@ -680,13 +673,13 @@ class Stepper:
         """One first-order step to populate the second time level."""
         if self.step_index != 0:
             raise RuntimeError("bootstrap must be the first step")
-        return self._advance(bdf1=True)
+        return self._advance()
 
     def step(self):
         """One full second-order step."""
         if self.prev is None:
             raise RuntimeError("bootstrap the first step before stepping")
-        return self._advance(bdf1=False)
+        return self._advance()
 
     def run(self, n_steps=None, snapshot_times=(), snapshot_cb=None):
         """Bootstrap then march to the final time.

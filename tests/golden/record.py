@@ -1,14 +1,18 @@
 """Golden runs: tiny end-to-end runs whose outputs later changes must keep.
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py [--out DIR]
 
-rewrites the reference files next to this script from the code as it
-stands; ``tests/test_golden.py`` runs the same definitions and compares.
-Record only from a commit whose numbers are the reference.
+writes the reference files from the code as it stands, next to this script
+unless ``--out`` names another directory; ``tests/test_golden.py`` runs the
+same definitions and compares.  Record into this directory only from a
+commit whose numbers are the reference.  To check that a change leaves the
+outputs byte for byte as they were, record both commits with ``--out`` and
+``cmp`` the files.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -41,10 +45,16 @@ def manufactured_errors():
     return {k: float(v) for k, v in errors.items()}
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=HERE,
+                    help="directory for the output files (default: the "
+                         "reference directory)")
+    out = ap.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
     for name in SCENARIOS:
-        run_scenario(name, HERE / name)
-    (HERE / MANUFACTURED_FILE).write_text(
+        run_scenario(name, out / name)
+    (out / MANUFACTURED_FILE).write_text(
         json.dumps(manufactured_errors(), indent=1, sort_keys=True) + "\n")
 
 

@@ -331,6 +331,21 @@ def test_cli_converge_unwritable_table_is_config_error(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--h-cells", "0", "--steps", "2"],
+                                  ["--steps", "4,2"], ["--steps", "-2"],
+                                  ["--steps", "0"]])
+def test_cli_converge_invalid_arguments_are_config_errors(tmp_path, capsys,
+                                                          monkeypatch, args):
+    def study(*args, **kw):
+        raise AssertionError("the study ran with invalid arguments")
+
+    monkeypatch.setattr(manufactured, "convergence_study", study)
+    out = tmp_path / "out"
+    assert cli_main(["converge", *args, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_usage_error_maps_to_config_exit():
     assert cli_main(["run"]) == 1          # missing --config
     assert cli_main(["not-a-command"]) == 1

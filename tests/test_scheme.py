@@ -30,6 +30,11 @@ def uniform_stepper(n=4, **kw):
     return stepper
 
 
+def sigma_history(st):
+    """The current sigma coefficients, as the transport stage's history."""
+    return [s.coefficients.copy() for s in st.curr.sigma]
+
+
 # ----------------------------------------------------------------------
 # trivial stationary dynamics
 # ----------------------------------------------------------------------
@@ -55,9 +60,8 @@ def test_sigma_constant_solution_single_step():
                      for _ in range(2)]
     st.curr.c = [model.Concentration(s, 1.0, *model.exp_log_field(s, st.mesh))
                  for s in st.curr.sigma]
-    ws = st.make_workspace(bdf1=True)
-    hist = [s.coefficients.copy() for s in st.curr.sigma]
-    out = st.step_sigma(ws, 0, 1.0, hist, t_new=st.params.dt)
+    ws = st.make_workspace()
+    out = st.step_sigma(ws, 1.0, sigma_history(st), t_new=st.params.dt)[0]
     assert np.abs(out.coefficients - 0.7).max() <= 1e-11
 
 
@@ -149,8 +153,9 @@ def test_potential_net_charge_neutralized_logs_multiplier():
 
 def test_velocity_split_trivial_rest():
     st = uniform_stepper(n=4)
-    ws = st.make_workspace(bdf1=True)
-    u1, u2 = st.solve_velocity_split(ws, st.curr.c, st.curr.vbar, 1.0,
+    ws = st.make_workspace()
+    st.step_sigma(ws, 1.0, sigma_history(st), st.params.dt)
+    u1, u2 = st.solve_velocity_split(ws, st.curr.c, st.curr.vbar,
                                      st.curr.u.coefficients, st.params.dt)
     assert np.abs(u1.coefficients).max() <= 1e-12
     assert np.abs(u2.coefficients).max() <= 1e-12
@@ -159,8 +164,9 @@ def test_velocity_split_trivial_rest():
 def test_xi_consistency_fixture():
     # zeta1 = zeta2 = 0 and r at the shifted-energy level give xi = 1
     st = uniform_stepper(n=3)
-    ws = st.make_workspace(bdf1=True)
-    st.solve_velocity_split(ws, st.curr.c, st.curr.vbar, 1.5,
+    ws = st.make_workspace()
+    st.step_sigma(ws, 1.5, sigma_history(st), st.params.dt)
+    st.solve_velocity_split(ws, st.curr.c, st.curr.vbar,
                             2 * st.curr.u.coefficients
                             - st.curr.u.coefficients, st.params.dt)
     hist_r = 2.0 * st.curr.r - 0.5 * st.curr.r
@@ -178,9 +184,10 @@ def test_xi_two_dof_arithmetic_oracle():
     rng = np.random.default_rng(5)
     free = np.setdiff1d(np.arange(2 * st.p2.n_dofs), st.vec_bdofs)
     st.curr.u.coefficients[free] = 1e-3 * rng.standard_normal(free.size)
-    ws = st.make_workspace(bdf1=False)
+    ws = st.make_workspace()
     hist_u = 2 * st.curr.u.coefficients - 0.5 * st.prev.u.coefficients
-    st.solve_velocity_split(ws, st.curr.c, st.curr.vbar, 1.5, hist_u,
+    st.step_sigma(ws, 1.5, sigma_history(st), st.params.dt)
+    st.solve_velocity_split(ws, st.curr.c, st.curr.vbar, hist_u,
                             st.params.dt)
     hist_r = 2.0 * st.curr.r - 0.5 * st.prev.r
     xi, e_spnp, g, sqrt_eb = st.compute_xi(ws, st.curr.c, st.curr.vbar, 1.5,
@@ -196,8 +203,9 @@ def test_xi_two_dof_arithmetic_oracle():
 
 def test_update_r_v_u_limits():
     st = uniform_stepper(n=3)
-    ws = st.make_workspace(bdf1=True)
-    st.solve_velocity_split(ws, st.curr.c, st.curr.vbar, 1.0,
+    ws = st.make_workspace()
+    st.step_sigma(ws, 1.0, sigma_history(st), st.params.dt)
+    st.solve_velocity_split(ws, st.curr.c, st.curr.vbar,
                             st.curr.u.coefficients, st.params.dt)
     vbar = fem.interpolate(lambda x, y: x - 0.5, st.p2)
     ws.u1_tilde = fem.Field(st.p2, np.ones(2 * st.p2.n_dofs), components=2)
@@ -223,12 +231,12 @@ def test_pressure_poisson_zero_velocity():
 
 def test_correct_identity_when_psi_zero():
     st = uniform_stepper(n=4)
-    ws = st.make_workspace(bdf1=True)
+    ws = st.make_workspace()
     rng = np.random.default_rng(0)
     ws.u_tilde = fem.Field(st.p2, rng.standard_normal(2 * st.p2.n_dofs),
                            components=2)
     psi = fem.zero_field(st.p1)
-    u, p, mu = st.correct(ws, psi, a0=1.5,
+    u, p, mu = st.correct(psi, a0=1.5,
                           mv_ut=st.Mv @ ws.u_tilde.coefficients)
     assert np.abs(u.coefficients - ws.u_tilde.coefficients).max() <= 1e-9
     assert np.abs(p.coefficients - st.curr.p.coefficients).max() <= 1e-12
@@ -359,9 +367,9 @@ def test_per_step_quadrature_evaluation_budget(monkeypatch):
         monkeypatch.setattr(fem, name, counted)
     real_advance = Stepper._advance
 
-    def advance(self, bdf1):
+    def advance(self):
         calls.clear()
-        new = real_advance(self, bdf1)
+        new = real_advance(self)
         per_step.append(len(calls))
         return new
 
@@ -505,12 +513,12 @@ def test_sigma_system_matches_dense_oracle():
     st.curr.v = fem.interpolate(lambda x, y: 0.1 * x - 0.05 * y * y, p2)
     c_polys = (lambda x, y: 1.4 + 0.2 * x - 0.1 * y + 0.05 * x * y,
                lambda x, y: 1.1 + 0.1 * y * y)
-    ws = st.make_workspace(bdf1=True)
+    ws = st.make_workspace()
     xy = fem.quad_points_physical(mesh)
     ws.c_star_quad = [poly(xy[..., 0], xy[..., 1]) for poly in c_polys]
     hist = [s.coefficients.copy() for s in st.curr.sigma]
     i = 0
-    sigma_new = st.step_sigma(ws, i, 1.0, hist, t_new=params.dt)
+    sigma_new = st.step_sigma(ws, 1.0, hist, t_new=params.dt)[i]
 
     pe, dt = params.pe, params.dt
     zi = params.z[i]
