@@ -21,6 +21,17 @@ factor is created and released on the same thread: SciPy's SuperLU frees
 only memory it finds among the allocations of the freeing thread, so a
 factor dropped on another thread leaks.  The set-up factorisations stay on
 the calling thread.
+
+Set-up overlaps the same way.  :class:`Stepper` first fills the caches that
+both threads read: the geometry, the scalar P2 pattern, the dof orderings
+and the reference elements.  One job on the worker then builds the step's
+index tables (the transport and momentum reorderings, the velocity
+elimination and the mass blocks), while the calling thread assembles the
+set-up matrices and makes the set-up factorisations; the constructor waits
+for the job even when its own side fails, and raises the job's error.  The
+job makes no factor and calls none of the entry points that the
+benchmark's tracer (``bench/spans.py``) wraps, since that tracer keeps one
+span stack for all threads.
 """
 
 from __future__ import annotations
@@ -204,58 +215,24 @@ class Stepper:
         self.p1 = dof_map(mesh, 1)
         n2 = self.p2.n_dofs
         self.n2 = n2
-
-        self.M2 = fem.assemble("mass", self.p2, self.p2, mesh)
-        self.K2 = fem.assemble("stiffness", self.p2, self.p2, mesh)
-        self.K1 = fem.assemble("stiffness", self.p1, self.p1, mesh)
-        # the Taylor-Hood gradient (grad q, v) couples velocity and
-        # pressure; on the free velocity rows it is minus (div v, q)
-        self.G = fem.assemble("gradient", self.p1, self.p2, mesh)
-        self._GT = self.G.T.tocsr()
-        self.m2 = fem.basis_integrals(self.p2, mesh)
-        self.m1 = fem.basis_integrals(self.p1, mesh)
-
-        # every system is factored in the nested-dissection order of its
-        # space; the per-step ones through a reordering built here, so a
-        # step's matrix reaches SuperLU by one gather of its data.
-        # M2, K2 and the per-step advection and steric stiffness share the
-        # transport pattern, so the transport matrix is a sum of their data
-        # vectors
-        self._transport = Reordering(
-            fem.pattern("mass", self.p2, self.p2, mesh), self.p2.ordering)
-        # the vector mass Mv is M2 in the two diagonal blocks of the
-        # deformation form's velocity pattern, so the momentum matrix is
-        # the deformation data with M2's data added there; Mv is not
-        # stored, and applied as M2 per component.  The elimination of the
-        # zero velocity Dirichlet rows and columns and the ordering are one
-        # gather
-        self._mass_blocks = fem.diagonal_blocks(self.p2, self.p2, mesh)
         bd = self.p2.boundary_dofs
         self.vec_bdofs = np.concatenate([bd, bd + n2])
-        self._velocity_bc = fem.DirichletElimination(
-            fem.pattern("deformation", self.p2, self.p2, mesh), self.vec_bdofs)
-        self._momentum = self._velocity_bc.reordering(
-            fem.vector_ordering(self.p2))
 
-        self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1,
-                                              self.p1.ordering)
-        self._m2_solver = factorize(self.M2, self.p2.ordering)
-
-        lamK2 = params.lam * self.K2
-        if bc_mode == "zero_mean":
-            self._pot_solver = fem.ZeroMeanSolver(lamK2, self.m2,
-                                                  self.p2.ordering)
-        else:
-            # V = 1 on the left side and 0 on the right, eliminated from
-            # the symmetric lam K2; each step adds the data's lift
-            left = self.p2.boundary_dofs_by_side["left"]
-            self._pot_bc = fem.DirichletElimination(lamK2, np.concatenate(
-                [left, self.p2.boundary_dofs_by_side["right"]]))
-            g = np.zeros(n2)
-            g[left] = 1.0
-            self._pot_lift = self._pot_bc.lift(lamK2, g)
-            self._pot_solver = factorize(self._pot_bc.matrix(lamK2.data),
-                                         self.p2.ordering)
+        # the caches that both threads read are filled before the worker
+        # builds the step's index tables; meanwhile this thread assembles
+        # the set-up matrices and makes the set-up factorisations
+        geo = fem.geometry(mesh)
+        fem.pattern("mass", self.p2, self.p2, mesh)
+        for dofs in (self.p1, self.p2):
+            dofs.ordering
+            geo.ref(dofs.order)
+        tables = _WORKER.submit(self._step_tables)
+        try:
+            self._set_up_solvers()
+        finally:
+            wait([tables])
+        (self._transport, self._mass_blocks, self._velocity_bc,
+         self._momentum) = tables.result()
 
         self.prev = None
         self.curr = None
@@ -263,6 +240,64 @@ class Stepper:
         self.mass0 = None
         self.step_index = 0
         self.records = []
+
+    def _step_tables(self):
+        """The index tables of the step's matrices, built on the worker:
+        (transport reordering, mass blocks, velocity elimination, momentum
+        reordering).
+
+        Every system is factored in the nested-dissection order of its
+        space, the per-step ones through a reordering built here, so a
+        step's matrix reaches SuperLU by one gather of its data.  M2, K2
+        and the per-step advection and steric stiffness share the transport
+        pattern, so the transport matrix is a sum of their data vectors.
+        The vector mass Mv is M2 in the two diagonal blocks of the
+        deformation form's velocity pattern, so the momentum matrix is the
+        deformation data with M2's data added there; Mv is not stored, and
+        applied as M2 per component.  The elimination of the zero velocity
+        Dirichlet rows and columns and the ordering are one gather.
+        """
+        try:
+            mesh, p2 = self.mesh, self.p2
+            velocity_bc = fem.DirichletElimination(
+                fem.pattern("deformation", p2, p2, mesh), self.vec_bdofs)
+            return (Reordering(fem.pattern("mass", p2, p2, mesh), p2.ordering),
+                    fem.diagonal_blocks(p2, p2, mesh), velocity_bc,
+                    velocity_bc.reordering(fem.vector_ordering(p2)))
+        finally:
+            _release_free_memory()
+
+    def _set_up_solvers(self):
+        """Assemble the set-up matrices and make the set-up factorisations,
+        on the calling thread."""
+        mesh, params, p1, p2 = self.mesh, self.params, self.p1, self.p2
+        self.M2 = fem.assemble("mass", p2, p2, mesh)
+        self.K2 = fem.assemble("stiffness", p2, p2, mesh)
+        self.K1 = fem.assemble("stiffness", p1, p1, mesh)
+        # the Taylor-Hood gradient (grad q, v) couples velocity and
+        # pressure; on the free velocity rows it is minus (div v, q)
+        self.G = fem.assemble("gradient", p1, p2, mesh)
+        self._GT = self.G.T.tocsr()
+        self.m2 = fem.basis_integrals(p2, mesh)
+        self.m1 = fem.basis_integrals(p1, mesh)
+
+        self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1, p1.ordering)
+        self._m2_solver = factorize(self.M2, p2.ordering)
+
+        lamK2 = params.lam * self.K2
+        if self.bc_mode == "zero_mean":
+            self._pot_solver = fem.ZeroMeanSolver(lamK2, self.m2, p2.ordering)
+        else:
+            # V = 1 on the left side and 0 on the right, eliminated from
+            # the symmetric lam K2; each step adds the data's lift
+            left = p2.boundary_dofs_by_side["left"]
+            self._pot_bc = fem.DirichletElimination(lamK2, np.concatenate(
+                [left, p2.boundary_dofs_by_side["right"]]))
+            g = np.zeros(self.n2)
+            g[left] = 1.0
+            self._pot_lift = self._pot_bc.lift(lamK2, g)
+            self._pot_solver = factorize(self._pot_bc.matrix(lamK2.data),
+                                         p2.ordering)
 
     # ------------------------------------------------------------------
     # setup

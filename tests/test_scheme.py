@@ -1,6 +1,7 @@
 import gc
 import os
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -490,6 +491,94 @@ def test_worker_start_leaves_creator_cpu_and_keeps_cpu_set():
     assert seen["allowed"] == allowed
     if len(allowed) > 1:
         assert seen["after"] != seen["before"]
+
+
+# ----------------------------------------------------------------------
+# set-up: the worker builds the step's index tables meanwhile
+# ----------------------------------------------------------------------
+
+class SetUpJobError(RuntimeError):
+    pass
+
+
+def record_threads(monkeypatch, targets):
+    """Wrap each (owner, name) so that its calls go to the returned list as
+    (name, thread)."""
+    calls = []
+    for owner, name in targets:
+        def wrapper(*args, _real=getattr(owner, name), _name=name, **kw):
+            calls.append((_name, threading.current_thread()))
+            return _real(*args, **kw)
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_set_up_job_error_reaches_stepper(monkeypatch):
+    from spnpflow.scenarios import scenario_energy_decay
+
+    real = fem.diagonal_blocks
+
+    def failing(*args):
+        assert threading.current_thread() is not threading.main_thread()
+        raise SetUpJobError("doctored set-up job failure")
+
+    monkeypatch.setattr(fem, "diagonal_blocks", failing)
+    with pytest.raises(SetUpJobError, match="doctored"):
+        scenario_energy_decay(nx=6).make_stepper()
+    monkeypatch.setattr(fem, "diagonal_blocks", real)
+    fresh = scenario_energy_decay(nx=6).make_stepper()
+    fresh.run(n_steps=2)
+    assert fresh.step_index == 2
+
+
+def test_set_up_error_waits_for_the_job(monkeypatch):
+    from spnpflow.errors import SingularMatrixError
+
+    real = fem.diagonal_blocks
+    started, done = threading.Event(), []
+
+    def slow(*args):
+        started.set()
+        time.sleep(0.2)
+        done.append(True)
+        return real(*args)
+
+    def singular(*args):
+        assert started.wait(60)
+        raise SingularMatrixError("doctored set-up factor")
+
+    monkeypatch.setattr(fem, "diagonal_blocks", slow)
+    monkeypatch.setattr(scheme, "factorize", singular)
+    with pytest.raises(SingularMatrixError, match="doctored"):
+        Stepper(build_rect_mesh(0, 1, 0, 1, 3, 3), make_params())
+    assert done
+
+
+@pytest.mark.parametrize("bc_mode", ["zero_mean", "dirichlet_lr"])
+def test_set_up_factorisations_on_the_calling_thread(monkeypatch, bc_mode):
+    import scipy.sparse.linalg as spla
+
+    calls = record_threads(monkeypatch, [(spla, "splu")])
+    Stepper(build_rect_mesh(0, 1, 0, 1, 4, 4), make_params(),
+            bc_mode=bc_mode)
+    assert len(calls) == 3
+    assert all(th is threading.current_thread() for _, th in calls)
+
+
+def test_set_up_job_calls_no_traced_entry_point(monkeypatch):
+    # the benchmark's tracer wraps these, with one span stack for all
+    # threads; the set-up job itself is seen through diagonal_blocks
+    import scipy.sparse.linalg as spla
+    from spnpflow.sparse import Factorization
+
+    traced = [(fem, name) for name in ("assemble", "assemble_vector",
+                                       "eval_values", "eval_grads",
+                                       "apply_dirichlet")]
+    calls = record_threads(monkeypatch, traced + [
+        (Factorization, "solve"), (spla, "splu"), (fem, "diagonal_blocks")])
+    Stepper(build_rect_mesh(0, 1, 0, 1, 4, 4), make_params())
+    assert {name for name, th in calls
+            if th is not threading.current_thread()} == {"diagonal_blocks"}
 
 
 # ----------------------------------------------------------------------
