@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CompatibilityError
-from .sparse import Reordering, SparseMatrix, factorize
+from .sparse import Reordering, factorize
 
 # Symmetric 12-point rule on the reference triangle, exact through degree 6.
 # Parameters refined to machine precision against the monomial integrals
@@ -688,20 +688,6 @@ class DirichletElimination:
         return out
 
 
-def zero_mean_system(A, weight):
-    """Augment a singular Neumann system with one Lagrange multiplier row.
-
-    ``weight`` is the vector of basis-function integrals, so the constraint
-    enforces a zero quadrature mean exactly.
-    """
-    n = A.shape[0]
-    s = A.tocoo()
-    rows = np.concatenate([s.row, np.full(n, n), np.arange(n)])
-    cols = np.concatenate([s.col, np.arange(n), np.full(n, n)])
-    vals = np.concatenate([s.data, weight, weight])
-    return SparseMatrix.from_coo(n + 1, n + 1, rows, cols, vals).to_scipy()
-
-
 def vector_ordering(dofmap):
     """The dof map's elimination order for a 2-component field, node-blocked:
     the x and y unknowns of each dof are adjacent."""
@@ -712,14 +698,22 @@ def vector_ordering(dofmap):
 class ZeroMeanSolver:
     """Pure-Neumann solver under a zero-mean constraint, factored once.
 
-    Factors ``zero_mean_system(A, weight)``, eliminating the unknowns of A
-    in ``order`` and the multiplier last; the layout of the augmented
-    vectors (the multiplier as last entry) is known only here.
+    Solves the bordered system A x + mult w = b, w.x = 0, for a symmetric
+    CSR matrix A whose rows sum to zero (1^T A = 0, as for a stiffness
+    matrix) and the basis-function integrals ``weight``, so that the
+    constraint enforces a zero quadrature mean exactly.  Summing the rows
+    gives the multiplier in closed form, mult = sum(b) / sum(w).  A is
+    factored with one unknown pinned to zero, the last one in ``order``,
+    eliminated by :class:`DirichletElimination`: the pinned system solves
+    A y = b - mult w, which is compatible, and x is y less its w-weighted
+    mean.
     """
 
     def __init__(self, A, weight, order):
-        self._lu = factorize(zero_mean_system(A, weight),
-                             np.append(order, A.shape[0]))
+        self._weight = np.asarray(weight, dtype=np.float64)
+        self._area = float(np.sum(self._weight))
+        self._pin = DirichletElimination(A, order[-1:])
+        self._lu = factorize(self._pin.matrix(A.data), order)
 
     def solve(self, b, subtract_mean=False):
         """Solve for right-hand side ``b``; returns (x, multiplier, report).
@@ -739,8 +733,9 @@ class ZeroMeanSolver:
             raise CompatibilityError(
                 f"right-hand side pairing with constants is {imbalance:.3e} "
                 f"(tolerance {tol:.3e}); net-charge imbalance")
-        sol, report = self._lu.solve(np.append(b, 0.0))
-        return sol[:-1], float(sol[-1]), report
+        multiplier = imbalance / self._area
+        y, report = self._lu.solve(self._pin.rhs(b - multiplier * self._weight))
+        return y - (self._weight @ y) / self._area, multiplier, report
 
 
 def error_norm_l2(field, exact, mesh):

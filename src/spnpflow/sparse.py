@@ -1,16 +1,18 @@
-"""COO-to-CSR compression for set-up-only matrices, and the direct solver.
+"""The direct solver, and a COO-to-CSR compressor that ``src/`` no longer
+uses.
 
-Form assembly does not use the compressor: ``fem`` assembles on fixed
-sparsity patterns.  It remains for the zero-mean augmented system, built
-once per solver.
+``fem`` assembles on fixed sparsity patterns and closes its zero-mean
+Neumann systems by pinning one unknown, so no matrix of the package goes
+through :class:`SparseMatrix`.  It stays only because the benchmark's
+tracer (``bench/spans.py``) and ``bench/tests`` name it, until the next
+revision of the benchmark.
 
 Every linear system, a SciPy sparse matrix, is solved by sparse LU (SuperLU
 through scipy), with each solution's residual checked.
 
 The caller chooses the elimination order; the scheme uses the geometric
 nested-dissection order of its mesh (``DofMap.ordering``), built once per
-mesh, with the two velocity components of a dof adjacent and a zero-mean
-multiplier last.  A :class:`Reordering` applies the order as one gather of
+mesh, with the two velocity components of a dof adjacent.  A :class:`Reordering` applies the order as one gather of
 the CSR data into the CSC form of P A P^T, with index arrays computed once
 per pattern, so a re-factored matrix costs no sort and no format change.
 SuperLU then factors P A P^T in its ``NATURAL`` column order with
@@ -18,8 +20,7 @@ SuperLU then factors P A P^T in its ``NATURAL`` column order with
 matrices of the scheme are structurally symmetric, and on their regular
 grids nested dissection gives less L+U fill than minimum degree.  The
 default ``diag_pivot_thresh`` is kept, so partial pivoting still takes over
-where a diagonal pivot is too small, as on the zero diagonal of the
-zero-mean multiplier row.
+where a diagonal pivot is too small.
 
 A factor is made and released on one thread.  SciPy's SuperLU frees only
 the memory it finds among the allocations of the freeing thread, so a

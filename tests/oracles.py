@@ -1,5 +1,6 @@
 """Independent brute-force oracles used to cross-check the assembly kernels,
-the Dirichlet elimination and the manufactured sources.
+the Dirichlet elimination, the zero-mean Neumann solver and the
+manufactured sources.
 
 Nothing here shares code with the production path: basis functions are
 monomial polynomials obtained by inverting a Vandermonde system at the
@@ -11,6 +12,7 @@ applying fourth-order finite differences to the exact fields.
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spnpflow.manufactured import SourceTerms
 
@@ -218,6 +220,22 @@ def row_replacement(A, b, dofs, values):
     b = np.array(b, dtype=np.float64)
     b[dofs] = values
     return (sp.diags(1.0 - fixed) @ A + sp.diags(fixed)).tocsr(), b
+
+
+def zero_mean_system(A, weight):
+    """The singular Neumann matrix A bordered by one Lagrange multiplier
+    row and column, ``weight`` (the basis-function integrals), so that the
+    constraint enforces a zero quadrature mean exactly."""
+    w = sp.csr_matrix(np.asarray(weight, dtype=np.float64))
+    return sp.bmat([[A, w.T], [w, None]], format="csr")
+
+
+def zero_mean_solve(A, weight, b):
+    """(x, multiplier) of the bordered zero-mean system, the reference of
+    the pinned solver, by one direct solve."""
+    sol = spla.spsolve(zero_mean_system(A, weight).tocsc(),
+                       np.append(b, 0.0))
+    return sol[:-1], sol[-1]
 
 
 def interior_extrema_loop(vals, mesh, rel_floor=1e-6):

@@ -390,9 +390,13 @@ def test_matrix_contract_constraints(unit_mesh):
     A = bc.matrix(assemble("deformation", p2, p2, unit_mesh).data)
     _assert_canonical_csr(A, (2 * n, 2 * n))
     assert not A.data.flags.writeable
-    Z = fem.zero_mean_system(K, basis_integrals(p2, unit_mesh))
-    _assert_canonical_csr(Z, (n + 1, n + 1))
-    assert np.array_equal(Z[:n, :n].toarray(), K.toarray())
+    # the pinned Neumann matrix of the zero-mean solver
+    pin = p2.ordering[-1]
+    Z = fem.DirichletElimination(K, [pin]).matrix(K.data)
+    _assert_canonical_csr(Z, (n, n))
+    free = np.arange(n) != pin
+    assert np.array_equal(Z[free][:, free].toarray(),
+                          K[free][:, free].toarray())
 
 
 def test_solve_zero_mean_zero_rhs(unit_mesh):
@@ -422,6 +426,47 @@ def test_solve_zero_mean_eigenfunction_order():
             / (2 * np.pi ** 2), mesh))
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert ((orders > 2.7) & (orders < 3.3)).all()
+
+
+def _zero_mean_rhs(dofs, mesh, compatible):
+    b = assemble_vector("source", dofs, mesh,
+                        lambda x, y: np.cos(3 * x) + x * y * y)
+    if compatible:
+        w = basis_integrals(dofs, mesh)
+        b -= np.sum(b) / np.sum(w) * w
+    return b
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("compatible", [True, False])
+def test_zero_mean_pinned_matches_bordered(order, n, compatible):
+    mesh = build_rect_mesh(0, 1, 0, 1, n, n)
+    dofs = dof_map(mesh, order)
+    K = assemble("stiffness", dofs, dofs, mesh)
+    w = basis_integrals(dofs, mesh)
+    b = _zero_mean_rhs(dofs, mesh, compatible)
+    x, mult, _ = ZeroMeanSolver(K, w, dofs.ordering).solve(
+        b, subtract_mean=not compatible)
+    x_ref, mult_ref = oracles.zero_mean_solve(K, w, b)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    # the multiplier's scale is that of b, also where it is zero
+    assert abs(mult - mult_ref) <= 1e-12 * np.sum(np.abs(b)) / np.sum(w)
+    assert abs(w @ x) <= 1e-14 * np.sum(np.abs(w * x))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_zero_mean_compatibility_threshold(order):
+    mesh = build_rect_mesh(0, 1, 0, 1, 3, 3)
+    dofs = dof_map(mesh, order)
+    w = basis_integrals(dofs, mesh)
+    solver = ZeroMeanSolver(assemble("stiffness", dofs, dofs, mesh), w,
+                            dofs.ordering)
+    b = _zero_mean_rhs(dofs, mesh, compatible=True)
+    scale = fem.COMP_RTOL * np.sum(np.abs(b))
+    solver.solve(b + 0.99 * scale * w / np.sum(w))
+    with pytest.raises(CompatibilityError):
+        solver.solve(b + 1.01 * scale * w / np.sum(w))
 
 
 def test_solve_zero_mean_incompatible_rhs(unit_mesh):
