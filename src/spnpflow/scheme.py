@@ -23,15 +23,15 @@ factor dropped on another thread leaks.  The set-up factorisations stay on
 the calling thread.
 
 Set-up overlaps the same way.  :class:`Stepper` first fills the caches that
-both threads read: the geometry, the scalar P2 pattern, the dof orderings
-and the reference elements.  One job on the worker then builds the step's
-index tables (the transport and momentum reorderings, the velocity
-elimination and the mass blocks), while the calling thread assembles the
-set-up matrices and makes the set-up factorisations; the constructor waits
-for the job even when its own side fails, and raises the job's error.  The
-job makes no factor and calls none of the entry points that the
-benchmark's tracer (``bench/spans.py``) wraps, since that tracer keeps one
-span stack for all threads.
+both threads read: the geometry, the scalar P2 pattern and the P2 dof
+ordering.  One job on the worker then builds the step's index tables (the
+transport and momentum reorderings, the velocity elimination and the mass
+blocks), while the calling thread assembles the set-up matrices and makes
+the set-up factorisations; the constructor waits for the job even when its
+own side fails, and raises the job's error.  The job makes no factor and
+calls none of the entry points that the benchmark's tracer
+(``bench/spans.py``) wraps, since that tracer keeps one span stack for all
+threads.
 """
 
 from __future__ import annotations
@@ -218,14 +218,12 @@ class Stepper:
         bd = self.p2.boundary_dofs
         self.vec_bdofs = np.concatenate([bd, bd + n2])
 
-        # the caches that both threads read are filled before the worker
+        # the caches that both threads read (the geometry, with the scalar
+        # P2 pattern, and the P2 ordering) are filled before the worker
         # builds the step's index tables; meanwhile this thread assembles
         # the set-up matrices and makes the set-up factorisations
-        geo = fem.geometry(mesh)
         fem.pattern("mass", self.p2, self.p2, mesh)
-        for dofs in (self.p1, self.p2):
-            dofs.ordering
-            geo.ref(dofs.order)
+        self.p2.ordering
         tables = _WORKER.submit(self._step_tables)
         try:
             self._set_up_solvers()
