@@ -12,9 +12,10 @@ through scipy), with each solution's residual checked.
 
 The caller chooses the elimination order; the scheme uses the geometric
 nested-dissection order of its mesh (``DofMap.ordering``), built once per
-mesh, with the two velocity components of a dof adjacent.  A :class:`Reordering` applies the order as one gather of
-the CSR data into the CSC form of P A P^T, with index arrays computed once
-per pattern, so a re-factored matrix costs no sort and no format change.
+mesh, with the two velocity components of a dof adjacent.  A
+:class:`Reordering` applies the order as one gather of the CSR data into
+the CSC form of P A P^T, with index arrays computed once per pattern, so a
+re-factored matrix costs no sort and no format change.
 SuperLU then factors P A P^T in its ``NATURAL`` column order with
 ``SymmetricMode``, which prefers diagonal pivots.  The finite-element
 matrices of the scheme are structurally symmetric, and on their regular
