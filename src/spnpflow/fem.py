@@ -10,9 +10,10 @@ coefficients with the tabulated basis.  Each form's CSR sparsity pattern is
 built once per mesh and cached with the geometry, together with the CSR
 position of every local element entry; an assembly then ends in one
 ``bincount`` into fresh read-only data sharing the pattern's index arrays.
-The scalar P2 forms share one pattern, and so do the vector mass and the
-deformation form (the vector mass stores its zero off-diagonal blocks), so
-the scheme adds their matrices as data vectors.  One gradient form couples
+The scalar P2 forms share one pattern, so the scheme adds their matrices as
+data vectors.  No vector mass is stored: M2 applies to each velocity
+component, and its data enter the two diagonal blocks of the deformation
+form's pattern (:func:`diagonal_blocks`).  One gradient form couples
 velocity and pressure.
 
 Nonlinear coefficients are always point values at quadrature points, taken
@@ -36,7 +37,6 @@ _W1, _A1 = 0.11678627572638316, 0.24928674517090793
 _W2, _A2 = 0.050844906370207305, 0.06308901449150253
 _W3, _A3, _B3 = 0.08285107561837142, 0.31035245103378606, 0.05314504984481544
 
-MAX_QUAD_DEGREE = 6
 COMP_RTOL = 1e-8   # allowed pairing of a zero-mean rhs with constants / sum|b|
 
 
@@ -52,11 +52,8 @@ class QuadRule:
     weights: np.ndarray  # (n_q,)
 
 
-def quad_rule(min_degree=6):
-    """Return a symmetric rule of exactness >= ``min_degree`` (degree 6)."""
-    if min_degree > MAX_QUAD_DEGREE:
-        raise ValueError(f"quadrature degree {min_degree} not supported "
-                         f"(max {MAX_QUAD_DEGREE})")
+def quad_rule():
+    """The symmetric 12-point rule, exact through degree 6."""
     pts = []
     for a in (_A1, _A2):
         c = 1.0 - 2.0 * a
@@ -68,16 +65,6 @@ def quad_rule(min_degree=6):
     return QuadRule(6, np.asarray(pts), 0.5 * np.asarray(ws))
 
 
-_DEFAULT_RULE = None
-
-
-def default_rule():
-    global _DEFAULT_RULE
-    if _DEFAULT_RULE is None:
-        _DEFAULT_RULE = quad_rule(6)
-    return _DEFAULT_RULE
-
-
 class RefElement:
     """Lagrange basis tabulated at quadrature points on the reference triangle.
 
@@ -85,13 +72,11 @@ class RefElement:
     for edges (v0,v1), (v1,v2), (v2,v0).
     """
 
-    def __init__(self, order, rule=None):
+    def __init__(self, order):
         if order not in (1, 2):
             raise ValueError(f"unsupported element order {order}")
         self.order = order
-        rule = rule or default_rule()
-        self.rule = rule
-        self.values, self.grads = self.tabulate(rule.points)
+        self.values, self.grads = self.tabulate(quad_rule().points)
 
     def tabulate(self, bary):
         """Basis values (n_b, n_q) and reference gradients (n_b, n_q, 2)."""
@@ -145,9 +130,9 @@ class _Geometry:
     keeps the (0,0), (0,1) and (1,1) entries of the symmetric metric.
     """
 
-    def __init__(self, mesh, rule):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.rule = rule
+        rule = quad_rule()
         p = mesh.nodes[mesh.triangles]           # (n_el, 3, 2)
         B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
         det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
@@ -194,9 +179,9 @@ class _Geometry:
         return self._patterns[key]
 
     def ref(self, order):
-        """The reference element of ``order`` on this geometry's rule."""
+        """The reference element of ``order``."""
         if order not in self._refs:
-            self._refs[order] = RefElement(order, self.rule)
+            self._refs[order] = RefElement(order)
         return self._refs[order]
 
     def eval_tables(self, order, components):
@@ -281,7 +266,7 @@ def geometry(mesh):
     """Assembly tables for a mesh, cached on the mesh object."""
     geo = getattr(mesh, "_fem_geometry", None)
     if geo is None:
-        geo = _Geometry(mesh, default_rule())
+        geo = _Geometry(mesh)
         mesh._fem_geometry = geo
     return geo
 
@@ -400,7 +385,6 @@ _ELEMENT_BLOCK = 1024
 _SCALAR = ((0, 0),)
 _VELOCITY = ((0, 0), (0, 1), (1, 0), (1, 1))
 _BLOCKS = {
-    "vector_mass": _VELOCITY,
     "deformation": _VELOCITY,
     "gradient": ((0, 0), (1, 0)),
 }
@@ -491,8 +475,7 @@ def pattern(form, trial, test, mesh):
 
     Forms on the same spaces with the same blocks share one pattern, so
     their matrices add as data vectors: mass, stiffness and advection on P2
-    share the scalar P2 pattern, and the vector mass and the deformation
-    form share the full 2x2 velocity pattern.
+    share the scalar P2 pattern.
     """
     return geometry(mesh).pattern(test, trial, _BLOCKS.get(form, _SCALAR))
 
@@ -503,7 +486,7 @@ def diagonal_blocks(trial, test, mesh):
     (2, nnz) int32, the (0,0) block first.  A scalar matrix scattered there
     is the block-diagonal matrix with it in both blocks."""
     scalar = pattern("mass", trial, test, mesh)
-    slot = pattern("vector_mass", trial, test, mesh).slot.reshape(
+    slot = pattern("deformation", trial, test, mesh).slot.reshape(
         geometry(mesh).det.size, len(_VELOCITY), -1)
     out = np.empty((2, scalar.nnz), dtype=np.int32)
     out[0, scalar.slot] = slot[:, 0].ravel()
@@ -519,8 +502,6 @@ def assemble(form, trial, test, mesh, coeff=None):
     mass          (w phi_trial, phi_test), optional scalar/field/array w
     stiffness     (w grad phi_trial . grad phi_test)
     advection     ((b . grad phi_trial) phi_test), b array (n_el, n_q, 2)
-    vector_mass   block-diagonal mass on a 2-component space, its zero
-                  off-diagonal blocks stored
     deformation   (2 w D(u) : D(v)) on a 2-component space
     gradient      (grad q, v), vector test space, scalar trial space
 
@@ -537,14 +518,6 @@ def assemble(form, trial, test, mesh, coeff=None):
     # local is laid out (element, block, test, trial), as Pattern.slot
     if form == "mass":
         local = Ww @ ref.mass
-    elif form == "vector_mass":
-        # the scalar mass, summed once, fills both diagonal blocks: the
-        # same sums, in the same order, as the blocks' own assembly
-        vector = pattern(form, trial, test, mesh)
-        data = np.zeros(vector.nnz)
-        data[diagonal_blocks(trial, test, mesh)] = pattern(
-            "mass", trial, test, mesh).assemble(Ww @ ref.mass).data
-        return vector.csr(data)
     elif form in ("stiffness", "deformation"):
         if test.order != trial.order:
             raise ValueError(f"{form} needs one test and trial space")

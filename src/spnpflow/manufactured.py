@@ -396,11 +396,10 @@ def build_source_pack(exact, sources):
                       dfv_dt=sources.dfv_dt)
 
 
-def run_manufactured(n_steps, n_cells, t_final=0.5, params=None):
+def run_manufactured(n_steps, n_cells, t_final=0.5):
     """One forced run; returns (stepper, final L2 errors dict)."""
-    if params is None:
-        params = model.Params(dt=t_final / n_steps, t_final=t_final,
-                              **SEC41_PARAMS)
+    params = model.Params(dt=t_final / n_steps, t_final=t_final,
+                          **SEC41_PARAMS)
     exact = exact_solution_sec41(params)
     sources = source_terms(exact, params)
     pack = build_source_pack(exact, sources)
@@ -434,7 +433,7 @@ def run_manufactured(n_steps, n_cells, t_final=0.5, params=None):
     return stepper, errors
 
 
-def convergence_study(n_steps_list, n_cells, t_final=0.5, params_base=None):
+def convergence_study(n_steps_list, n_cells, t_final=0.5):
     """Temporal refinement table at fixed mesh size.
 
     Runs to ``t_final`` with dt = t_final / N for each N, measures final-time
@@ -447,10 +446,7 @@ def convergence_study(n_steps_list, n_cells, t_final=0.5, params_base=None):
     rows = []
     prev = None
     for n in n_steps_list:
-        params = params_base.with_overrides(dt=t_final / n, t_final=t_final) \
-            if params_base else None
-        _, errors = run_manufactured(n, n_cells, t_final=t_final,
-                                     params=params)
+        _, errors = run_manufactured(n, n_cells, t_final=t_final)
         orders = {}
         for key in ERROR_KEYS:
             orders[key] = float(np.log2(prev.errors[key] / errors[key])) \

@@ -175,7 +175,8 @@ def concentration_from_callable(fn, dofmap, mesh):
 
 
 def conc_values(c, mesh):
-    """Concentration values at quadrature points."""
+    """Concentration values at quadrature points, ``c.quad``.  Nothing in
+    the package calls it; it stays for the benchmark's tracer."""
     return c.quad
 
 
@@ -274,18 +275,18 @@ def discrete_energy(new, old, params, mesh):
 
 def species_mass(c, mesh):
     """Integral of a concentration field."""
-    return fem.integrate(conc_values(c, mesh), mesh)
+    return fem.integrate(c.quad, mesh)
 
 
 def min_concentration(c, mesh):
     """Minimum over all dof coefficients and quadrature points."""
-    return float(min(c.coefficients.min(), conc_values(c, mesh).min()))
+    return float(min(c.coefficients.min(), c.quad.min()))
 
 
 def conc_error_l2(c, exact, mesh):
     """L2 distance of a concentration field from a callable."""
     xy = fem.quad_points_physical(mesh)
-    diff = conc_values(c, mesh) - exact(xy[..., 0], xy[..., 1])
+    diff = c.quad - exact(xy[..., 0], xy[..., 1])
     return float(np.sqrt(fem.integrate(diff * diff, mesh)))
 
 

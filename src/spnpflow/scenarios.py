@@ -144,8 +144,8 @@ def stream_function(u, mesh):
     vorticity = g[..., 1, 0] - g[..., 0, 1]
     K = fem.assemble("stiffness", p1, p1, mesh)
     b = fem.assemble_vector("source", p1, mesh, vorticity)
-    A, b = fem.apply_dirichlet(K, b, p1.boundary_dofs, 0.0)
-    chi, _ = factorize(A, p1.ordering).solve(b)
+    bc = fem.DirichletElimination(K, p1.boundary_dofs)
+    chi, _ = factorize(bc.matrix(K.data), p1.ordering).solve(bc.rhs(b))
     return fem.Field(p1, chi)
 
 

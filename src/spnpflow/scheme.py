@@ -334,12 +334,6 @@ class Stepper:
                                      e_spnp=e0, multiplier=multiplier)]
         return self.curr
 
-    @property
-    def Mv(self):
-        """The vector mass matrix, assembled when asked for: a step applies
-        M2 to each velocity component instead (:meth:`vector_mass`)."""
-        return fem.assemble("vector_mass", self.p2, self.p2, self.mesh)
-
     def vector_mass(self, v):
         """Mv v for velocity coefficients v, the x block first."""
         n2 = self.n2
@@ -372,9 +366,7 @@ class Stepper:
         u_star = extrap_field(n.u, o.u)
         sigma_star = [extrap_field(s, so) for s, so in zip(n.sigma, o.sigma)]
         v_star = extrap_field(n.v, o.v)
-        c_star_quad = [extrap(model.conc_values(c, mesh),
-                              model.conc_values(co, mesh))
-                       for c, co in zip(n.c, o.c)]
+        c_star_quad = [extrap(c.quad, co.quad) for c, co in zip(n.c, o.c)]
         # clamped at mu_inf, as the discrete energy estimate requires
         mu_star = np.maximum(extrap(n.mu_q, o.mu_q), self.params.mu_inf)
         return StepWorkspace(
@@ -480,7 +472,7 @@ class Stepper:
         """Charge density sum_i z_i c_i at quadrature points."""
         charge = None
         for zi, c in zip(self.params.z, c_fields):
-            term = zi * model.conc_values(c, self.mesh)
+            term = zi * c.quad
             charge = term if charge is None else charge + term
         return charge
 

@@ -1,11 +1,10 @@
-"""The direct solver, and a COO-to-CSR compressor that ``src/`` no longer
-uses.
+"""The direct solver, and a COO-to-CSR shim that ``src/`` does not use.
 
 ``fem`` assembles on fixed sparsity patterns and closes its zero-mean
 Neumann systems by pinning one unknown, so no matrix of the package goes
-through :class:`SparseMatrix`.  It stays only because the benchmark's
-tracer (``bench/spans.py``) and ``bench/tests`` name it, until the next
-revision of the benchmark.
+through :class:`SparseMatrix`, which hands coordinate triplets to SciPy.  It
+stays only because the benchmark's tracer (``bench/spans.py``) and
+``bench/tests`` name it, until the next revision of the benchmark.
 
 Every linear system, a SciPy sparse matrix, is solved by sparse LU (SuperLU
 through scipy), with each solution's residual checked.
@@ -57,69 +56,20 @@ class SolveReport:
 
 
 class SparseMatrix:
-    """Compressed-row form of assembled coordinate triplets.
+    """A SciPy CSR matrix built from coordinate triplets.  Nothing in the
+    package builds one; it stays for the benchmark's tracer."""
 
-    Invariants: ``row_offsets`` is nondecreasing with
-    ``row_offsets[n_rows] == nnz`` and column indices are strictly increasing
-    within each row.  Instances are immutable after construction, and
-    :meth:`to_scipy` shares the read-only arrays.
-    """
-
-    def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(col_indices, dtype=np.int64)
-        self.values = np.asarray(values, dtype=np.float64)
-        if self.row_offsets.shape != (self.n_rows + 1,):
-            raise ValueError("row_offsets must have length n_rows + 1")
-        if self.row_offsets[-1] != self.col_indices.size:
-            raise ValueError("row_offsets[-1] must equal nnz")
-        for arr in (self.row_offsets, self.col_indices, self.values):
-            arr.setflags(write=False)
+    def __init__(self, matrix):
+        self.matrix = matrix
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, values):
         """Compress coordinate triplets, summing duplicate entries."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_rows:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= n_cols:
-                raise ValueError("column index out of range")
-        # temporaries are dropped as soon as they are used: on large meshes
-        # they set the peak memory of assembly
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        del order
-        if rows.size:
-            keep = np.empty(rows.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            idx = np.cumsum(keep)
-            idx -= 1
-            summed = np.zeros(idx[-1] + 1)
-            np.add.at(summed, idx, values)
-            del idx, values
-            rows, cols, values = rows[keep], cols[keep], summed
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        offsets = np.cumsum(offsets)
-        return cls(n_rows, n_cols, offsets, cols, values)
-
-    @property
-    def nnz(self):
-        return self.col_indices.size
-
-    @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
+        return cls(sp.csr_matrix((values, (rows, cols)),
+                                 shape=(n_rows, n_cols)))
 
     def to_scipy(self):
-        return sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
-                             shape=self.shape)
+        return self.matrix
 
 
 class Reordering:

@@ -8,13 +8,15 @@ same definitions and compares.  Record into this directory only from a
 commit whose numbers are the reference.  ``--diff DIR`` records into DIR
 instead and prints, for each file, ``identical`` when it is byte for byte
 the reference, or else its largest relative difference from the reference
-and the column or key where it occurs.
+and the column or key where it occurs; it exits with status 1 unless every
+file is identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +91,17 @@ def difference(path, reference):
     return f"largest relative difference {worst:.2e} ({where})"
 
 
+def compare(out):
+    """Print the difference of every file in ``out`` from the reference;
+    0 when all are identical, else 1."""
+    same = True
+    for name in [*SCENARIOS, MANUFACTURED_FILE]:
+        result = difference(out / name, HERE / name)
+        print(f"{name}: {result}")
+        same &= result == "identical"
+    return 0 if same else 1
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     where = ap.add_mutually_exclusive_group()
@@ -103,9 +116,8 @@ def main(argv=None):
         record(args.out)
         return
     record(args.diff)
-    for name in [*SCENARIOS, MANUFACTURED_FILE]:
-        print(f"{name}: {difference(args.diff / name, HERE / name)}")
+    return compare(args.diff)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -29,7 +29,7 @@ def unit_mesh():
 # ----------------------------------------------------------------------
 
 def test_quad_rule_weights_sum_to_reference_area():
-    r = quad_rule(6)
+    r = quad_rule()
     assert abs(r.weights.sum() - 0.5) <= 1e-14
     assert (r.weights > 0).all()
 
@@ -40,25 +40,20 @@ def test_quad_rule_weights_sum_to_reference_area():
     (6, 0, 1.0 / 56.0),
 ])
 def test_quad_rule_monomials(p, q, exact):
-    r = quad_rule(6)
+    r = quad_rule()
     approx = (r.weights * r.points[:, 1] ** p * r.points[:, 2] ** q).sum()
     assert abs(approx - exact) <= 1e-14 * max(1.0, abs(exact))
 
 
 def test_quad_rule_all_monomials_through_degree_six():
     from math import factorial
-    r = quad_rule(6)
+    r = quad_rule()
     for p in range(7):
         for q in range(7 - p):
             exact = factorial(p) * factorial(q) / factorial(p + q + 2)
             approx = (r.weights * r.points[:, 1] ** p
                       * r.points[:, 2] ** q).sum()
             assert abs(approx - exact) <= 1e-14 * exact
-
-
-def test_quad_rule_unsupported_degree():
-    with pytest.raises(ValueError):
-        quad_rule(7)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -164,17 +159,6 @@ def test_div_coupling_matches_dense_oracle(unit_mesh):
     fixed[np.concatenate([bd, bd + p2.n_dofs])] = True
     assert np.abs(G[~fixed] + D[~fixed]).max() <= 1e-12
     assert np.abs(G[fixed] + D[fixed]).max() > 1e-3
-
-
-def test_vector_mass_block_structure(two_tri):
-    p2 = dof_map(two_tri, 2)
-    M = assemble("mass", p2, p2, two_tri).toarray()
-    Mv = assemble("vector_mass", p2, p2, two_tri).toarray()
-    n = p2.n_dofs
-    assert np.abs(Mv[:n, :n] - M).max() == 0.0
-    assert np.abs(Mv[n:, n:] - M).max() == 0.0
-    assert np.abs(Mv[:n, n:]).max() == 0.0
-    assert np.abs(Mv[n:, :n]).max() == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +322,7 @@ def _assert_canonical_csr(A, shape):
     ("mass", 2, 2, (1, 1)),
     ("stiffness", 1, 1, (1, 1)),
     ("gradient", 1, 2, (2, 1)),
-    ("vector_mass", 2, 2, (2, 2)),
+    ("stiffness", 2, 2, (1, 1)),
     ("deformation", 2, 2, (2, 2)),
 ])
 def test_matrix_contract_assemble(unit_mesh, form, trial_order, test_order,
@@ -353,7 +337,7 @@ def test_matrix_contract_assemble(unit_mesh, form, trial_order, test_order,
 
 
 @pytest.mark.parametrize("form,trial_order,test_order", [
-    ("mass", 2, 2), ("vector_mass", 2, 2), ("stiffness", 2, 2),
+    ("mass", 2, 2), ("stiffness", 2, 2),
     ("deformation", 2, 2), ("advection", 2, 2), ("gradient", 1, 2),
 ])
 def test_forms_hand_contiguous_local_matrices(unit_mesh, monkeypatch, form,
@@ -544,8 +528,6 @@ def _coo_reference(form, trial, test, mesh, coeff):
             "mass": lambda: {(0, 0): mass},
             "stiffness": lambda: {(0, 0): np.einsum(
                 "eq,eiqd,ejqd->eij", Ww, g_t, g_s)},
-            "vector_mass": lambda: {(0, 0): mass, (0, 1): 0 * mass,
-                                    (1, 0): 0 * mass, (1, 1): mass},
             "deformation": lambda: {
                 (0, 0): np.einsum("eq,eiq,ejq->eij", 2 * Ww, gx_t, gx_s)
                 + np.einsum("eq,eiq,ejq->eij", Ww, gy_t, gy_s),
@@ -573,7 +555,7 @@ def _coo_reference(form, trial, test, mesh, coeff):
 
 
 FORMS = (("mass", 2, 2), ("stiffness", 2, 2), ("stiffness", 1, 1),
-         ("advection", 2, 2), ("vector_mass", 2, 2), ("deformation", 2, 2),
+         ("advection", 2, 2), ("deformation", 2, 2),
          ("gradient", 1, 2))
 
 
@@ -608,13 +590,13 @@ def test_assembly_matches_coo_reference(nx, ny, seed):
         assert np.shares_memory(A.indices, shared.indices)
         assert np.shares_memory(A.indptr, shared.indptr)
 
-    # and so do the momentum matrix's two terms, Mv and Kdef
+    # and the momentum matrix's deformation term lies on the velocity
+    # pattern, whose diagonal blocks take M2's data
     velocity = fem.pattern("deformation", p2, p2, mesh)
-    for A in (assemble("vector_mass", p2, p2, mesh),
-              assemble("deformation", p2, p2, mesh,
-                       coeff=rng.uniform(0.5, 2.0, shape))):
-        assert np.shares_memory(A.indices, velocity.indices)
-        assert np.shares_memory(A.indptr, velocity.indptr)
+    A = assemble("deformation", p2, p2, mesh,
+                 coeff=rng.uniform(0.5, 2.0, shape))
+    assert np.shares_memory(A.indices, velocity.indices)
+    assert np.shares_memory(A.indptr, velocity.indptr)
 
 
 # ----------------------------------------------------------------------
@@ -663,6 +645,26 @@ def test_forms_match_einsum_on_skewed_mesh(nx, ny, seed):
         A = assemble(form, trial, test, mesh, coeff)
         ref = _coo_reference(form, trial, test, mesh, coeff)
         assert _rel_err(A.toarray(), ref.toarray()) <= 1e-13, form
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: build_rect_mesh(0, 1, 0, 1, 2, 2),
+    lambda: build_rect_mesh(0, 1, 0, 1, 3, 3),
+    lambda: _skewed_mesh(3, 2, seed=7),
+], ids=["2x2", "3x3", "skewed"])
+def test_diagonal_blocks_place_the_vector_mass(make_mesh):
+    # M2's data scattered at these positions of the velocity pattern is
+    # the vector mass, entry for entry
+    mesh = make_mesh()
+    p2 = dof_map(mesh, 2)
+    M2 = assemble("mass", p2, p2, mesh)
+    blocks = fem.diagonal_blocks(p2, p2, mesh)
+    assert np.unique(blocks).size == blocks.size
+    velocity = fem.pattern("deformation", p2, p2, mesh)
+    data = np.zeros(velocity.nnz)
+    data[blocks] = M2.data
+    Mv = velocity.csr(data).toarray()
+    assert np.array_equal(Mv, sp.block_diag((M2, M2)).toarray())
 
 
 @settings(max_examples=10, deadline=None)

@@ -49,3 +49,15 @@ def test_golden_manufactured_errors():
     bad = {k: (got[k], want[k]) for k in want
            if not np.isclose(got[k], want[k], rtol=RTOL, atol=0.0)}
     assert not bad, f"manufactured L2 errors differ: {bad}"
+
+
+def test_diff_status_gates_on_byte_identity(tmp_path, capsys):
+    record.record(tmp_path)
+    assert record.compare(tmp_path) == 0
+    path = tmp_path / record.MANUFACTURED_FILE
+    errors = json.loads(path.read_text())
+    errors["u"] = float(np.nextafter(errors["u"], np.inf))
+    path.write_text(json.dumps(errors, indent=1, sort_keys=True) + "\n")
+    assert record.compare(tmp_path) == 1
+    assert f"{record.MANUFACTURED_FILE}: largest relative difference" \
+        in capsys.readouterr().out

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from spnpflow import fem, model, scheme
@@ -238,7 +239,7 @@ def test_correct_identity_when_psi_zero():
                            components=2)
     psi = fem.zero_field(st.p1)
     u, p, mu = st.correct(psi, a0=1.5,
-                          mv_ut=st.Mv @ ws.u_tilde.coefficients)
+                          mv_ut=st.vector_mass(ws.u_tilde.coefficients))
     assert np.abs(u.coefficients - ws.u_tilde.coefficients).max() <= 1e-9
     assert np.abs(p.coefficients - st.curr.p.coefficients).max() <= 1e-12
 
@@ -292,7 +293,8 @@ def test_per_step_factorizations_symmetric_and_fill_reduced(monkeypatch):
     # and gives the solution of the row-replaced unconstrained system of
     # the same (second-order) step
     ws, params = workspaces[-1], st.params
-    A_in = (1.5 / params.dt) * st.Mv + (1.0 / params.re) * ws.Kdef
+    Mv = sp.block_diag((st.M2, st.M2), format="csr")
+    A_in = (1.5 / params.dt) * Mv + (1.0 / params.re) * ws.Kdef
     A_rr, b_rr = oracles.row_replacement(A_in, ws.rhs_u, st.vec_bdofs,
                                          0.0)
     x_rr = real_splu(A_rr.tocsc()).solve(b_rr)
@@ -659,7 +661,7 @@ def test_velocity_system_matches_dense_oracle():
     mu_poly = lambda x, y: 0.8 + 0.2 * x + 0.1 * y
     xy = fem.quad_points_physical(mesh)
     mu_q = mu_poly(xy[..., 0], xy[..., 1])
-    A = (1.5 / params.dt) * st.Mv \
+    A = (1.5 / params.dt) * sp.block_diag((st.M2, st.M2)) \
         + (1.0 / params.re) * fem.assemble("deformation", st.p2, st.p2, mesh,
                                            coeff=mu_q)
     dense = oracles.dense_mass(mesh, st.p2, st.p2) * (1.5 / params.dt)

@@ -24,16 +24,21 @@ def test_from_coo_sums_duplicates():
     A = SparseMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
     expected = np.array([[0.0, 5.0], [4.0, 0.0]])
     assert np.array_equal(A.to_scipy().toarray(), expected)
-    assert A.nnz == 2
+    assert A.to_scipy().nnz == 2
+    for rows, cols in (([0, 2], [0, 0]), ([0, 0], [-1, 0])):
+        with pytest.raises(ValueError):
+            SparseMatrix.from_coo(2, 2, rows, cols, [1.0, 1.0])
 
 
 def test_csr_invariants():
     A, _ = random_sparse(30, 0.2, seed=3)
-    assert A.row_offsets[0] == 0
-    assert A.row_offsets[-1] == A.nnz
-    assert (np.diff(A.row_offsets) >= 0).all()
-    for r in range(A.n_rows):
-        cols = A.col_indices[A.row_offsets[r]:A.row_offsets[r + 1]]
+    A = A.to_scipy()
+    assert A.format == "csr" and A.shape == (30, 30)
+    assert A.indptr[0] == 0
+    assert A.indptr[-1] == A.nnz
+    assert (np.diff(A.indptr) >= 0).all()
+    for r in range(A.shape[0]):
+        cols = A.indices[A.indptr[r]:A.indptr[r + 1]]
         assert (np.diff(cols) > 0).all()
 
 
