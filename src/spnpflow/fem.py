@@ -47,7 +47,6 @@ class QuadRule:
     Weights are scaled to the reference area, so they sum to 1/2.
     """
 
-    degree: int
     points: np.ndarray   # (n_q, 3) barycentric
     weights: np.ndarray  # (n_q,)
 
@@ -62,7 +61,7 @@ def quad_rule():
     pts += [(c3, _A3, _B3), (c3, _B3, _A3), (_A3, c3, _B3),
             (_B3, c3, _A3), (_A3, _B3, c3), (_B3, _A3, c3)]
     ws = [_W1] * 3 + [_W2] * 3 + [_W3] * 6
-    return QuadRule(6, np.asarray(pts), 0.5 * np.asarray(ws))
+    return QuadRule(np.asarray(pts), 0.5 * np.asarray(ws))
 
 
 class RefElement:
@@ -360,12 +359,10 @@ def _quad_values(coeff, mesh, vector=False):
     """A form or functional coefficient at the quadrature points, as values
     that broadcast to (n_el, n_q), with a trailing axis of 2 for a
     ``vector`` callable.  Takes a callable of (x, y) (returning one value
-    per component for ``vector``), a Field, a scalar, an array or None (1).
+    per component for ``vector``), a scalar, an array or None (1).
     """
     if coeff is None:
         return 1.0
-    if isinstance(coeff, Field):
-        return eval_values(coeff, mesh)
     if callable(coeff):
         xy = quad_points_physical(mesh)
         out = coeff(xy[..., 0], xy[..., 1])
@@ -499,7 +496,7 @@ def assemble(form, trial, test, mesh, coeff=None):
 
     Supported forms
     ---------------
-    mass          (w phi_trial, phi_test), optional scalar/field/array w
+    mass          (w phi_trial, phi_test), optional scalar/array w
     stiffness     (w grad phi_trial . grad phi_test)
     advection     ((b . grad phi_trial) phi_test), b array (n_el, n_q, 2)
     deformation   (2 w D(u) : D(v)) on a 2-component space
@@ -558,7 +555,7 @@ def assemble_vector(functional, test, mesh, coeff):
 
     Supported functionals
     ---------------------
-    source        (f, psi) with f a callable, Field, scalar or quad array
+    source        (f, psi) with f a callable, scalar or quad array
     vecflux       (b . grad psi) with b a quad array (n_el, n_q, 2)
     vector_source (f . v) on a 2-component test space
     """

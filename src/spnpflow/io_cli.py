@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,25 +121,6 @@ def _validate(cfg):
         raise ConfigError(f"invalid parameters: {exc}") from exc
 
 
-def emit_config(cfg):
-    """Serialize a RunConfig so that parse(emit(cfg)) round-trips."""
-    lines = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if v is None:
-            continue
-        if isinstance(v, bool):
-            lines.append(f"{f.name} = {'true' if v else 'false'}")
-        elif isinstance(v, tuple):
-            if v:
-                lines.append(f"{f.name} = " + ",".join(_FMT % x for x in v))
-        elif isinstance(v, float):
-            lines.append(f"{f.name} = " + _FMT % v)
-        else:
-            lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
-
-
 # scenario name before any ":" -> (factory, type of the argument after
 # it, or None for a name without one)
 _SCENARIOS = {"energy-decay": (scenarios.scenario_energy_decay, None),
@@ -188,16 +169,6 @@ def write_diagnostics_csv(records, path):
                    rec.masses[1], rec.min_c[0], rec.min_c[1], rec.xi, rec.r,
                    rec.visc_dissip, rec.ionic_dissip)
             fh.write(",".join(_FMT % v for v in row) + "\n")
-
-
-def read_diagnostics_csv(path):
-    """Read back a diagnostics CSV as a dict of float arrays."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows]) \
-        if rows else np.zeros((0, len(header)))
-    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 def _refined_cells(mesh):
@@ -278,7 +249,7 @@ def build_scenario(cfg):
         n = int(round(len(cfg.w) ** 0.5))
         param_over["w_steric"] = np.asarray(cfg.w).reshape(n, n)
     if param_over:
-        scen.params = scen.params.with_overrides(**param_over)
+        scen.params = replace(scen.params, **param_over)
     if cfg.neutralize_net_charge is not None:
         scen.neutralize_net_charge = cfg.neutralize_net_charge
     if cfg.snapshot_times:

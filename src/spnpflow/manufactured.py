@@ -1,9 +1,8 @@
 """Accuracy harness: exact solutions, derived sources, convergence tables.
 
-The exact fields are trigonometric with a common exp(-t) decay; all space and
-time derivatives are coded in closed form.  The forcing terms for each
-equation follow by substituting the exact fields into the continuous system,
-including the shear-dependent stress divergence.
+The exact fields are trigonometric with a common exp(-t) decay.  The forcing
+terms for each equation follow by substituting the exact fields into the
+continuous system, including the shear-dependent stress divergence.
 
 With e = exp(-t), every source is a sum of exp(-t)-free space factors
 times powers of e, plus, in the momentum source, the Carreau viscosity and
@@ -19,10 +18,10 @@ replace it.  The cache holds 14 arrays of the point-set size (the two key
 coordinates and the twelve factors), 11 MB at 64 cells (98 304 points), in
 a memory map of its own.
 
-The test suite checks the forcing against the per-term closed forms built
-from the ``ExactSolution`` methods and against a fourth-order
-finite-difference application of the same operators at random space-time
-points.
+The test suite checks the forcing against per-term closed forms built from
+the exact fields' derivatives, which the tests code for themselves
+(``tests/oracles.py``), and against a fourth-order finite-difference
+application of the same operators at random space-time points.
 """
 
 from __future__ import annotations
@@ -50,95 +49,23 @@ class ExactSolution:
     def cp(self, x, y, t):
         return 1.2 + np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
 
-    def cp_x(self, x, y, t):
-        return -PI * np.sin(PI * x) * np.cos(PI * y) * np.exp(-t)
-
-    def cp_y(self, x, y, t):
-        return -PI * np.cos(PI * x) * np.sin(PI * y) * np.exp(-t)
-
-    def cp_lap(self, x, y, t):
-        return -2 * PI ** 2 * np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
-
-    def cp_t(self, x, y, t):
-        return -np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
-
     def cn(self, x, y, t):
         return 1.2 - np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
-
-    def cn_x(self, x, y, t):
-        return -self.cp_x(x, y, t)
-
-    def cn_y(self, x, y, t):
-        return -self.cp_y(x, y, t)
-
-    def cn_lap(self, x, y, t):
-        return -self.cp_lap(x, y, t)
-
-    def cn_t(self, x, y, t):
-        return -self.cp_t(x, y, t)
 
     def v(self, x, y, t):
         return np.cos(PI * x) * np.cos(PI * y) * np.exp(-t) / PI ** 2
 
-    def v_x(self, x, y, t):
-        return -np.sin(PI * x) * np.cos(PI * y) * np.exp(-t) / PI
-
-    def v_y(self, x, y, t):
-        return -np.cos(PI * x) * np.sin(PI * y) * np.exp(-t) / PI
-
-    def v_lap(self, x, y, t):
-        return -2 * np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
-
     def u1(self, x, y, t):
         return PI * np.sin(PI * x) ** 2 * np.sin(2 * PI * y) * np.exp(-t)
 
-    def u1_x(self, x, y, t):
-        return PI ** 2 * np.sin(2 * PI * x) * np.sin(2 * PI * y) * np.exp(-t)
-
-    def u1_y(self, x, y, t):
-        return 2 * PI ** 2 * np.sin(PI * x) ** 2 * np.cos(2 * PI * y) * np.exp(-t)
-
-    def u1_xx(self, x, y, t):
-        return 2 * PI ** 3 * np.cos(2 * PI * x) * np.sin(2 * PI * y) * np.exp(-t)
-
-    def u1_xy(self, x, y, t):
-        return 2 * PI ** 3 * np.sin(2 * PI * x) * np.cos(2 * PI * y) * np.exp(-t)
-
-    def u1_yy(self, x, y, t):
-        return -4 * PI ** 3 * np.sin(PI * x) ** 2 * np.sin(2 * PI * y) * np.exp(-t)
-
     def u2(self, x, y, t):
         return -PI * np.sin(2 * PI * x) * np.sin(PI * y) ** 2 * np.exp(-t)
-
-    def u2_x(self, x, y, t):
-        return -2 * PI ** 2 * np.cos(2 * PI * x) * np.sin(PI * y) ** 2 * np.exp(-t)
-
-    def u2_y(self, x, y, t):
-        return -PI ** 2 * np.sin(2 * PI * x) * np.sin(2 * PI * y) * np.exp(-t)
-
-    def u2_xx(self, x, y, t):
-        return 4 * PI ** 3 * np.sin(2 * PI * x) * np.sin(PI * y) ** 2 * np.exp(-t)
-
-    def u2_xy(self, x, y, t):
-        return -2 * PI ** 3 * np.cos(2 * PI * x) * np.sin(2 * PI * y) * np.exp(-t)
-
-    def u2_yy(self, x, y, t):
-        return -2 * PI ** 3 * np.sin(2 * PI * x) * np.cos(2 * PI * y) * np.exp(-t)
 
     def u(self, x, y, t):
         return self.u1(x, y, t), self.u2(x, y, t)
 
     def p(self, x, y, t):
         return np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
-
-    def p_x(self, x, y, t):
-        return -PI * np.sin(PI * x) * np.cos(PI * y) * np.exp(-t)
-
-    def p_y(self, x, y, t):
-        return -PI * np.cos(PI * x) * np.sin(PI * y) * np.exp(-t)
-
-    def divergence_u(self, x, y, t):
-        return self.u1_x(x, y, t) + self.u2_y(x, y, t)
 
 
 @dataclass

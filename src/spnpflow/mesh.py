@@ -72,13 +72,6 @@ class Mesh:
         ids = np.concatenate([self.boundary_edges[s] for s in SIDES])
         return np.unique(ids)
 
-    def signed_areas(self):
-        """Signed area of every triangle (positive for counterclockwise)."""
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
 
 def build_rect_mesh(xmin, xmax, ymin, ymax, nx, ny):
     """Build the uniform triangulation of [xmin,xmax] x [ymin,ymax].

@@ -10,7 +10,7 @@ scheme evaluates once per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class Params:
     @property
     def n_species(self):
         return len(self.z)
-
-    def with_overrides(self, **kw):
-        return replace(self, **kw)
 
 
 @dataclass
@@ -288,20 +285,6 @@ def conc_error_l2(c, exact, mesh):
     xy = fem.quad_points_physical(mesh)
     diff = c.quad - exact(xy[..., 0], xy[..., 1])
     return float(np.sqrt(fem.integrate(diff * diff, mesh)))
-
-
-def nondimensionalize(rho, u_ref, l_ref, mu_ref, c0, kbt, e_charge,
-                      diffusivity, permittivity):
-    """Dimensionless groups (Re, Co, Pe, lam) from physical constants."""
-    vals = (rho, u_ref, l_ref, mu_ref, c0, kbt, e_charge, diffusivity,
-            permittivity)
-    if any(v <= 0 for v in vals):
-        raise ValueError("all physical constants must be positive")
-    re = rho * u_ref * l_ref / mu_ref
-    co = c0 * kbt / (rho * u_ref ** 2 * e_charge)
-    pe = l_ref * u_ref / diffusivity
-    lam = permittivity * kbt / (l_ref ** 2 * c0 * e_charge)
-    return re, co, pe, lam
 
 
 def resolve_b_shift(params, e_spnp_initial):

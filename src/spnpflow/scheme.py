@@ -328,10 +328,11 @@ class Stepper:
                                 vbar=vbar0, v=vbar0.copy(), mu_q=mu0, r=r0)
         self.prev = None
         self.step_index = 0
-        e0_total = model.discrete_energy(self.curr, self.curr, params, mesh)
-        self.records = [self._record(self.curr, e0_total, xi=1.0,
-                                     visc_dissip=0.0, ionic_dissip=0.0,
-                                     e_spnp=e0, multiplier=multiplier)]
+        self.records = [self._record(self.curr,
+                                     self._measure(self.curr, self.curr),
+                                     xi=1.0, visc_dissip=0.0,
+                                     ionic_dissip=0.0, e_spnp=e0,
+                                     multiplier=multiplier)]
         return self.curr
 
     def vector_mass(self, v):
@@ -677,7 +678,7 @@ class Stepper:
 
         kdef_ut = ws.Kdef @ u_tilde.coefficients
         div, split = self._log_identities(ws, psi, a0, mv_ut, kdef_ut)
-        e_total = self._run_checks(new, targets)
+        measured = self._run_checks(new, targets)
 
         # the energy and the chemical potentials read the newest level's
         # log values only
@@ -687,7 +688,7 @@ class Stepper:
         self.curr = new
         self.step_index += 1
         self.records.append(self._record(
-            new, e_total, xi=xi,
+            new, measured, xi=xi,
             visc_dissip=float(u_tilde.coefficients @ kdef_ut) / params.re,
             ionic_dissip=xi ** 2 * (params.co / params.pe) * g_total,
             e_spnp=e_spnp, multiplier=multiplier, div_residual=div,
@@ -735,9 +736,18 @@ class Stepper:
     # diagnostics and structure checks
     # ------------------------------------------------------------------
 
-    def _record(self, new, e_total, xi, **values):
-        masses = tuple(model.species_mass(c, self.mesh) for c in new.c)
-        mins = tuple(model.min_concentration(c, self.mesh) for c in new.c)
+    def _measure(self, new, old):
+        """(masses, minima, discrete energy) of the level ``new``, whose
+        energy pairs it with the level ``old`` before it."""
+        mesh = self.mesh
+        return (tuple(model.species_mass(c, mesh) for c in new.c),
+                tuple(model.min_concentration(c, mesh) for c in new.c),
+                model.discrete_energy(new, old, self.params, mesh))
+
+    def _record(self, new, measured, xi, **values):
+        """Diagnostics record of the level ``new`` from what
+        :meth:`_measure` returned for it."""
+        masses, mins, e_total = measured
         return model.DiagnosticsRecord(
             t=new.t, e_total=e_total, masses=masses, min_c=mins,
             xi=float(xi), r=float(new.r), **values)
@@ -761,22 +771,22 @@ class Stepper:
         return float(div_rel), float(split_rel)
 
     def _run_checks(self, new, targets):
-        """Positivity, mass and energy checks of a new level; returns its
-        discrete energy."""
+        """Positivity, mass and energy checks of a new level; returns what
+        it measured of the level (:meth:`_measure`), which its record
+        holds."""
+        measured = self._measure(new, self.curr)
+        masses, mins, e_new = measured
         step = self.step_index + 1
-        for i, c in enumerate(new.c):
-            mn = model.min_concentration(c, self.mesh)
+        for i, (mn, m) in enumerate(zip(mins, masses)):
             if not mn > 0.0:
                 raise StructuralViolation(
                     f"species {i} minimum concentration {mn:.3e} at step "
                     f"{step}", step=step, quantity="positivity")
-            if self.check_mass:
-                m = model.species_mass(c, self.mesh)
-                if abs(m - targets[i]) > MASS_RTOL * abs(targets[i]):
-                    raise StructuralViolation(
-                        f"species {i} mass {m!r} drifted from {targets[i]!r} "
-                        f"at step {step}", step=step, quantity="mass")
-        e_new = model.discrete_energy(new, self.curr, self.params, self.mesh)
+            if self.check_mass \
+                    and abs(m - targets[i]) > MASS_RTOL * abs(targets[i]):
+                raise StructuralViolation(
+                    f"species {i} mass {m!r} drifted from {targets[i]!r} "
+                    f"at step {step}", step=step, quantity="mass")
         if self.check_energy:
             e_old = self.records[-1].e_total
             e_ref = abs(self.records[0].e_total)
@@ -787,4 +797,4 @@ class Stepper:
                     raise StructuralViolation(msg, step=step,
                                               quantity="energy")
                 warnings.warn(msg, RuntimeWarning, stacklevel=2)
-        return e_new
+        return measured

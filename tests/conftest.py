@@ -1,6 +1,11 @@
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+# the golden-run recorder, tests/golden/record.py, is imported as ``record``
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 
 
 def pytest_collection_modifyitems(config, items):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from spnpflow import manufactured, scenarios
-from spnpflow.io_cli import read_diagnostics_csv, write_diagnostics_csv
+from spnpflow.io_cli import write_diagnostics_csv
 
 HERE = Path(__file__).resolve().parent
 N_STEPS = 10
@@ -60,6 +60,16 @@ def record(out):
         run_scenario(name, out / name)
     (out / MANUFACTURED_FILE).write_text(
         json.dumps(manufactured_errors(), indent=1, sort_keys=True) + "\n")
+
+
+def read_diagnostics_csv(path):
+    """Read back a diagnostics CSV as a dict of float arrays."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    data = np.array([[float(v) for v in row] for row in rows]) \
+        if rows else np.zeros((0, len(header)))
+    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 def _read(path):

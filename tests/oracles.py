@@ -6,15 +6,18 @@ Nothing here shares code with the production path: basis functions are
 monomial polynomials obtained by inverting a Vandermonde system at the
 physical element nodes, and integration uses tensor Gauss-Legendre points
 collapsed onto each triangle (exact for polynomial integrands well past
-anything the forms produce).  The manufactured sources are checked by
-applying fourth-order finite differences to the exact fields.
+anything the forms produce).  The manufactured sources are checked against
+per-term closed forms from the exact fields' derivatives
+(:class:`ExactDerivatives`, which extends the fields of
+``manufactured.ExactSolution``) and by applying fourth-order finite
+differences to the exact fields.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from spnpflow.manufactured import SourceTerms
+from spnpflow.manufactured import PI, ExactSolution, SourceTerms
 
 P1_MONOMIALS = ((0, 0), (1, 0), (0, 1))
 P2_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -266,6 +269,84 @@ def interior_extrema_loop(vals, mesh, rel_floor=1e-6):
 # per-term closed forms of the manufactured sources
 # ----------------------------------------------------------------------
 
+class ExactDerivatives(ExactSolution):
+    """The exact fields of ``manufactured.ExactSolution`` with their space
+    and time derivatives in closed form, vectorized over (x, y) with a
+    scalar time."""
+
+    def cp_x(self, x, y, t):
+        return -PI * np.sin(PI * x) * np.cos(PI * y) * np.exp(-t)
+
+    def cp_y(self, x, y, t):
+        return -PI * np.cos(PI * x) * np.sin(PI * y) * np.exp(-t)
+
+    def cp_lap(self, x, y, t):
+        return -2 * PI ** 2 * np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
+
+    def cp_t(self, x, y, t):
+        return -np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
+
+    def cn_x(self, x, y, t):
+        return -self.cp_x(x, y, t)
+
+    def cn_y(self, x, y, t):
+        return -self.cp_y(x, y, t)
+
+    def cn_lap(self, x, y, t):
+        return -self.cp_lap(x, y, t)
+
+    def cn_t(self, x, y, t):
+        return -self.cp_t(x, y, t)
+
+    def v_x(self, x, y, t):
+        return -np.sin(PI * x) * np.cos(PI * y) * np.exp(-t) / PI
+
+    def v_y(self, x, y, t):
+        return -np.cos(PI * x) * np.sin(PI * y) * np.exp(-t) / PI
+
+    def v_lap(self, x, y, t):
+        return -2 * np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
+
+    def u1_x(self, x, y, t):
+        return PI ** 2 * np.sin(2 * PI * x) * np.sin(2 * PI * y) * np.exp(-t)
+
+    def u1_y(self, x, y, t):
+        return 2 * PI ** 2 * np.sin(PI * x) ** 2 * np.cos(2 * PI * y) * np.exp(-t)
+
+    def u1_xx(self, x, y, t):
+        return 2 * PI ** 3 * np.cos(2 * PI * x) * np.sin(2 * PI * y) * np.exp(-t)
+
+    def u1_xy(self, x, y, t):
+        return 2 * PI ** 3 * np.sin(2 * PI * x) * np.cos(2 * PI * y) * np.exp(-t)
+
+    def u1_yy(self, x, y, t):
+        return -4 * PI ** 3 * np.sin(PI * x) ** 2 * np.sin(2 * PI * y) * np.exp(-t)
+
+    def u2_x(self, x, y, t):
+        return -2 * PI ** 2 * np.cos(2 * PI * x) * np.sin(PI * y) ** 2 * np.exp(-t)
+
+    def u2_y(self, x, y, t):
+        return -PI ** 2 * np.sin(2 * PI * x) * np.sin(2 * PI * y) * np.exp(-t)
+
+    def u2_xx(self, x, y, t):
+        return 4 * PI ** 3 * np.sin(2 * PI * x) * np.sin(PI * y) ** 2 * np.exp(-t)
+
+    def u2_xy(self, x, y, t):
+        return -2 * PI ** 3 * np.cos(2 * PI * x) * np.sin(2 * PI * y) * np.exp(-t)
+
+    def u2_yy(self, x, y, t):
+        return -2 * PI ** 3 * np.sin(2 * PI * x) * np.cos(2 * PI * y) * np.exp(-t)
+
+    def p_x(self, x, y, t):
+        return -PI * np.sin(PI * x) * np.cos(PI * y) * np.exp(-t)
+
+    def p_y(self, x, y, t):
+        return -PI * np.cos(PI * x) * np.sin(PI * y) * np.exp(-t)
+
+    def divergence_u(self, x, y, t):
+        return self.u1_x(x, y, t) + self.u2_y(x, y, t)
+
+
 def _carreau(s, params):
     return params.mu_inf + (params.mu0 - params.mu_inf) \
         * (1.0 + params.lambda1 ** 2 * s) ** (0.5 * (params.k - 1.0))
@@ -333,8 +414,8 @@ def _transport_divergence(ex, params, species, x, y, t):
 
 def source_terms_reference(exact, params):
     """The manufactured sources with every field and derivative taken from
-    its own ``ExactSolution`` method: the reference of
-    ``manufactured.source_terms``."""
+    its own method of ``exact`` (an :class:`ExactDerivatives`): the
+    reference of ``manufactured.source_terms``."""
     ex = exact
     z0, z1 = params.z
 

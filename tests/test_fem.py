@@ -169,7 +169,7 @@ def test_source_constant_one(unit_mesh):
     p1 = dof_map(unit_mesh, 1)
     b = assemble_vector("source", p1, unit_mesh, 1.0)
     # entry = sum of adjacent-triangle areas / 3
-    areas = unit_mesh.signed_areas()
+    areas = fem.geometry(unit_mesh).det / 2
     expected = np.zeros(p1.n_dofs)
     for t, tri in enumerate(unit_mesh.triangles):
         expected[tri] += areas[t] / 3.0
@@ -619,7 +619,7 @@ def _skewed_mesh(nx, ny, seed):
     nodes[interior] += rng.uniform(-h / 8, h / 8, (interior.sum(), 2))
     mesh = Mesh(nodes, m.triangles, m.edges, m.tri_edges, m.boundary_edges,
                 m.extents, m.shape)
-    assert (mesh.signed_areas() > 0).all()
+    assert (fem.geometry(mesh).det > 0).all()
     return mesh
 
 
@@ -678,7 +678,7 @@ def test_symmetric_forms_exactly_symmetric_on_skewed_mesh(nx, ny, seed):
                         ("deformation", 2)):
         space = dof_map(mesh, order)
         coeff = Field(space, rng.uniform(0.5, 2.0, space.n_dofs))
-        A = assemble(form, space, space, mesh, coeff)
+        A = assemble(form, space, space, mesh, fem.eval_values(coeff, mesh))
         assert (A != A.T).nnz == 0, form
 
 

@@ -7,18 +7,14 @@ Each diagnostics column is compared with rtol=1e-9 and an absolute floor of
 """
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spnpflow.io_cli import read_diagnostics_csv
+import record
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-sys.path.insert(0, str(GOLDEN))
-
-import record  # noqa: E402
 
 RTOL = 1e-9
 ATOL_REL = 1e-12
@@ -35,8 +31,8 @@ def _close(actual, expected):
 def test_golden_scenario_diagnostics(name, tmp_path):
     path = tmp_path / name
     record.run_scenario(name, path)
-    got = read_diagnostics_csv(path)
-    want = read_diagnostics_csv(GOLDEN / name)
+    got = record.read_diagnostics_csv(path)
+    want = record.read_diagnostics_csv(GOLDEN / name)
     assert list(got) == list(want)
     bad = [col for col in want if not _close(got[col], want[col])]
     assert not bad, f"{name}: columns differ from the golden run: {bad}"

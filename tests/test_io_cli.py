@@ -3,11 +3,12 @@ import os
 import numpy as np
 import pytest
 
+from record import read_diagnostics_csv
 from spnpflow import fem, manufactured, model
 from spnpflow.errors import ConfigError
 from spnpflow.io_cli import (CSV_HEADER, RunConfig, build_scenario, cli_main,
-                             emit_config, parse_config, read_diagnostics_csv,
-                             run_config, write_diagnostics_csv, write_snapshot)
+                             parse_config, run_config, write_diagnostics_csv,
+                             write_snapshot)
 from spnpflow.mesh import build_rect_mesh, dof_map
 
 
@@ -82,11 +83,15 @@ def test_parse_bad_scenario_names():
 
 
 def test_config_roundtrip():
+    # every key type, floats at the 17 digits the writers use
+    text = ("scenario = exponent-k:0.4\nnx = 24\ndt = 0.002\n"
+            "t_final = 0.75\nco = 10\nw = 2,1,1,2\nstrict_energy = true\n"
+            "neutralize_net_charge = true\nout_dir = out\n"
+            "snapshot_times = 0.10000000000000001,0.5\n")
     cfg = RunConfig(scenario="exponent-k:0.4", nx=24, dt=2e-3, t_final=0.75,
                     co=10.0, w=(2.0, 1.0, 1.0, 2.0), strict_energy=True,
                     neutralize_net_charge=True, out_dir="out",
                     snapshot_times=(0.1, 0.5))
-    text = emit_config(cfg)
     assert parse_config(text) == cfg
 
 

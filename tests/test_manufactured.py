@@ -31,7 +31,7 @@ def params():
 
 @pytest.fixture(scope="module")
 def exact():
-    return mf.exact_solution_sec41()
+    return oracles.ExactDerivatives()
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +274,7 @@ def test_momentum_source_inviscid_limit_hand_value():
     p = model.Params(dt=0.1, t_final=0.5, lam=1.0, pe=2.0, re=1.0, co=5.0,
                      k=1.0, mu0=1.0, mu_inf=0.5, lambda1=0.0, z=(1, -1),
                      w_steric=np.array([[2.0, 1.0], [1.0, 2.0]]))
-    ex = mf.exact_solution_sec41()
+    ex = oracles.ExactDerivatives()
     x, y, t = np.array([0.3]), np.array([0.7]), 0.1
     adv1 = ex.u1(x, y, t) * ex.u1_x(x, y, t) + ex.u2(x, y, t) * ex.u1_y(x, y, t)
     hand = (-ex.u1(x, y, t) + adv1 + ex.p_x(x, y, t)

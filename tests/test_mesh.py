@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spnpflow import fem
 from spnpflow.mesh import build_rect_mesh, dof_map
 
 
@@ -33,7 +34,7 @@ def test_invariants_random_grids(nx, ny):
     assert m.n_nodes == (nx + 1) * (ny + 1)
     assert m.n_triangles == 2 * nx * ny
     assert m.n_nodes - m.n_edges + m.n_triangles == 1
-    areas = m.signed_areas()
+    areas = fem.geometry(m).det / 2
     assert (areas > 0).all()
     assert abs(areas.sum() - m.area) <= 1e-14 * m.area
     # interior edges touch 2 triangles, boundary edges 1

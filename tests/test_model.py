@@ -325,33 +325,6 @@ def test_species_mass_refined_quadrature_oracle(p2, mesh):
                - model.species_mass(cf, fine)) <= 1e-6
 
 
-def test_nondimensionalize_identity():
-    assert model.nondimensionalize(1, 1, 1, 1, 1, 1, 1, 1, 1) == (1, 1, 1, 1)
-
-
-def test_nondimensionalize_scaling():
-    re0, co0, pe0, lam0 = model.nondimensionalize(1, 1, 1, 1, 1, 1, 1, 1, 1)
-    re, co, pe, lam = model.nondimensionalize(1, 2, 1, 1, 1, 1, 1, 1, 1)
-    assert re == 2 * re0 and pe == 2 * pe0
-    assert co == co0 / 4 and lam == lam0
-
-
-def test_nondimensionalize_hand_tuple():
-    rho, u, l, mu, c0, kbt, e, d, eps = 2.0, 3.0, 0.5, 0.25, 4.0, 1.5, 0.5, \
-        0.2, 0.8
-    re, co, pe, lam = model.nondimensionalize(rho, u, l, mu, c0, kbt, e, d,
-                                              eps)
-    assert abs(re - rho * u * l / mu) <= 1e-15
-    assert abs(co - c0 * kbt / (rho * u ** 2 * e)) <= 1e-15
-    assert abs(pe - l * u / d) <= 1e-15
-    assert abs(lam - eps * kbt / (l ** 2 * c0 * e)) <= 1e-15
-
-
-def test_nondimensionalize_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        model.nondimensionalize(1, 1, 1, 0, 1, 1, 1, 1, 1)
-
-
 def test_resolve_b_shift():
     p = make_params()
     assert model.resolve_b_shift(p, 4.0) == 1.0
