@@ -118,8 +118,8 @@ _DEFORMATION = (np.einsum("ab,cd->abcd", _I2, _I2)
 
 
 class _Geometry:
-    """Per-mesh assembly tables: Jacobians, quadrature, the per-cell
-    geometric factors of the affine map and the reference tensors.
+    """Per-mesh assembly tables: Jacobian determinants, quadrature, the
+    per-cell geometric factors of the affine map and the reference tensors.
 
     A physical gradient is a reference gradient times ``inv``, so each
     quadrature contraction of a form factors into a reference tensor, the
@@ -130,7 +130,6 @@ class _Geometry:
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
         rule = quad_rule()
         p = mesh.nodes[mesh.triangles]           # (n_el, 3, 2)
         B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
@@ -143,7 +142,6 @@ class _Geometry:
         inv[:, 1, 0] = -B[:, 1, 0]
         inv[:, 1, 1] = B[:, 0, 0]
         inv /= det[:, None, None]
-        self.jac = B
         self.det = det                             # = 2 * area
         self.inv = inv                             # [e, r, d] = d xi_r / d x_d
         self.inv_t = np.ascontiguousarray(inv.transpose(0, 2, 1))

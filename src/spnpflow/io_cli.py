@@ -191,7 +191,7 @@ def write_snapshot(state, mesh, path):
     triangulation; the linear pressure is evaluated at the same points
     (edge midpoints average the endpoint values).
     """
-    p2 = state.c[0].dofmap
+    p2 = state.vbar.dofmap
     coords = p2.dof_coords()
     cells = _refined_cells(mesh)
     nv = mesh.n_nodes

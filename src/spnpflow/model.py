@@ -78,22 +78,20 @@ class Params:
 class State:
     """Discrete fields of one time level.
 
-    ``mu_q`` is the Carreau viscosity at quadrature points; it is only ever
-    consumed inside assembly, so it is stored as an array rather than a
-    Field.  ``xi`` is the auxiliary ratio that produced ``v`` from ``vbar``
-    (1 at the initial level).
+    Species i's log field is ``c[i].sigma``; the ratio xi that made ``v``
+    from ``vbar`` is the level's record's ``xi``.  ``mu_q`` is the Carreau
+    viscosity at quadrature points, consumed only inside assembly, so it is
+    stored as an array rather than a Field.
     """
 
     t: float
     u: fem.Field
     p: fem.Field
-    sigma: list
     c: list
     vbar: fem.Field
     v: fem.Field
     mu_q: np.ndarray
     r: float
-    xi: float = 1.0
 
 
 @dataclass
@@ -134,8 +132,6 @@ class Concentration:
     def __init__(self, sigma, scale, exp_nodal, sigma_quad, exp_quad):
         self.sigma = sigma
         self.scale = float(scale)
-        self.dofmap = sigma.dofmap
-        self.components = 1
         self.coefficients = self.scale * exp_nodal
         self.quad = self.scale * exp_quad
         self.log_quad = np.log(self.scale) + sigma_quad

@@ -31,10 +31,8 @@ STERIC_MATRICES = (
 class Scenario:
     """A runnable preset: parameters, initial fields and boundary modes."""
 
-    name: str
     params: model.Params
     c0_fns: list
-    u0_fn: object = None
     bc_mode: str = "zero_mean"
     neutralize_net_charge: bool = False
     snapshot_times: tuple = ()
@@ -51,7 +49,7 @@ class Scenario:
         flags.setdefault("bc_mode", self.bc_mode)
         flags.setdefault("neutralize_net_charge", self.neutralize_net_charge)
         stepper = Stepper(mesh, self.params, **flags)
-        stepper.set_initial(self.c0_fns, u0_fn=self.u0_fn)
+        stepper.set_initial(self.c0_fns)
         return stepper
 
 
@@ -69,7 +67,7 @@ def scenario_energy_decay(nx=40, dt=1e-2, t_final=2.0):
         lambda x, y: 12.0 + 10.0 * np.cos(np.pi * x) * np.cos(np.pi * y),
         lambda x, y: 12.0 - 10.0 * np.cos(np.pi * x) * np.cos(np.pi * y),
     ]
-    return Scenario(name="energy-decay", params=params, c0_fns=c0_fns,
+    return Scenario(params=params, c0_fns=c0_fns,
                     nx=nx, ny=nx)
 
 
@@ -104,7 +102,7 @@ def scenario_steric(w_choice, nx=40, dt=1e-3, t_final=1.0):
         lambda x, y: floor + (1.0 - floor) * h_x(x) * h1_y(y),
         lambda x, y: floor + (1.0 - floor) * h_x(x) * h2_y(y),
     ]
-    return Scenario(name=f"steric:{w_choice}", params=params, c0_fns=c0_fns,
+    return Scenario(params=params, c0_fns=c0_fns,
                     neutralize_net_charge=True,
                     snapshot_times=(0.002, 0.1, 1.0), nx=nx, ny=nx)
 
@@ -129,7 +127,7 @@ def scenario_exponent_k(k, nx=60, dt=1e-3, t_final=5.0):
             100.0 * ((x - cx) ** 2 + (y - cy) ** 2 - 0.05 ** 2))
 
     c0_fns = [disk(0.4, 0.4), disk(0.6, 0.6)]
-    return Scenario(name=f"exponent-k:{k:g}", params=params, c0_fns=c0_fns,
+    return Scenario(params=params, c0_fns=c0_fns,
                     bc_mode="dirichlet_lr", nx=nx, ny=nx)
 
 

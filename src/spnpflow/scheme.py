@@ -11,6 +11,10 @@ Structure checks (positivity, mass, solvability, energy decay) run after
 every step; mass and positivity violations abort, the energy check warns
 unless strict mode is on.
 
+A step's intermediate values live in one place each: a stage stores in the
+:class:`StepWorkspace` what a later stage reads (the split velocities, xi,
+the composite velocity) and returns what only the step itself reads.
+
 The momentum matrix depends only on the extrapolated viscosity, so it is
 factored while the transport systems are solved.  One worker thread, shared
 by every :class:`Stepper` and idle between steps, assembles, factors and
@@ -144,7 +148,8 @@ class SourcePack:
 class StepWorkspace:
     """Extrapolated fields and intermediate solves of one step.
 
-    ``c_star_quad`` holds the extrapolated concentration values at
+    Of the extrapolated sigma* only the gradients at quadrature points are
+    kept.  ``c_star_quad`` holds the extrapolated concentration values at
     quadrature points (differences of the positive point values; the
     extrapolant itself may dip negative, which is harmless since it only
     ever appears as an explicit coefficient).  ``rhs_u`` is the first split
@@ -156,7 +161,6 @@ class StepWorkspace:
 
     u_star_vals: np.ndarray
     u_star_grads: np.ndarray
-    sigma_star: list
     grad_sigma_star: list
     c_star_quad: list
     v_star: fem.Field
@@ -171,8 +175,6 @@ class StepWorkspace:
     u1_tilde: fem.Field = None
     u2_tilde: fem.Field = None
     u_tilde: fem.Field = None
-    zeta1: float = 0.0
-    zeta2: float = 0.0
     xi: float = 1.0
 
 
@@ -213,10 +215,8 @@ class Stepper:
 
         self.p2 = dof_map(mesh, 2)
         self.p1 = dof_map(mesh, 1)
-        n2 = self.p2.n_dofs
-        self.n2 = n2
         bd = self.p2.boundary_dofs
-        self.vec_bdofs = np.concatenate([bd, bd + n2])
+        self.vec_bdofs = np.concatenate([bd, bd + self.p2.n_dofs])
 
         # the caches that both threads read (the geometry, with the scalar
         # P2 pattern, and the P2 ordering) are filled before the worker
@@ -276,7 +276,6 @@ class Stepper:
         # pressure; on the free velocity rows it is minus (div v, q)
         self.G = fem.assemble("gradient", p1, p2, mesh)
         self._GT = self.G.T.tocsr()
-        self.m2 = fem.basis_integrals(p2, mesh)
         self.m1 = fem.basis_integrals(p1, mesh)
 
         self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1, p1.ordering)
@@ -284,14 +283,15 @@ class Stepper:
 
         lamK2 = params.lam * self.K2
         if self.bc_mode == "zero_mean":
-            self._pot_solver = fem.ZeroMeanSolver(lamK2, self.m2, p2.ordering)
+            self._pot_solver = fem.ZeroMeanSolver(
+                lamK2, fem.basis_integrals(p2, mesh), p2.ordering)
         else:
             # V = 1 on the left side and 0 on the right, eliminated from
             # the symmetric lam K2; each step adds the data's lift
             left = p2.boundary_dofs_by_side["left"]
             self._pot_bc = fem.DirichletElimination(lamK2, np.concatenate(
                 [left, p2.boundary_dofs_by_side["right"]]))
-            g = np.zeros(self.n2)
+            g = np.zeros(p2.n_dofs)
             g[left] = 1.0
             self._pot_lift = self._pot_bc.lift(lamK2, g)
             self._pot_solver = factorize(self._pot_bc.matrix(lamK2.data),
@@ -306,7 +306,6 @@ class Stepper:
         mesh, params = self.mesh, self.params
         c0 = [model.concentration_from_callable(fn, self.p2, mesh)
               for fn in c0_fns]
-        sigma0 = [c.sigma for c in c0]
         if u0_fn is None:
             u0 = fem.zero_field(self.p2, components=2)
         else:
@@ -322,10 +321,9 @@ class Stepper:
         self.b_shift = model.resolve_b_shift(params, e0)
         r0 = np.sqrt(e0 + self.b_shift)
         mu0 = model.carreau_viscosity(model.shear_rate_sq(u0, mesh), params)
-        self.mass0 = [model.species_mass(c, mesh) for c in c0]
 
-        self.curr = model.State(t=0.0, u=u0, p=p0, sigma=sigma0, c=c0,
-                                vbar=vbar0, v=vbar0.copy(), mu_q=mu0, r=r0)
+        self.curr = model.State(t=0.0, u=u0, p=p0, c=c0, vbar=vbar0,
+                                v=vbar0.copy(), mu_q=mu0, r=r0)
         self.prev = None
         self.step_index = 0
         self.records = [self._record(self.curr,
@@ -333,11 +331,12 @@ class Stepper:
                                      xi=1.0, visc_dissip=0.0,
                                      ionic_dissip=0.0, e_spnp=e0,
                                      multiplier=multiplier)]
+        self.mass0 = self.records[0].masses
         return self.curr
 
     def vector_mass(self, v):
         """Mv v for velocity coefficients v, the x block first."""
-        n2 = self.n2
+        n2 = self.p2.n_dofs
         return np.concatenate([self.M2 @ v[:n2], self.M2 @ v[n2:]])
 
     def _mass_targets(self, t):
@@ -365,7 +364,6 @@ class Stepper:
                              f.components)
 
         u_star = extrap_field(n.u, o.u)
-        sigma_star = [extrap_field(s, so) for s, so in zip(n.sigma, o.sigma)]
         v_star = extrap_field(n.v, o.v)
         c_star_quad = [extrap(c.quad, co.quad) for c, co in zip(n.c, o.c)]
         # clamped at mu_inf, as the discrete energy estimate requires
@@ -373,8 +371,8 @@ class Stepper:
         return StepWorkspace(
             u_star_vals=fem.eval_values(u_star, mesh),
             u_star_grads=fem.eval_grads(u_star, mesh),
-            sigma_star=sigma_star,
-            grad_sigma_star=[fem.eval_grads(s, mesh) for s in sigma_star],
+            grad_sigma_star=[fem.eval_grads(extrap_field(c.sigma, co.sigma),
+                                            mesh) for c, co in zip(n.c, o.c)],
             c_star_quad=c_star_quad,
             v_star=v_star,
             grad_v_star=fem.eval_grads(v_star, mesh),
@@ -511,8 +509,8 @@ class Stepper:
         return Factorization(A, self._momentum.order)
 
     def solve_velocity_split(self, ws, c_new, vbar_new, hist_u, t_new):
-        """Solve the two split momentum systems with the shared factor that
-        the transport stage left in ``ws``."""
+        """Solve the two split momentum systems, into ``ws.u1_tilde`` and
+        ``ws.u2_tilde``, with the factor the transport stage left in ``ws``."""
         mesh, params = self.mesh, self.params
         dt = params.dt
         p2 = self.p2
@@ -540,7 +538,6 @@ class Stepper:
                                    self._velocity_bc.rhs(rhs2)], axis=1))[0]
         ws.u1_tilde = fem.Field(p2, u[:, 0], components=2)
         ws.u2_tilde = fem.Field(p2, u[:, 1], components=2)
-        return ws.u1_tilde, ws.u2_tilde
 
     def _source_power(self, vbar_vals, gbar_vals, t_new):
         """Forcing power entering the auxiliary-variable ODE (manufactured)."""
@@ -556,7 +553,8 @@ class Stepper:
         return total + params.co * fem.integrate(vbar_vals * dfq, mesh)
 
     def compute_xi(self, ws, c_new, vbar_new, a0, hist_r, t_new):
-        """Auxiliary-variable ratio from the split velocity solves."""
+        """Auxiliary-variable ratio xi from the split velocity solves, into
+        ``ws.xi``; returns (E_spnp, G, sqrt(E_spnp + B), zeta2)."""
         mesh, params = self.mesh, self.params
         dt = params.dt
 
@@ -602,20 +600,19 @@ class Stepper:
                 f"xi denominator {denom:.3e} not positive (extrapolated "
                 f"viscosity positivity lost?)", step=self.step_index + 1,
                 quantity="xi denominator")
-        ws.zeta1, ws.zeta2 = zeta1, zeta2
         ws.xi = (hist_r + dt * zeta1) / denom
-        return ws.xi, e_spnp, g_total, sqrt_eb
+        return e_spnp, g_total, sqrt_eb, zeta2
 
     def update_r_v_u(self, ws, vbar_new, sqrt_eb):
-        """Recombine: r, scaled potential, and the composite velocity."""
+        """Recombine: returns r and the scaled potential, and puts the
+        composite velocity in ``ws.u_tilde``."""
         xi = ws.xi
         r_new = xi * sqrt_eb
         v_new = fem.Field(self.p2, xi * vbar_new.coefficients)
-        u_tilde = fem.Field(self.p2,
-                            ws.u1_tilde.coefficients
-                            + xi * ws.u2_tilde.coefficients, components=2)
-        ws.u_tilde = u_tilde
-        return r_new, v_new, u_tilde
+        ws.u_tilde = fem.Field(self.p2,
+                               ws.u1_tilde.coefficients
+                               + xi * ws.u2_tilde.coefficients, components=2)
+        return r_new, v_new
 
     def pressure_poisson(self, u_tilde, a0):
         """Zero-mean pressure increment from the projection step."""
@@ -627,7 +624,7 @@ class Stepper:
         """Project the corrected velocity, update pressure and viscosity;
         ``mv_ut`` is Mv times the composite velocity."""
         params = self.params
-        n2 = self.n2
+        n2 = self.p2.n_dofs
         b = mv_ut - (params.dt / a0) * (self.G @ psi.coefficients)
         # the x and y blocks as the two columns of one solve
         u = self._m2_solver.solve(b.reshape(2, n2).T)[0]
@@ -652,8 +649,8 @@ class Stepper:
         else:
             o, a0, wn, wo = self.prev, 1.5, 2.0, 0.5
         t_new = n.t + dt
-        hist_sigma = [wn * s.coefficients - wo * so.coefficients
-                      for s, so in zip(n.sigma, o.sigma)]
+        hist_sigma = [wn * c.sigma.coefficients - wo * co.sigma.coefficients
+                      for c, co in zip(n.c, o.c)]
         hist_u = wn * n.u.coefficients - wo * o.u.coefficients
         hist_r = wn * n.r - wo * o.r
 
@@ -665,18 +662,17 @@ class Stepper:
                  for i in range(params.n_species)]
         vbar_new, multiplier = self.solve_potential(c_new, t_new)
         self.solve_velocity_split(ws, c_new, vbar_new, hist_u, t_new)
-        xi, e_spnp, g_total, sqrt_eb = self.compute_xi(
+        e_spnp, g_total, sqrt_eb, zeta2 = self.compute_xi(
             ws, c_new, vbar_new, a0, hist_r, t_new)
-        r_new, v_new, u_tilde = self.update_r_v_u(ws, vbar_new, sqrt_eb)
-        psi = self.pressure_poisson(u_tilde, a0)
-        mv_ut = self.vector_mass(u_tilde.coefficients)
+        r_new, v_new = self.update_r_v_u(ws, vbar_new, sqrt_eb)
+        psi = self.pressure_poisson(ws.u_tilde, a0)
+        mv_ut = self.vector_mass(ws.u_tilde.coefficients)
         u_new, p_new, mu_new = self.correct(psi, a0, mv_ut)
 
-        new = model.State(t=t_new, u=u_new, p=p_new, sigma=sigma_new,
-                          c=c_new, vbar=vbar_new, v=v_new, mu_q=mu_new,
-                          r=r_new, xi=float(xi))
+        new = model.State(t=t_new, u=u_new, p=p_new, c=c_new, vbar=vbar_new,
+                          v=v_new, mu_q=mu_new, r=r_new)
 
-        kdef_ut = ws.Kdef @ u_tilde.coefficients
+        kdef_ut = ws.Kdef @ ws.u_tilde.coefficients
         div, split = self._log_identities(ws, psi, a0, mv_ut, kdef_ut)
         measured = self._run_checks(new, targets)
 
@@ -688,11 +684,11 @@ class Stepper:
         self.curr = new
         self.step_index += 1
         self.records.append(self._record(
-            new, measured, xi=xi,
-            visc_dissip=float(u_tilde.coefficients @ kdef_ut) / params.re,
-            ionic_dissip=xi ** 2 * (params.co / params.pe) * g_total,
+            new, measured, xi=ws.xi,
+            visc_dissip=float(ws.u_tilde.coefficients @ kdef_ut) / params.re,
+            ionic_dissip=ws.xi ** 2 * (params.co / params.pe) * g_total,
             e_spnp=e_spnp, multiplier=multiplier, div_residual=div,
-            split_residual=split, zeta2=ws.zeta2))
+            split_residual=split, zeta2=zeta2))
         return new
 
     def bootstrap_first_step(self):
@@ -758,8 +754,7 @@ class Stepper:
         composite velocity."""
         params = self.params
         dt = params.dt
-        ut = ws.u_tilde
-        div_vec = self._GT @ ut.coefficients
+        div_vec = self._GT @ ws.u_tilde.coefficients
         d = div_vec - (dt / a0) * (self.K1 @ psi.coefficients)
         div_rel = np.linalg.norm(d) / max(np.linalg.norm(div_vec), 1e-300)
 

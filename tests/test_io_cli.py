@@ -154,8 +154,7 @@ def make_state(mesh):
     u = fem.zero_field(p2, components=2)
     p = fem.zero_field(p1)
     vb = fem.zero_field(p2)
-    return model.State(t=0.25, u=u, p=p, sigma=[c[0].sigma, c[1].sigma],
-                       c=c, vbar=vb, v=vb.copy(),
+    return model.State(t=0.25, u=u, p=p, c=c, vbar=vb, v=vb.copy(),
                        mu_q=np.zeros((mesh.n_triangles, 12)), r=1.0)
 
 

@@ -235,7 +235,7 @@ def make_state(p2, p1_map, mesh, u_val=0.0, p_val=0.0, r=1.0):
     c = [model.Concentration(s, 1.0, *model.exp_log_field(s, mesh))
          for s in sig]
     vb = fem.zero_field(p2)
-    return model.State(t=0.0, u=u, p=p, sigma=sig, c=c, vbar=vb,
+    return model.State(t=0.0, u=u, p=p, c=c, vbar=vb,
                        v=vb.copy(), mu_q=np.zeros((mesh.n_triangles, 12)),
                        r=r)
 

@@ -34,7 +34,7 @@ def uniform_stepper(n=4, **kw):
 
 def sigma_history(st):
     """The current sigma coefficients, as the transport stage's history."""
-    return [s.coefficients.copy() for s in st.curr.sigma]
+    return [c.sigma.coefficients.copy() for c in st.curr.c]
 
 
 # ----------------------------------------------------------------------
@@ -44,7 +44,7 @@ def sigma_history(st):
 def test_constant_state_is_stationary():
     st = uniform_stepper(n=4)
     st.run(n_steps=5)
-    assert np.abs(st.curr.sigma[0].coefficients).max() <= 1e-12
+    assert np.abs(st.curr.c[0].sigma.coefficients).max() <= 1e-12
     assert np.abs(st.curr.u.coefficients).max() <= 1e-12
     assert np.abs(st.curr.p.coefficients).max() <= 1e-12
     recs = st.records
@@ -58,10 +58,9 @@ def test_sigma_constant_solution_single_step():
     # u* = 0, V* = 0, constant previous sigma levels: the new sigma is the
     # same constant
     st = uniform_stepper(n=3)
-    st.curr.sigma = [fem.Field(st.p2, np.full(st.p2.n_dofs, 0.7))
-                     for _ in range(2)]
+    sigma = [fem.Field(st.p2, np.full(st.p2.n_dofs, 0.7)) for _ in range(2)]
     st.curr.c = [model.Concentration(s, 1.0, *model.exp_log_field(s, st.mesh))
-                 for s in st.curr.sigma]
+                 for s in sigma]
     ws = st.make_workspace()
     out = st.step_sigma(ws, 1.0, sigma_history(st), t_new=st.params.dt)[0]
     assert np.abs(out.coefficients - 0.7).max() <= 1e-11
@@ -157,10 +156,10 @@ def test_velocity_split_trivial_rest():
     st = uniform_stepper(n=4)
     ws = st.make_workspace()
     st.step_sigma(ws, 1.0, sigma_history(st), st.params.dt)
-    u1, u2 = st.solve_velocity_split(ws, st.curr.c, st.curr.vbar,
-                                     st.curr.u.coefficients, st.params.dt)
-    assert np.abs(u1.coefficients).max() <= 1e-12
-    assert np.abs(u2.coefficients).max() <= 1e-12
+    st.solve_velocity_split(ws, st.curr.c, st.curr.vbar,
+                            st.curr.u.coefficients, st.params.dt)
+    assert np.abs(ws.u1_tilde.coefficients).max() <= 1e-12
+    assert np.abs(ws.u2_tilde.coefficients).max() <= 1e-12
 
 
 def test_xi_consistency_fixture():
@@ -172,9 +171,9 @@ def test_xi_consistency_fixture():
                             2 * st.curr.u.coefficients
                             - st.curr.u.coefficients, st.params.dt)
     hist_r = 2.0 * st.curr.r - 0.5 * st.curr.r
-    xi, e_spnp, g, sqrt_eb = st.compute_xi(ws, st.curr.c, st.curr.vbar, 1.5,
-                                           hist_r, st.params.dt)
-    assert xi == pytest.approx(1.0, abs=1e-12)
+    e_spnp, g, sqrt_eb, _ = st.compute_xi(ws, st.curr.c, st.curr.vbar, 1.5,
+                                          hist_r, st.params.dt)
+    assert ws.xi == pytest.approx(1.0, abs=1e-12)
     assert abs(sqrt_eb - st.curr.r) <= 1e-12
 
 
@@ -192,15 +191,16 @@ def test_xi_two_dof_arithmetic_oracle():
     st.solve_velocity_split(ws, st.curr.c, st.curr.vbar, hist_u,
                             st.params.dt)
     hist_r = 2.0 * st.curr.r - 0.5 * st.prev.r
-    xi, e_spnp, g, sqrt_eb = st.compute_xi(ws, st.curr.c, st.curr.vbar, 1.5,
-                                           hist_r, st.params.dt)
+    e_spnp, g, sqrt_eb, zeta2 = st.compute_xi(ws, st.curr.c, st.curr.vbar,
+                                              1.5, hist_r, st.params.dt)
     co, pe, dt = st.params.co, st.params.pe, st.params.dt
     z1 = (co * (ws.coul_vec @ ws.u1_tilde.coefficients)
           + ws.adv_vec @ ws.u1_tilde.coefficients) / (2 * sqrt_eb)
     z2 = (co / pe * g - co * (ws.coul_vec @ ws.u2_tilde.coefficients)
           - ws.adv_vec @ ws.u2_tilde.coefficients) / (2 * sqrt_eb)
     expected = (hist_r + dt * z1) / (1.5 * sqrt_eb + dt * z2)
-    assert xi == pytest.approx(expected, rel=1e-14)
+    assert ws.xi == pytest.approx(expected, rel=1e-14)
+    assert zeta2 == pytest.approx(z2, rel=1e-14)
 
 
 def test_update_r_v_u_limits():
@@ -214,15 +214,15 @@ def test_update_r_v_u_limits():
     ws.u2_tilde = fem.Field(st.p2, np.full(2 * st.p2.n_dofs, 2.0),
                             components=2)
     ws.xi = 1.0
-    r, v, ut = st.update_r_v_u(ws, vbar, sqrt_eb=3.0)
+    r, v = st.update_r_v_u(ws, vbar, sqrt_eb=3.0)
     assert r == 3.0
     assert np.array_equal(v.coefficients, vbar.coefficients)
-    assert np.abs(ut.coefficients - 3.0).max() == 0.0
+    assert np.abs(ws.u_tilde.coefficients - 3.0).max() == 0.0
     ws.xi = 0.0
-    r, v, ut = st.update_r_v_u(ws, vbar, sqrt_eb=3.0)
+    r, v = st.update_r_v_u(ws, vbar, sqrt_eb=3.0)
     assert r == 0.0
     assert np.abs(v.coefficients).max() == 0.0
-    assert np.abs(ut.coefficients - 1.0).max() == 0.0
+    assert np.abs(ws.u_tilde.coefficients - 1.0).max() == 0.0
 
 
 def test_pressure_poisson_zero_velocity():
@@ -607,14 +607,15 @@ def test_sigma_system_matches_dense_oracle():
     ws = st.make_workspace()
     xy = fem.quad_points_physical(mesh)
     ws.c_star_quad = [poly(xy[..., 0], xy[..., 1]) for poly in c_polys]
-    hist = [s.coefficients.copy() for s in st.curr.sigma]
+    hist = sigma_history(st)
     i = 0
     sigma_new = st.step_sigma(ws, 1.0, hist, t_new=params.dt)[i]
 
     pe, dt = params.pe, params.dt
     zi = params.z[i]
     w = params.w_steric
-    coeffs_sig = [s.coefficients for s in ws.sigma_star]
+    # the bootstrap's extrapolated sigma* is the current sigma
+    coeffs_sig = hist
 
     def b_fn(tri, x, y):
         ux = oracles.field_value(p2, st.curr.u.component(0), tri, x, y)
@@ -788,5 +789,5 @@ def test_dirichlet_potential_scaled_by_xi():
     scen = scenario_exponent_k(0.4, nx=6, dt=1e-3, t_final=2e-3)
     st = scen.make_stepper()
     st.run()
-    expected = st.curr.xi * st.curr.vbar.coefficients
+    expected = st.records[-1].xi * st.curr.vbar.coefficients
     assert np.abs(st.curr.v.coefficients - expected).max() <= 1e-13
