@@ -1,4 +1,4 @@
-"""Reference elements, quadrature, form assembly and constraint handling.
+"""Reference elements, quadrature, form assembly and the zero-mean solver.
 
 Assembly is vectorized over all triangles at once.  On the affine elements
 every quadrature contraction factors into a reference tensor, tabulated
@@ -14,7 +14,8 @@ The scalar P2 forms share one pattern, so the scheme adds their matrices as
 data vectors.  No vector mass is stored: M2 applies to each velocity
 component, and its data enter the two diagonal blocks of the deformation
 form's pattern (:func:`diagonal_blocks`).  One gradient form couples
-velocity and pressure.
+velocity and pressure.  Dirichlet data and the zero-mean solver's pin are
+eliminated by :class:`~spnpflow.sparse.System` on the same patterns.
 
 Nonlinear coefficients are always point values at quadrature points, taken
 from the finite-element expansions of their fields.
@@ -28,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CompatibilityError
-from .sparse import Reordering, factorize
+from .sparse import System
 
 # Symmetric 12-point rule on the reference triangle, exact through degree 6.
 # Parameters refined to machine precision against the monomial integrals
@@ -581,79 +582,14 @@ def assemble_vector(functional, test, mesh, coeff):
 
 def apply_dirichlet(A, b, dofs, values):
     """Impose Dirichlet ``values``, in the order of ``dofs``, on a square
-    CSR matrix and its right-hand side in one shot: the eliminated matrix
-    of :class:`DirichletElimination`, symmetric for a symmetric ``A``, and
+    CSR matrix and its right-hand side in one shot: the CSR matrix with the
+    rows and columns of ``dofs`` eliminated by
+    :class:`~spnpflow.sparse.System`, symmetric for a symmetric ``A``, and
     the lifted right-hand side."""
     g = np.zeros(A.shape[0])
     g[dofs] = values
-    bc = DirichletElimination(A, dofs)
-    return bc.matrix(A.data), bc.rhs(b, bc.lift(A, g))
-
-
-class DirichletElimination:
-    """Dirichlet data on a fixed pattern (a :class:`Pattern` or a CSR
-    matrix), by eliminating the rows and the columns of ``dofs``.
-
-    Each constrained row keeps only a unit diagonal, so a symmetric matrix
-    stays symmetric.  Data g enter the right-hand side through a lift: the
-    free rows get ``b - A g``, the constrained rows ``g``.  The reduced
-    pattern and the gather onto it are computed here, once, with no sort;
-    :meth:`matrix` then costs one gather per matrix.  ``dofs`` is kept
-    sorted, and ``free`` masks the other rows.
-    """
-
-    def __init__(self, pattern, dofs):
-        n = pattern.shape[0]
-        if pattern.shape != (n, n):
-            raise ValueError("Dirichlet elimination needs a square pattern")
-        fixed = np.zeros(n, dtype=bool)
-        fixed[dofs] = True
-        self.dofs = dofs = np.flatnonzero(fixed)
-        self.free = ~fixed
-        row = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        keep = ~fixed[row] & ~fixed[pattern.indices]
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(row[keep], minlength=n) + fixed,
-                  out=indptr[1:])
-        kept = np.ones(indptr[-1], dtype=bool)
-        kept[indptr[dofs]] = False          # the constrained rows' diagonals
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        indices[kept] = pattern.indices[keep]
-        indices[~kept] = dofs
-        self.pattern = Pattern((n, n), indptr, indices)
-        # masks of the kept entries on the reduced and the original pattern
-        self._dest = kept
-        self._source = keep
-
-    def matrix(self, data):
-        """The constrained CSR matrix of the matrix with ``data`` on the
-        original pattern."""
-        out = np.ones(self.pattern.nnz)
-        out[self._dest] = data[self._source]
-        return self.pattern.csr(out)
-
-    def reordering(self, order):
-        """The :class:`~spnpflow.sparse.Reordering` by ``order`` of the
-        constrained matrices that takes the data on the original pattern:
-        this elimination's gather and the permutation's, composed into
-        one."""
-        return Reordering(self.pattern, order).after(
-            self._dest, np.flatnonzero(self._source))
-
-    def lift(self, A, g):
-        """The data's part of a right-hand side: ``-A g`` on the free rows
-        and ``g`` on the constrained ones; ``g`` is zero on the free dofs."""
-        out = -(A @ g)
-        out[self.dofs] = g[self.dofs]
-        return out
-
-    def rhs(self, b, lift=None):
-        """A copy of ``b`` with its constrained rows zeroed, plus ``lift``."""
-        out = np.array(b, dtype=np.float64)
-        out[self.dofs] = 0.0
-        if lift is not None:
-            out += lift
-        return out
+    bc = System(A, np.arange(A.shape[0]), dofs)
+    return bc.matrix(A.data).tocsr(), bc.rhs(b, bc.lift(A, g))
 
 
 def vector_ordering(dofmap):
@@ -672,7 +608,7 @@ class ZeroMeanSolver:
     constraint enforces a zero quadrature mean exactly.  Summing the rows
     gives the multiplier in closed form, mult = sum(b) / sum(w).  A is
     factored with one unknown pinned to zero, the last one in ``order``,
-    eliminated by :class:`DirichletElimination`: the pinned system solves
+    eliminated by :class:`~spnpflow.sparse.System`: the pinned system solves
     A y = b - mult w, which is compatible, and x is y less its w-weighted
     mean.
     """
@@ -680,8 +616,8 @@ class ZeroMeanSolver:
     def __init__(self, A, weight, order):
         self._weight = np.asarray(weight, dtype=np.float64)
         self._area = float(np.sum(self._weight))
-        self._pin = DirichletElimination(A, order[-1:])
-        self._lu = factorize(self._pin.matrix(A.data), order)
+        self._pin = System(A, order, fixed=order[-1:])
+        self._lu = self._pin.factor(A.data)
 
     def solve(self, b, subtract_mean=False):
         """Solve for right-hand side ``b``; returns (x, multiplier, report).

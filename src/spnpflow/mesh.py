@@ -67,11 +67,6 @@ class Mesh:
         xmin, xmax, ymin, ymax = self.extents
         return (xmax - xmin) * (ymax - ymin)
 
-    def boundary_edge_ids(self):
-        """All boundary edge ids, sorted ascending."""
-        ids = np.concatenate([self.boundary_edges[s] for s in SIDES])
-        return np.unique(ids)
-
 
 def build_rect_mesh(xmin, xmax, ymin, ymax, nx, ny):
     """Build the uniform triangulation of [xmin,xmax] x [ymin,ymax].

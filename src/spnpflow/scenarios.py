@@ -16,7 +16,7 @@ import numpy as np
 from . import fem, model
 from .mesh import build_rect_mesh, dof_map
 from .scheme import Stepper
-from .sparse import factorize
+from .sparse import System
 
 STERIC_MATRICES = (
     np.zeros((2, 2)),
@@ -142,8 +142,8 @@ def stream_function(u, mesh):
     vorticity = g[..., 1, 0] - g[..., 0, 1]
     K = fem.assemble("stiffness", p1, p1, mesh)
     b = fem.assemble_vector("source", p1, mesh, vorticity)
-    bc = fem.DirichletElimination(K, p1.boundary_dofs)
-    chi, _ = factorize(bc.matrix(K.data), p1.ordering).solve(bc.rhs(b))
+    bc = System(K, p1.ordering, p1.boundary_dofs)
+    chi, _ = bc.factor(K.data).solve(bc.rhs(b))
     return fem.Field(p1, chi)
 
 
@@ -161,7 +161,7 @@ def count_interior_extrema(chi, mesh, rel_floor=1e-6):
     np.maximum.at(nb_max, ends, vals[others])
     np.minimum.at(nb_min, ends, vals[others])
     interior = np.ones(mesh.n_nodes, dtype=bool)
-    interior[mesh.edges[mesh.boundary_edge_ids()]] = False
+    interior[chi.dofmap.boundary_dofs] = False
     extremum = (vals > nb_max) | (vals < nb_min)
     large = np.abs(vals) >= rel_floor * np.abs(vals).max()
     return int(np.count_nonzero(interior & extremum & large))

@@ -29,11 +29,12 @@ the calling thread.
 Set-up overlaps the same way.  :class:`Stepper` first fills the caches that
 both threads read: the geometry, the scalar P2 pattern and the P2 dof
 ordering.  One job on the worker then builds the step's index tables (the
-transport and momentum reorderings, the velocity elimination and the mass
-blocks), while the calling thread assembles the set-up matrices and makes
-the set-up factorisations; the constructor waits for the job even when its
-own side fails, and raises the job's error.  The job makes no factor and
-calls none of the entry points that the benchmark's tracer
+transport and momentum :class:`~spnpflow.sparse.System`, the latter with
+the velocity boundary eliminated, and the mass blocks), while the calling
+thread assembles the set-up matrices and makes the set-up factorisations,
+each through a System of its own; the constructor waits for the job even
+when its own side fails, and raises the job's error.  The job makes no
+factor and calls none of the entry points that the benchmark's tracer
 (``bench/spans.py``) wraps, since that tracer keeps one span stack for all
 threads.
 """
@@ -52,7 +53,7 @@ import numpy as np
 from . import fem, model
 from .errors import NonFiniteError, PositivityError, StructuralViolation
 from .mesh import dof_map
-from .sparse import Factorization, Reordering, factorize
+from .sparse import Factorization, System
 
 MASS_RTOL = 1e-10
 ENERGY_RTOL = 1e-10
@@ -229,8 +230,7 @@ class Stepper:
             self._set_up_solvers()
         finally:
             wait([tables])
-        (self._transport, self._mass_blocks, self._velocity_bc,
-         self._momentum) = tables.result()
+        self._transport, self._mass_blocks, self._momentum = tables.result()
 
         self.prev = None
         self.curr = None
@@ -241,27 +241,25 @@ class Stepper:
 
     def _step_tables(self):
         """The index tables of the step's matrices, built on the worker:
-        (transport reordering, mass blocks, velocity elimination, momentum
-        reordering).
+        (transport system, mass blocks, momentum system).
 
         Every system is factored in the nested-dissection order of its
-        space, the per-step ones through a reordering built here, so a
+        space, the per-step ones through a :class:`System` built here, so a
         step's matrix reaches SuperLU by one gather of its data.  M2, K2
         and the per-step advection and steric stiffness share the transport
         pattern, so the transport matrix is a sum of their data vectors.
         The vector mass Mv is M2 in the two diagonal blocks of the
         deformation form's velocity pattern, so the momentum matrix is the
         deformation data with M2's data added there; Mv is not stored, and
-        applied as M2 per component.  The elimination of the zero velocity
-        Dirichlet rows and columns and the ordering are one gather.
+        applied as M2 per component.  The momentum system eliminates the
+        zero velocity Dirichlet rows and columns in the same gather.
         """
         try:
             mesh, p2 = self.mesh, self.p2
-            velocity_bc = fem.DirichletElimination(
-                fem.pattern("deformation", p2, p2, mesh), self.vec_bdofs)
-            return (Reordering(fem.pattern("mass", p2, p2, mesh), p2.ordering),
-                    fem.diagonal_blocks(p2, p2, mesh), velocity_bc,
-                    velocity_bc.reordering(fem.vector_ordering(p2)))
+            return (System(fem.pattern("mass", p2, p2, mesh), p2.ordering),
+                    fem.diagonal_blocks(p2, p2, mesh),
+                    System(fem.pattern("deformation", p2, p2, mesh),
+                           fem.vector_ordering(p2), self.vec_bdofs))
         finally:
             _release_free_memory()
 
@@ -279,7 +277,7 @@ class Stepper:
         self.m1 = fem.basis_integrals(p1, mesh)
 
         self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1, p1.ordering)
-        self._m2_solver = factorize(self.M2, p2.ordering)
+        self._m2_solver = System(self.M2, p2.ordering).factor(self.M2.data)
 
         lamK2 = params.lam * self.K2
         if self.bc_mode == "zero_mean":
@@ -289,13 +287,12 @@ class Stepper:
             # V = 1 on the left side and 0 on the right, eliminated from
             # the symmetric lam K2; each step adds the data's lift
             left = p2.boundary_dofs_by_side["left"]
-            self._pot_bc = fem.DirichletElimination(lamK2, np.concatenate(
+            self._pot_bc = System(lamK2, p2.ordering, np.concatenate(
                 [left, p2.boundary_dofs_by_side["right"]]))
             g = np.zeros(p2.n_dofs)
             g[left] = 1.0
             self._pot_lift = self._pot_bc.lift(lamK2, g)
-            self._pot_solver = factorize(self._pot_bc.matrix(lamK2.data),
-                                         p2.ordering)
+            self._pot_solver = self._pot_bc.factor(lamK2.data)
 
     # ------------------------------------------------------------------
     # setup
@@ -393,7 +390,8 @@ class Stepper:
             for i in range(self.params.n_species):
                 pending.append(_WORKER.submit(self._solve_transport, ws, i,
                                               a0, hist, t_new))
-            ws.momentum = self._factor_momentum(ws, a0)
+            # the summed data are freed before SuperLU runs
+            ws.momentum = self._momentum.factor(self._momentum_data(ws, a0))
         finally:
             wait(pending)
         return [fem.Field(self.p2, job.result()) for job in pending]
@@ -446,8 +444,7 @@ class Stepper:
             rhs += fem.assemble_vector("source", p2, mesh,
                                        lambda x, y: f(x, y, t_new))
         try:
-            return Factorization(self._transport.matrix(data),
-                                 self._transport.order).solve(rhs)[0]
+            return self._transport.factor(data).solve(rhs)[0]
         except Exception as exc:
             traceback.clear_frames(exc.__traceback__)
             raise
@@ -495,18 +492,16 @@ class Stepper:
         sol, _ = self._pot_solver.solve(rhs)
         return fem.Field(self.p2, sol), np.nan
 
-    def _factor_momentum(self, ws, a0):
-        """Assemble Kdef(mu*) into ``ws`` and factor the momentum matrix
-        (a0/dt) Mv + Kdef/Re, which needs nothing else of the step."""
+    def _momentum_data(self, ws, a0):
+        """Assemble Kdef(mu*) into ``ws``; the data of the momentum matrix
+        (a0/dt) Mv + Kdef/Re, which needs nothing else of the step, on the
+        deformation pattern."""
         params = self.params
         ws.Kdef = fem.assemble("deformation", self.p2, self.p2, self.mesh,
                                coeff=ws.mu_star)
         data = (1.0 / params.re) * ws.Kdef.data
         data[self._mass_blocks] += (a0 / params.dt) * self.M2.data
-        A = self._momentum.matrix(data)
-        # the summed data are freed before SuperLU runs
-        del data
-        return Factorization(A, self._momentum.order)
+        return data
 
     def solve_velocity_split(self, ws, c_new, vbar_new, hist_u, t_new):
         """Solve the two split momentum systems, into ``ws.u1_tilde`` and
@@ -534,8 +529,8 @@ class Stepper:
         rhs2 = -ws.adv_vec - params.co * ws.coul_vec
 
         # zero data: the eliminated columns leave the free rows unchanged
-        u = solver.solve(np.stack([self._velocity_bc.rhs(ws.rhs_u),
-                                   self._velocity_bc.rhs(rhs2)], axis=1))[0]
+        u = solver.solve(np.stack([self._momentum.rhs(ws.rhs_u),
+                                   self._momentum.rhs(rhs2)], axis=1))[0]
         ws.u1_tilde = fem.Field(p2, u[:, 0], components=2)
         ws.u2_tilde = fem.Field(p2, u[:, 1], components=2)
 
@@ -760,7 +755,7 @@ class Stepper:
 
         lhs = (a0 / dt) * mv_ut + kdef_ut / params.re
         rhs = ws.rhs_u - ws.xi * ws.adv_vec - params.co * ws.xi * ws.coul_vec
-        free = self._velocity_bc.free
+        free = self._momentum.free
         split_rel = np.linalg.norm((lhs - rhs)[free]) \
             / max(np.linalg.norm(rhs[free]), 1e-300)
         return float(div_rel), float(split_rel)

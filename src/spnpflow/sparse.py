@@ -7,14 +7,16 @@ stays only because the benchmark's tracer (``bench/spans.py``) and
 ``bench/tests`` name it, until the next revision of the benchmark.
 
 Every linear system, a SciPy sparse matrix, is solved by sparse LU (SuperLU
-through scipy), with each solution's residual checked.
+through scipy), with each solution's residual checked, and reaches SuperLU
+through one :class:`System`, built once per sparsity pattern.  It
+eliminates the rows and columns of the unknowns fixed by Dirichlet data or
+by a pin, and applies the elimination order, as one gather of the CSR data
+into the CSC form of P A_c P^T, with index arrays computed once, so a
+re-factored matrix costs no sort and no format change.
 
 The caller chooses the elimination order; the scheme uses the geometric
 nested-dissection order of its mesh (``DofMap.ordering``), built once per
-mesh, with the two velocity components of a dof adjacent.  A
-:class:`Reordering` applies the order as one gather of the CSR data into
-the CSC form of P A P^T, with index arrays computed once per pattern, so a
-re-factored matrix costs no sort and no format change.
+mesh, with the two velocity components of a dof adjacent.
 SuperLU then factors P A P^T in its ``NATURAL`` column order with
 ``SymmetricMode``, which prefers diagonal pivots.  The finite-element
 matrices of the scheme are structurally symmetric, and on their regular
@@ -38,7 +40,6 @@ two velocity components of the projection, this way.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,17 +73,23 @@ class SparseMatrix:
         return self.matrix
 
 
-class Reordering:
-    """The symmetric permutation P A P^T of the matrices on one square CSR
-    pattern (a :class:`~spnpflow.fem.Pattern` or a CSR matrix), in CSC
-    form, applied as one gather of their data.
+class System:
+    """How the matrices on one square CSR pattern (a
+    :class:`~spnpflow.fem.Pattern` or a canonical CSR matrix) reach SuperLU:
+    the rows and columns of the ``fixed`` unknowns eliminated, and the
+    symmetric permutation by ``order`` applied, built once per pattern.
 
-    ``order[k]`` is the index of A whose row and column become row and
-    column k.  The CSC index arrays of P A P^T and the CSR data position of
-    each of their entries are computed here, once per pattern.
+    Each fixed row keeps only a unit diagonal, so a symmetric matrix stays
+    symmetric.  ``order[k]`` is the index of A whose row and column become
+    row and column k.  The CSC index arrays of P A_c P^T and the CSR data
+    position of each of their entries are computed here, so a matrix costs
+    one gather of its data.  Data g on the fixed unknowns enter the
+    right-hand side through a lift: the free rows get ``b - A g``, the
+    fixed rows ``g``.  ``fixed`` is kept sorted, and ``free`` masks the
+    other unknowns.
     """
 
-    def __init__(self, pattern, order):
+    def __init__(self, pattern, order, fixed=()):
         n = pattern.shape[0]
         if pattern.shape != (n, n):
             raise ValueError("direct solver needs a square matrix")
@@ -91,53 +98,77 @@ class Reordering:
             raise ValueError("order must be a permutation of the unknowns")
         self.order = order
         self.shape = (n, n)
+        self.free = np.ones(n, dtype=bool)
+        self.free[np.asarray(fixed, dtype=np.intp)] = False
+        self.fixed = fixed = np.flatnonzero(~self.free)
+        # the eliminated CSR matrix carries the CSR position of every kept
+        # entry as data, and -1 on the fixed rows' diagonals
+        row = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        keep = self.free[row] & self.free[pattern.indices]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row[keep], minlength=n) + ~self.free,
+                  out=indptr[1:])
+        kept = np.ones(indptr[-1], dtype=bool)
+        kept[indptr[fixed]] = False
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[kept] = pattern.indices[keep]
+        indices[~kept] = fixed
+        source = np.full(indptr[-1], -1, dtype=np.int32)
+        source[kept] = np.flatnonzero(keep)
         rank = np.empty(n, dtype=np.int32)
         rank[order] = np.arange(n, dtype=np.int32)
-        # the rows of P A in new order, their columns renumbered, carry the
-        # CSR position of every entry as data; SciPy's compiled transpose
-        # then sorts them by new column, and each column by new row
-        rows = sp.csr_matrix(
-            (np.arange(pattern.indices.size, dtype=np.int32),
-             pattern.indices, pattern.indptr), shape=self.shape)[order]
+        # its rows in new order, their columns renumbered; SciPy's compiled
+        # transpose then sorts them by new column, and each column by new
+        # row
+        rows = sp.csr_matrix((source, indices, indptr),
+                             shape=self.shape)[order]
         rows.indices = rank[rows.indices]
         rows.has_sorted_indices = False
         Pc = rows.tocsc()
         self.indptr = Pc.indptr.astype(np.int32, copy=False)
         self.indices = Pc.indices.astype(np.int32, copy=False)
         self._source = Pc.data
-        self._unit = np.empty(0, dtype=np.int32)
-
-    @property
-    def nnz(self):
-        return self.indices.size
-
-    def after(self, dest, source):
-        """This reordering of the matrices whose CSR data on the pattern
-        are one except at positions ``dest``, which take ``data[source]``
-        of the data on another pattern: the two gathers composed into one,
-        as a new object."""
-        composed = np.full(self.nnz, -1, dtype=np.int32)
-        composed[dest] = source
-        composed = composed[self._source]
-        out = copy.copy(self)
-        out._unit = np.flatnonzero(composed < 0).astype(np.int32)
-        composed[out._unit] = 0
-        out._source = composed
-        return out
+        self._unit = np.flatnonzero(self._source < 0).astype(np.int32)
+        self._source[self._unit] = 0
 
     def matrix(self, data):
-        """P A P^T in CSC form, for the matrix A with ``data``."""
+        """P A_c P^T in CSC form, for the matrix A with ``data`` on the
+        pattern."""
         out = data[self._source]
         out[self._unit] = 1.0
         A = sp.csc_matrix((out, self.indices, self.indptr), shape=self.shape)
         A.has_canonical_format = True
         return A
 
+    def factor(self, data):
+        """The :class:`Factorization` of A_c, for the matrix A with
+        ``data`` on the pattern.  ``data`` is released before SuperLU runs
+        when the call holds the only reference to it."""
+        A = self.matrix(data)
+        del data
+        return Factorization(A, self.order)
+
+    def lift(self, A, g):
+        """The data's part of a right-hand side: ``-A g`` on the free rows
+        and ``g`` on the fixed ones; ``g`` is zero on the free unknowns."""
+        out = -(A @ g)
+        out[self.fixed] = g[self.fixed]
+        return out
+
+    def rhs(self, b, lift=None):
+        """A copy of ``b`` with its fixed rows zeroed, plus ``lift``."""
+        out = np.array(b, dtype=np.float64)
+        out[self.fixed] = 0.0
+        if lift is not None:
+            out += lift
+        return out
+
 
 class Factorization:
-    """SuperLU factors of P A P^T, given in CSC form with the ``order`` of
-    :class:`Reordering`, reusable for several right-hand sides of A x = b.
-    The last reference to it must be dropped on the thread that made it."""
+    """SuperLU factors of P A P^T, given in CSC form by
+    :meth:`System.factor` with its ``order``, reusable for several
+    right-hand sides of A x = b.  The last reference to it must be dropped
+    on the thread that made it."""
 
     def __init__(self, Ac, order):
         self._Ac = Ac
@@ -174,13 +205,3 @@ class Factorization:
             out[:, nb == 0.0] = 0.0
         return out, SolveReport(worst)
 
-
-def factorize(A, order):
-    """Factorize the square SciPy matrix A once, eliminating its unknowns
-    in ``order``; returns an object with .solve(b).  For set-up matrices:
-    a matrix re-factored on a fixed pattern keeps its :class:`Reordering`."""
-    A = sp.csr_matrix(A)
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
-    return Factorization(Reordering(A, order).matrix(A.data), order)

@@ -9,7 +9,7 @@ def test_smallest_grid():
     m = build_rect_mesh(0, 1, 0, 1, 1, 1)
     assert m.n_nodes == 4
     assert m.n_triangles == 2
-    assert m.boundary_edge_ids().size == 4
+    assert sum(ids.size for ids in m.boundary_edges.values()) == 4
 
 
 def test_paper_grid_mesh_size():
@@ -39,7 +39,7 @@ def test_invariants_random_grids(nx, ny):
     assert abs(areas.sum() - m.area) <= 1e-14 * m.area
     # interior edges touch 2 triangles, boundary edges 1
     counts = np.bincount(m.tri_edges.ravel())
-    boundary = m.boundary_edge_ids()
+    boundary = np.concatenate(list(m.boundary_edges.values()))
     assert (counts[boundary] == 1).all()
     interior = np.setdiff1d(np.arange(m.n_edges), boundary)
     assert (counts[interior] == 2).all()

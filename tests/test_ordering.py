@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from spnpflow import fem
 from spnpflow.mesh import bisection_paths, build_rect_mesh, dof_map
-from spnpflow.sparse import Factorization, Reordering
+from spnpflow.sparse import System
 
 SHAPES = [(1, 1), (1, 3), (5, 2), (12, 7), (20, 20)]
 
@@ -125,7 +125,7 @@ def test_nonsymmetric_transport_matrix_solves_like_spsolve():
                                                + 1e-2 * K.data)
     assert abs(A - A.T).max() > 1e-3 * abs(A).max()
     b = rng.standard_normal(p2.n_dofs)
-    lu = Factorization(Reordering(A, p2.ordering).matrix(A.data), p2.ordering)
+    lu = System(A, p2.ordering).factor(A.data)
     x, report = lu.solve(b)
     expected = spla.spsolve(A.tocsc(), b)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()

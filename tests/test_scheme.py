@@ -535,6 +535,7 @@ def test_set_up_job_error_reaches_stepper(monkeypatch):
 
 def test_set_up_error_waits_for_the_job(monkeypatch):
     from spnpflow.errors import SingularMatrixError
+    from spnpflow.sparse import System
 
     real = fem.diagonal_blocks
     started, done = threading.Event(), []
@@ -550,7 +551,7 @@ def test_set_up_error_waits_for_the_job(monkeypatch):
         raise SingularMatrixError("doctored set-up factor")
 
     monkeypatch.setattr(fem, "diagonal_blocks", slow)
-    monkeypatch.setattr(scheme, "factorize", singular)
+    monkeypatch.setattr(System, "factor", singular)
     with pytest.raises(SingularMatrixError, match="doctored"):
         Stepper(build_rect_mesh(0, 1, 0, 1, 3, 3), make_params())
     assert done
@@ -565,6 +566,28 @@ def test_set_up_factorisations_on_the_calling_thread(monkeypatch, bc_mode):
             bc_mode=bc_mode)
     assert len(calls) == 3
     assert all(th is threading.current_thread() for _, th in calls)
+
+
+@pytest.mark.parametrize("bc_mode", ["zero_mean", "dirichlet_lr"])
+def test_every_factorisation_goes_through_a_system(monkeypatch, bc_mode):
+    # one path from a pattern to SuperLU: each SuperLU factorisation of
+    # set-up, the bootstrap step and a second-order step is a System.factor
+    import scipy.sparse.linalg as spla
+    from spnpflow.sparse import System
+
+    calls = record_threads(monkeypatch, [(spla, "splu"), (System, "factor")])
+
+    def counts():
+        names = [name for name, _ in calls]
+        calls.clear()
+        return names.count("splu"), names.count("factor")
+
+    st = uniform_stepper(n=4, bc_mode=bc_mode)
+    assert counts() == (3, 3)
+    st.bootstrap_first_step()
+    assert counts() == (3, 3)
+    st.step()
+    assert counts() == (3, 3)
 
 
 def test_set_up_job_calls_no_traced_entry_point(monkeypatch):

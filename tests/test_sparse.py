@@ -3,7 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from spnpflow.errors import SingularMatrixError, SolverError
-from spnpflow.sparse import Reordering, SparseMatrix, factorize
+import oracles
+from spnpflow import fem
+from spnpflow.mesh import build_rect_mesh, dof_map
+from spnpflow.sparse import SparseMatrix, System
 
 
 def shuffled(n, seed=0):
@@ -45,7 +48,7 @@ def test_csr_invariants():
 def test_solve_direct_identity():
     A = sp.identity(6, format="csr")
     b = np.linspace(0, 1, 6)
-    x, report = factorize(A, shuffled(6)).solve(b)
+    x, report = System(A, shuffled(6)).factor(A.data).solve(b)
     assert np.allclose(x, b)
     assert report.residual == 0.0
 
@@ -61,7 +64,7 @@ def test_solve_direct_tridiagonal_vs_dense_lu():
             rows.append(i); cols.append(i + 1); vals.append(-1.0)
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     b = np.ones(n)
-    x, _ = factorize(A, np.arange(n)).solve(b)
+    x, _ = System(A, np.arange(n)).factor(A.data).solve(b)
     expected = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - expected).max() <= 1e-12
 
@@ -69,7 +72,7 @@ def test_solve_direct_tridiagonal_vs_dense_lu():
 def test_solve_direct_singular():
     A = sp.csr_matrix(np.ones((3, 3)))
     with pytest.raises(SingularMatrixError):
-        factorize(A, [2, 0, 1]).solve(np.ones(3))
+        System(A, [2, 0, 1]).factor(A.data).solve(np.ones(3))
 
 
 def test_solve_direct_residual_check_under_permutation():
@@ -79,29 +82,29 @@ def test_solve_direct_residual_check_under_permutation():
     i = np.arange(n)
     A = sp.csr_matrix(1.0 / (i[:, None] + i[None, :] + 1.0))
     with pytest.raises(SolverError, match="residual"):
-        factorize(A, i[::-1]).solve(np.ones(n))
+        System(A, i[::-1]).factor(A.data).solve(np.ones(n))
 
 
 def test_solve_direct_rejects_rectangular():
     with pytest.raises(ValueError, match="square"):
-        factorize(sp.csr_matrix((3, 2)), np.arange(3)).solve(np.ones(3))
+        System(sp.csr_matrix((3, 2)), np.arange(3))
 
 
 def test_solve_direct_rejects_non_permutation():
     with pytest.raises(ValueError, match="permutation"):
-        factorize(sp.identity(3, format="csr"), [0, 1, 1])
+        System(sp.identity(3, format="csr"), [0, 1, 1])
 
 
 def test_solve_direct_zero_rhs():
-    A, _ = random_sparse(8, 0.4, seed=5)
-    x, report = factorize(A.to_scipy(), shuffled(8)).solve(np.zeros(8))
+    A = random_sparse(8, 0.4, seed=5)[0].to_scipy()
+    x, report = System(A, shuffled(8)).factor(A.data).solve(np.zeros(8))
     assert np.array_equal(x, np.zeros(8))
     assert report.residual == 0.0
 
 
 def test_solve_two_columns_as_single_solves():
-    A, _ = random_sparse(30, 0.2, seed=8)
-    lu = factorize(A.to_scipy(), shuffled(30, seed=2))
+    A = random_sparse(30, 0.2, seed=8)[0].to_scipy()
+    lu = System(A, shuffled(30, seed=2)).factor(A.data)
     b = np.random.default_rng(9).standard_normal((30, 2))
     b[:, 1] *= 1e6      # columns of unequal scale
     x, report = lu.solve(b)
@@ -115,8 +118,8 @@ def test_solve_two_columns_as_single_solves():
 
 
 def test_solve_zero_column_gives_zeros():
-    A, _ = random_sparse(12, 0.4, seed=6)
-    lu = factorize(A.to_scipy(), shuffled(12))
+    A = random_sparse(12, 0.4, seed=6)[0].to_scipy()
+    lu = System(A, shuffled(12)).factor(A.data)
     b = np.zeros((12, 2))
     b[:, 0] = np.linspace(1.0, 2.0, 12)
     x, report = lu.solve(b)
@@ -132,7 +135,7 @@ def test_solve_residual_checked_per_column():
     n = 14
     i = np.arange(n)
     A = sp.csr_matrix(1.0 / (i[:, None] + i[None, :] + 1.0))
-    lu = factorize(A, i[::-1])
+    lu = System(A, i[::-1]).factor(A.data)
     good = A.toarray()[:, 0]
     assert lu.solve(good)[1].residual <= 1e-10
     with pytest.raises(SolverError, match="residual"):
@@ -145,33 +148,52 @@ def test_direct_then_spmv_roundtrip():
         A = A.to_scipy()
         rng = np.random.default_rng(100 + seed)
         b = rng.standard_normal(25)
-        x, _ = factorize(A, shuffled(25, seed)).solve(b)
+        x, _ = System(A, shuffled(25, seed)).factor(A.data).solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_reordering_is_the_permuted_matrix_in_csc():
-    A, dense = random_sparse(20, 0.3, seed=7)
-    A = A.to_scipy()
-    order = shuffled(20, seed=1)
-    Ac = Reordering(A, order).matrix(A.data)
-    assert Ac.format == "csc"
-    assert Ac.has_canonical_format
-    assert np.array_equal(Ac.toarray(), dense[np.ix_(order, order)])
+@pytest.mark.parametrize("fixed", ["none", "boundary", "pin"])
+def test_system_against_dense_oracle(fixed):
+    # a structurally nonsymmetric matrix on the P1 dofs of a mesh, with a
+    # shuffled elimination order
+    mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    p1 = dof_map(mesh, 1)
+    n = p1.n_dofs
+    rng = np.random.default_rng(5)
+    dense = fem.assemble("stiffness", p1, p1, mesh).toarray()
+    off = np.flatnonzero((dense != 0.0) & ~np.eye(n, dtype=bool))
+    dense.flat[off] = rng.standard_normal(off.size)
+    dense.flat[rng.choice(off, off.size // 4, replace=False)] = 0.0
+    dense += n * np.eye(n)
+    assert not np.array_equal(dense != 0.0, dense.T != 0.0)
+    A = sp.csr_matrix(dense)
+    order = shuffled(n, seed=1)
+    dofs = {"none": np.array([], dtype=int), "boundary": p1.boundary_dofs,
+            "pin": order[-1:]}[fixed]
+    system = System(A, order, dofs)
 
+    expected = dense.copy()
+    expected[dofs, :] = 0.0
+    expected[:, dofs] = 0.0
+    expected[dofs, dofs] = 1.0
+    expected = expected[np.ix_(order, order)]
+    Ac = system.matrix(A.data)
+    assert Ac.format == "csc" and Ac.has_canonical_format
+    assert all(np.all(np.diff(Ac.indices[lo:hi]) > 0)
+               for lo, hi in zip(Ac.indptr[:-1], Ac.indptr[1:]))
+    assert Ac.nnz == np.count_nonzero(expected)
+    assert np.array_equal(Ac.toarray(), expected)
+    assert np.array_equal(system.free, ~np.isin(np.arange(n), dofs))
 
-def test_reordering_composed_with_a_gather():
-    # the matrix that is one at every position but ``dest``, which take
-    # ``data[source]`` of another data vector, reordered in the same gather
-    A, dense = random_sparse(12, 0.4, seed=2)
-    A = A.to_scipy()
-    rng = np.random.default_rng(3)
-    dest = rng.choice(A.nnz, A.nnz // 2, replace=False)
-    source = rng.integers(0, 50, dest.size)
-    data = rng.standard_normal(50)
-    expected = np.ones(A.nnz)
-    expected[dest] = data[source]
-    order = shuffled(12, seed=4)
-    plain = Reordering(A, order)
-    composed = plain.after(dest, source)
-    assert np.array_equal(composed.matrix(data).toarray(),
-                          plain.matrix(expected).toarray())
+    g = np.zeros(n)
+    g[dofs] = rng.standard_normal(dofs.size)
+    f = rng.standard_normal(n)
+    b = system.rhs(f, system.lift(A, g))
+    expected_b = f - A @ g
+    expected_b[dofs] = g[dofs]
+    assert np.array_equal(b, expected_b)
+
+    A1, b1 = oracles.row_replacement(A, f, dofs, g[dofs])
+    x1 = np.linalg.solve(A1.toarray(), b1)
+    x2, _ = system.factor(A.data).solve(b)
+    assert np.abs(x1 - x2).max() <= 1e-11
