@@ -52,23 +52,35 @@ class RunConfig:
     snapshot_times: tuple = ()
 
 
-_BOOL_KEYS = {"strict_energy", "neutralize_net_charge"}
-_INT_KEYS = {"nx", "ny"}
-_FLOAT_KEYS = {"dt", "t_final", "re", "pe", "co", "lam", "mu0", "mu_inf",
-               "lambda1", "k", "b_shift"}
-_STR_KEYS = {"scenario", "out_dir"}
-_TUPLE_KEYS = {"w", "snapshot_times"}
-_ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _TUPLE_KEYS
+# scenario name before any ":" -> (factory, type of the argument after
+# it, or None for a name without one)
+_SCENARIOS = {"energy-decay": (scenarios.scenario_energy_decay, None),
+              "steric": (scenarios.scenario_steric, int),
+              "exponent-k": (scenarios.scenario_exponent_k, float)}
+# the RunConfig keys that override a scenario's Params of the same name
+_PARAM_KEYS = ("re", "pe", "co", "lam", "mu0", "mu_inf", "lambda1", "k",
+               "b_shift")
 
 
-def _parse_bool(text, key, lineno):
-    low = text.strip().lower()
+def _parse_bool(text):
+    low = text.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"line {lineno}: cannot parse boolean for '{key}': "
-                      f"{text!r}")
+    raise ValueError(f"cannot parse boolean: {text!r}")
+
+
+def _parse_floats(text):
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+# every RunConfig field -> the parser of its value text, which raises
+# ValueError on a bad value
+_PARSERS = {"scenario": str, "out_dir": str, "nx": int, "ny": int,
+            "strict_energy": _parse_bool, "neutralize_net_charge": _parse_bool,
+            "w": _parse_floats, "snapshot_times": _parse_floats,
+            **dict.fromkeys(("dt", "t_final") + _PARAM_KEYS, float)}
 
 
 def parse_config(text):
@@ -83,52 +95,18 @@ def parse_config(text):
                               f"{raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         try:
-            if key in _BOOL_KEYS:
-                values[key] = _parse_bool(val, key, lineno)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _TUPLE_KEYS:
-                values[key] = tuple(float(v) for v in val.split(",") if v.strip())
-            else:
-                values[key] = val
+            values[key] = _PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") \
                 from exc
     cfg = RunConfig(**values)
-    _validate(cfg)
+    build_scenario(cfg)         # checks the values
     return cfg
-
-
-def _validate(cfg):
-    """Check a config by building its scenario; ``Params`` validates the
-    parameter values."""
-    for key in _INT_KEYS:
-        v = getattr(cfg, key)
-        if v is not None and v < 1:
-            raise ConfigError(f"'{key}' must be >= 1, got {v}")
-    try:
-        build_scenario(cfg)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid parameters: {exc}") from exc
-
-
-# scenario name before any ":" -> (factory, type of the argument after
-# it, or None for a name without one)
-_SCENARIOS = {"energy-decay": (scenarios.scenario_energy_decay, None),
-              "steric": (scenarios.scenario_steric, int),
-              "exponent-k": (scenarios.scenario_exponent_k, float)}
-# the RunConfig keys that override a scenario's Params of the same name
-_PARAM_KEYS = ("re", "pe", "co", "lam", "mu0", "mu_inf", "lambda1", "k",
-               "b_shift")
 
 
 def _scenario_factory(name):
@@ -204,28 +182,24 @@ def write_snapshot(state, mesh, path):
                ("c_n", state.c[1].coefficients),
                ("V", state.v.coefficients),
                ("p", p_vals)]
-    ux = state.u.component(0)
-    uy = state.u.component(1)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(_FMT % state.t + " snapshot\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {coords.shape[0]} double\n")
-        for x, y in coords:
-            fh.write(f"{_FMT % x} {_FMT % y} 0\n")
+        np.savetxt(fh, coords, fmt=f"{_FMT} {_FMT} 0")
         fh.write(f"CELLS {cells.shape[0]} {4 * cells.shape[0]}\n")
-        for a, b, c in cells:
-            fh.write(f"3 {a} {b} {c}\n")
+        np.savetxt(fh, cells, fmt="3 %d %d %d")
         fh.write(f"CELL_TYPES {cells.shape[0]}\n")
         fh.write("5\n" * cells.shape[0])
         fh.write(f"POINT_DATA {coords.shape[0]}\n")
         for name, vals in scalars:
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in vals:
-                fh.write(_FMT % v + "\n")
+            np.savetxt(fh, vals, fmt=_FMT)
         fh.write("VECTORS u double\n")
-        for vx, vy in zip(ux, uy):
-            fh.write(f"{_FMT % vx} {_FMT % vy} 0\n")
+        np.savetxt(fh, np.column_stack([state.u.component(0),
+                                        state.u.component(1)]),
+                   fmt=f"{_FMT} {_FMT} 0")
 
 
 # ----------------------------------------------------------------------
@@ -239,17 +213,25 @@ def _given(cfg, keys):
 
 
 def build_scenario(cfg):
-    """Scenario object for a config, with overrides applied."""
+    """Scenario object for a config, with overrides applied.  A config that
+    selects no scenario, or values the scenario or its ``Params`` reject,
+    raise ConfigError."""
+    for key, v in _given(cfg, ("nx", "ny")).items():
+        if v < 1:
+            raise ConfigError(f"'{key}' must be >= 1, got {v}")
     factory = _scenario_factory(cfg.scenario)
-    scen = factory(**_given(cfg, ("nx", "dt", "t_final")))
+    try:
+        scen = factory(**_given(cfg, ("nx", "dt", "t_final")))
+        param_over = _given(cfg, _PARAM_KEYS)
+        if cfg.w is not None:
+            n = int(round(len(cfg.w) ** 0.5))
+            param_over["w_steric"] = np.asarray(cfg.w).reshape(n, n)
+        if param_over:
+            scen.params = replace(scen.params, **param_over)
+    except ValueError as exc:
+        raise ConfigError(f"invalid parameters: {exc}") from exc
     if cfg.ny is not None:
         scen.ny = cfg.ny
-    param_over = _given(cfg, _PARAM_KEYS)
-    if cfg.w is not None:
-        n = int(round(len(cfg.w) ** 0.5))
-        param_over["w_steric"] = np.asarray(cfg.w).reshape(n, n)
-    if param_over:
-        scen.params = replace(scen.params, **param_over)
     if cfg.neutralize_net_charge is not None:
         scen.neutralize_net_charge = cfg.neutralize_net_charge
     if cfg.snapshot_times:
@@ -257,42 +239,34 @@ def build_scenario(cfg):
     return scen
 
 
-def _make_out_dir(path):
-    """Create an output directory before any run, so that a path that
-    cannot hold output fails at once, as a config error."""
+def _output(write, *args, action="write output", **kwargs):
+    """Call an output writer, or create the output directory before any
+    run; a path that cannot hold output is a config error."""
     try:
-        os.makedirs(path, exist_ok=True)
+        write(*args, **kwargs)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from exc
-
-
-def _write_output(write, *args):
-    """Call an output writer; an output file that cannot be written is a
-    config error, like an output directory that cannot be created."""
-    try:
-        write(*args)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output: {exc}") from exc
+        raise ConfigError(f"cannot {action}: {exc}") from exc
 
 
 def run_config(cfg):
     """Run a scenario config end to end, writing diagnostics and snapshots."""
     scen = build_scenario(cfg)
     out_dir = cfg.out_dir
-    _make_out_dir(out_dir)
+    _output(os.makedirs, out_dir, exist_ok=True,
+            action="create output directory")
     mesh = scen.build_mesh()
     stepper = scen.make_stepper(mesh=mesh, strict_energy=cfg.strict_energy)
     snaps = []
 
     def snapshot_cb(state, t):
         path = os.path.join(out_dir, f"snapshot_t{t:.6f}.vtk")
-        _write_output(write_snapshot, state, mesh, path)
+        _output(write_snapshot, state, mesh, path)
         snaps.append(path)
 
     records = stepper.run(snapshot_times=scen.snapshot_times,
                           snapshot_cb=snapshot_cb)
     csv_path = os.path.join(out_dir, "diagnostics.csv")
-    _write_output(write_diagnostics_csv, records, csv_path)
+    _output(write_diagnostics_csv, records, csv_path)
     return records, csv_path, snaps
 
 
@@ -357,20 +331,6 @@ def _dispatch(args):
         print("exponent-k:<value>  shear-exponent study, side-driven potential")
         return EXIT_OK
 
-    if args.command == "run":
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        cfg = parse_config(text)
-        if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
-        records, csv_path, snaps = run_config(cfg)
-        print(f"wrote {csv_path} ({len(records)} records, "
-              f"{len(snaps)} snapshots)")
-        return EXIT_OK
-
     if args.command == "converge":
         try:
             steps = [int(s) for s in args.steps.split(",") if s.strip()]
@@ -383,25 +343,34 @@ def _dispatch(args):
         if steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
             raise ConfigError(f"--steps must be counts >= 1 in increasing "
                               f"order, got {args.steps}")
-        _make_out_dir(args.out)
+        _output(os.makedirs, args.out, exist_ok=True,
+                action="create output directory")
         rows = manufactured.convergence_study(steps, args.h_cells)
         print(manufactured.format_convergence_table(rows))
         path = os.path.join(args.out, "convergence.csv")
-        _write_output(manufactured.write_convergence_csv, rows, path)
+        _output(manufactured.write_convergence_csv, rows, path)
         print(f"wrote {path}")
         return EXIT_OK
 
-    if args.command == "scenario":
+    if args.command == "run":
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        cfg = parse_config(text)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
+    elif args.command == "scenario":
         cfg = RunConfig(scenario=args.name, nx=args.nx, dt=args.dt,
                         t_final=args.t_final, out_dir=args.out,
                         strict_energy=args.strict)
-        _validate(cfg)
-        records, csv_path, snaps = run_config(cfg)
-        print(f"wrote {csv_path} ({len(records)} records, "
-              f"{len(snaps)} snapshots)")
-        return EXIT_OK
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    else:
+        raise ConfigError(f"unknown command {args.command!r}")
+    records, csv_path, snaps = run_config(cfg)
+    print(f"wrote {csv_path} ({len(records)} records, "
+          f"{len(snaps)} snapshots)")
+    return EXIT_OK
 
 
 def main():

@@ -373,7 +373,9 @@ def convergence_study(n_steps_list, n_cells, t_final=0.5):
     rows = []
     prev = None
     for n in n_steps_list:
-        _, errors = run_manufactured(n, n_cells, t_final=t_final)
+        # keep only the errors, so this row's stepper is freed before the
+        # next row builds its own
+        errors = run_manufactured(n, n_cells, t_final=t_final)[1]
         orders = {}
         for key in ERROR_KEYS:
             orders[key] = float(np.log2(prev.errors[key] / errors[key])) \

@@ -273,7 +273,6 @@ class Stepper:
         # the Taylor-Hood gradient (grad q, v) couples velocity and
         # pressure; on the free velocity rows it is minus (div v, q)
         self.G = fem.assemble("gradient", p1, p2, mesh)
-        self._GT = self.G.T.tocsr()
         self.m1 = fem.basis_integrals(p1, mesh)
 
         self._psi_solver = fem.ZeroMeanSolver(self.K1, self.m1, p1.ordering)
@@ -611,7 +610,7 @@ class Stepper:
 
     def pressure_poisson(self, u_tilde, a0):
         """Zero-mean pressure increment from the projection step."""
-        rhs = (a0 / self.params.dt) * (self._GT @ u_tilde.coefficients)
+        rhs = (a0 / self.params.dt) * (self.G.T @ u_tilde.coefficients)
         sol, _, _ = self._psi_solver.solve(rhs, subtract_mean=True)
         return fem.Field(self.p1, sol)
 
@@ -749,7 +748,7 @@ class Stepper:
         composite velocity."""
         params = self.params
         dt = params.dt
-        div_vec = self._GT @ ws.u_tilde.coefficients
+        div_vec = self.G.T @ ws.u_tilde.coefficients
         d = div_vec - (dt / a0) * (self.K1 @ psi.coefficients)
         div_rel = np.linalg.norm(d) / max(np.linalg.norm(div_vec), 1e-300)
 

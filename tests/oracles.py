@@ -6,7 +6,8 @@ Nothing here shares code with the production path: basis functions are
 monomial polynomials obtained by inverting a Vandermonde system at the
 physical element nodes, and integration uses tensor Gauss-Legendre points
 collapsed onto each triangle (exact for polynomial integrands well past
-anything the forms produce).  The manufactured sources are checked against
+anything the forms produce).  The snapshot writer is checked against a
+value-by-value loop writer.  The manufactured sources are checked against
 per-term closed forms from the exact fields' derivatives
 (:class:`ExactDerivatives`, which extends the fields of
 ``manufactured.ExactSolution``) and by applying fourth-order finite
@@ -263,6 +264,45 @@ def interior_extrema_loop(vals, mesh, rel_floor=1e-6):
         if np.all(vals[v] > nb) or np.all(vals[v] < nb):
             count += 1
     return count
+
+
+def write_snapshot_loop(state, mesh, path):
+    """The legacy-VTK snapshot of ``io_cli.write_snapshot`` written value by
+    value: the reference of the array writer.  Each triangle (a, b, c) with
+    edge midpoints (m01, m12, m20) splits into (a, m01, m20), (b, m12,
+    m01), (c, m20, m12) and (m01, m12, m20)."""
+    fmt = "%.17g"
+    coords = state.vbar.dofmap.dof_coords()
+    cells = []
+    for (a, b, c), mids in zip(mesh.triangles, mesh.n_nodes + mesh.tri_edges):
+        m01, m12, m20 = mids
+        cells += [(a, m01, m20), (b, m12, m01), (c, m20, m12), (m01, m12, m20)]
+    p = state.p.coefficients
+    p_vals = list(p) + [0.5 * (p[i] + p[j]) for i, j in mesh.edges]
+    scalars = [("c_p", state.c[0].coefficients),
+               ("c_n", state.c[1].coefficients),
+               ("V", state.v.coefficients), ("p", p_vals)]
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(fmt % state.t + " snapshot\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {len(coords)} double\n")
+        for x, y in coords:
+            fh.write(f"{fmt % x} {fmt % y} 0\n")
+        fh.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
+        for a, b, c in cells:
+            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(f"CELL_TYPES {len(cells)}\n")
+        for _ in cells:
+            fh.write("5\n")
+        fh.write(f"POINT_DATA {len(coords)}\n")
+        for name, vals in scalars:
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for v in vals:
+                fh.write(fmt % v + "\n")
+        fh.write("VECTORS u double\n")
+        for vx, vy in zip(state.u.component(0), state.u.component(1)):
+            fh.write(f"{fmt % vx} {fmt % vy} 0\n")
 
 
 # ----------------------------------------------------------------------

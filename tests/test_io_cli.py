@@ -426,3 +426,95 @@ def test_identical_config_reproduces_csv(tmp_path):
     a = (tmp_path / "a" / "diagnostics.csv").read_bytes()
     b = (tmp_path / "b" / "diagnostics.csv").read_bytes()
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# one parser table, one run path, one array snapshot writer
+# ----------------------------------------------------------------------
+
+def test_parser_table_keys_are_the_runconfig_fields():
+    import dataclasses
+
+    from spnpflow import io_cli
+
+    assert set(io_cli._PARSERS) \
+        == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_parse_every_key():
+    text = ("scenario = energy-decay\nnx = 6\nny = 4\ndt = 0.005\n"
+            "t_final = 0.02\nre = 2\npe = 40\nco = 0.5\nlam = 0.75\n"
+            "mu0 = 1.5\nmu_inf = 0.25\nlambda1 = 3\nk = 0.4\nb_shift = 7\n"
+            "w = 4,1,1,4\nstrict_energy = yes\n"
+            "neutralize_net_charge = off\nout_dir = results\n"
+            "snapshot_times = 0.01,0.02\n")
+    cfg = RunConfig(scenario="energy-decay", nx=6, ny=4, dt=0.005,
+                    t_final=0.02, re=2.0, pe=40.0, co=0.5, lam=0.75,
+                    mu0=1.5, mu_inf=0.25, lambda1=3.0, k=0.4, b_shift=7.0,
+                    w=(4.0, 1.0, 1.0, 4.0), strict_energy=True,
+                    neutralize_net_charge=False, out_dir="results",
+                    snapshot_times=(0.01, 0.02))
+    assert parse_config(text) == cfg
+    scen = build_scenario(cfg)
+    assert (scen.nx, scen.ny) == (6, 4)
+    assert (scen.params.b_shift, scen.params.lambda1) == (7.0, 3.0)
+    assert np.array_equal(scen.params.w_steric, [[4.0, 1.0], [1.0, 4.0]])
+    assert scen.neutralize_net_charge is False
+    assert scen.snapshot_times == (0.01, 0.02)
+
+
+def test_parse_bad_boolean_is_a_bad_value():
+    with pytest.raises(ConfigError,
+                       match="line 2: bad value for 'strict_energy'"):
+        parse_config("nx = 4\nstrict_energy = maybe\n")
+
+
+def test_build_scenario_rejects_bad_sizes_and_values():
+    for cfg, message in ((RunConfig(nx=0), "'nx' must be >= 1"),
+                         (RunConfig(ny=-2), "'ny' must be >= 1"),
+                         (RunConfig(scenario="steric:9"),
+                          "invalid parameters"),
+                         (RunConfig(w=(1.0, 2.0, 3.0)),
+                          "invalid parameters")):
+        with pytest.raises(ConfigError, match=message):
+            build_scenario(cfg)
+
+
+def test_scenario_and_run_commands_write_the_same_csv(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli_main(["scenario", "energy-decay", "--nx", "5", "--dt",
+                     "1e-2", "--t-final", "0.03", "--out", str(a)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = energy-decay\nnx = 5\ndt = 1e-2\n"
+                   "t_final = 0.03\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(b)]) == 0
+    assert (a / "diagnostics.csv").read_bytes() \
+        == (b / "diagnostics.csv").read_bytes()
+
+
+def test_scenario_command_builds_its_scenario_once(tmp_path, monkeypatch):
+    from spnpflow import io_cli
+
+    calls = []
+    real = io_cli.build_scenario
+    monkeypatch.setattr(io_cli, "build_scenario",
+                        lambda cfg: calls.append(cfg) or real(cfg))
+    assert cli_main(["scenario", "energy-decay", "--nx", "4", "--dt",
+                     "1e-2", "--t-final", "0.01", "--out",
+                     str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_snapshot_matches_the_loop_writer(tmp_path):
+    import oracles
+    from spnpflow.scenarios import scenario_exponent_k
+
+    # a stepped state, so every block carries distinct values
+    scen = scenario_exponent_k(0.4, nx=3, dt=1e-3)
+    mesh = scen.build_mesh()
+    stepper = scen.make_stepper(mesh=mesh)
+    stepper.run(n_steps=2)
+    write_snapshot(stepper.curr, mesh, tmp_path / "array.vtk")
+    oracles.write_snapshot_loop(stepper.curr, mesh, tmp_path / "loop.vtk")
+    assert (tmp_path / "array.vtk").read_bytes() \
+        == (tmp_path / "loop.vtk").read_bytes()

@@ -351,6 +351,48 @@ def test_convergence_rejects_nonincreasing_steps():
         mf.convergence_study([16, 8], 8)
 
 
+def test_convergence_study_frees_each_rows_stepper(monkeypatch):
+    # a row keeps only its errors: no stepper outlives its row, even with
+    # the cycle collector off (so no reference cycle may hold one either)
+    import gc
+    import weakref
+
+    from spnpflow import scheme
+
+    live, seen = weakref.WeakSet(), []
+    real_init = scheme.Stepper.__init__
+
+    def init(self, *args, **kw):
+        seen.append(len(live))
+        live.add(self)
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(scheme.Stepper, "__init__", init)
+    gc.disable()
+    try:
+        rows = mf.convergence_study([1, 2, 3], 2, t_final=0.05)
+    finally:
+        gc.enable()
+    assert [r.n_steps for r in rows] == [1, 2, 3]
+    assert seen == [0, 0, 0]
+    assert not live
+
+
+def test_spatial_orders():
+    # P2 velocity, potential and log-concentrations converge at order 3 in
+    # L2, the P1 pressure at least at order 2; dt = 1e-3 keeps the time
+    # error below the space error on these meshes
+    errors = {n: mf.run_manufactured(50, n, t_final=0.05)[1]
+              for n in (8, 16, 32)}
+    orders = {key: np.log2(errors[16][key] / errors[32][key])
+              for key in mf.ERROR_KEYS}
+    for key in ("u", "cp", "cn", "V"):
+        assert orders[key] == pytest.approx(3.0, abs=0.3), (key, orders)
+    assert orders["p"] >= 1.8, orders
+    assert all(np.log2(errors[8][key] / errors[16][key]) > 1.8
+               for key in mf.ERROR_KEYS), errors
+
+
 @pytest.mark.full_resolution
 def test_full_scale_reference_points():
     # frozen reference errors and orders for the temporal study at
