@@ -213,9 +213,9 @@ def _given(cfg, keys):
 
 
 def build_scenario(cfg):
-    """Scenario object for a config, with overrides applied.  A config that
-    selects no scenario, or values the scenario or its ``Params`` reject,
-    raise ConfigError."""
+    """Scenario object for a config, with overrides applied.  Raises
+    ConfigError for a config that selects no scenario, or for values that
+    the scenario or its ``Params`` reject."""
     for key, v in _given(cfg, ("nx", "ny")).items():
         if v < 1:
             raise ConfigError(f"'{key}' must be >= 1, got {v}")
