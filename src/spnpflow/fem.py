@@ -23,6 +23,7 @@ from the finite-element expansions of their fields.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,22 +77,18 @@ class RefElement:
         if order not in (1, 2):
             raise ValueError(f"unsupported element order {order}")
         self.order = order
-        self.values, self.grads = self.tabulate(quad_rule().points)
-
-    def tabulate(self, bary):
-        """Basis values (n_b, n_q) and reference gradients (n_b, n_q, 2)."""
-        bary = np.asarray(bary)
+        # basis values (n_b, n_q) and reference gradients (n_b, n_q, 2)
+        bary = quad_rule().points
         l0, l1, l2 = bary[:, 0], bary[:, 1], bary[:, 2]
         one = np.ones_like(l0)
-        zero = np.zeros_like(l0)
         # gradients of barycentrics wrt reference (x, y) = (l1, l2)
         dl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        if self.order == 1:
-            vals = np.stack([l0, l1, l2])
-            grads = np.stack([np.stack([dl[i, 0] * one, dl[i, 1] * one], axis=-1)
-                              for i in range(3)])
-            return vals, grads
-        vals = np.stack([
+        if order == 1:
+            self.values = np.stack([l0, l1, l2])
+            self.grads = np.stack([np.stack([dl[i, 0] * one, dl[i, 1] * one],
+                                            axis=-1) for i in range(3)])
+            return
+        self.values = np.stack([
             l0 * (2 * l0 - 1),
             l1 * (2 * l1 - 1),
             l2 * (2 * l2 - 1),
@@ -107,7 +104,28 @@ class RefElement:
         for (i, j) in ((0, 1), (1, 2), (2, 0)):
             g = 4 * (ls[j][:, None] * dl[i][None, :] + ls[i][:, None] * dl[j][None, :])
             grads.append(g)
-        return vals, np.stack(grads)
+        self.grads = np.stack(grads)
+
+
+@functools.cache
+def ref_element(order):
+    """The reference element of ``order``, built once per process."""
+    return RefElement(order)
+
+
+@functools.cache
+def eval_tables(order, components):
+    """Basis values (n_b k, n_q k) and reference gradients (n_b k, n_q k 2)
+    of ``order`` for ``k = components``, block-diagonal in the component,
+    so that coefficients gathered per cell, component fastest, give values
+    (n_el, n_q, k) and reference gradients (n_el, n_q, k, 2) in one matmul
+    each; built once per process."""
+    ref, eye = ref_element(order), np.eye(components)
+    n_b = ref.values.shape[0]
+    return (np.einsum("aq,kl->akql", ref.values, eye).reshape(
+                n_b * components, -1),
+            np.einsum("aqr,kl->akqlr", ref.grads, eye).reshape(
+                n_b * components, -1))
 
 
 # 2 D(phi_j e_b) : D(phi_i e_a) = delta_ab grad phi_i . grad phi_j
@@ -119,8 +137,8 @@ _DEFORMATION = (np.einsum("ab,cd->abcd", _I2, _I2)
 
 
 class _Geometry:
-    """Per-mesh assembly tables: Jacobian determinants, quadrature, the
-    per-cell geometric factors of the affine map and the reference tensors.
+    """Per-mesh assembly tables: Jacobian determinants, quadrature and the
+    per-cell geometric factors of the affine map.
 
     A physical gradient is a reference gradient times ``inv``, so each
     quadrature contraction of a form factors into a reference tensor, the
@@ -158,9 +176,6 @@ class _Geometry:
                         + bary[None, :, 2, None] * p[:, None, 2, :])
         # read-only: every caller shares these points
         self.qpoints.setflags(write=False)
-        self._refs = {}
-        self._evals = {}
-        self._pairs = {}
         self._patterns = {}
 
     def pattern(self, test, trial, blocks):
@@ -175,37 +190,6 @@ class _Geometry:
                     self.pattern(test, trial, _SCALAR), blocks,
                     self.det.size)
         return self._patterns[key]
-
-    def ref(self, order):
-        """The reference element of ``order``."""
-        if order not in self._refs:
-            self._refs[order] = RefElement(order)
-        return self._refs[order]
-
-    def eval_tables(self, order, components):
-        """Basis values (n_b k, n_q k) and reference gradients
-        (n_b k, n_q k 2) of ``order`` for ``k = components``, block-diagonal
-        in the component, so that coefficients gathered per cell, component
-        fastest, give values (n_el, n_q, k) and reference gradients
-        (n_el, n_q, k, 2) in one matmul each."""
-        key = (order, components)
-        if key not in self._evals:
-            ref, eye = self.ref(order), np.eye(components)
-            n_b, n_q = ref.values.shape
-            self._evals[key] = (
-                np.einsum("aq,kl->akql", ref.values, eye).reshape(
-                    n_b * components, -1),
-                np.einsum("aqr,kl->akqlr", ref.grads, eye).reshape(
-                    n_b * components, -1))
-        return self._evals[key]
-
-    def pair(self, test_order, trial_order):
-        """Reference tensors of a (test, trial) pair of elements."""
-        key = (test_order, trial_order)
-        if key not in self._pairs:
-            self._pairs[key] = _RefPair(self.ref(test_order),
-                                        self.ref(trial_order))
-        return self._pairs[key]
 
 
 class _RefPair:
@@ -237,7 +221,7 @@ class _RefPair:
         self.value_grad = np.einsum("iq,jqr->qijr", phi_t, g_s).reshape(n_q, -1)
         self.advection = np.einsum("iq,jqr->qrij", phi_t, g_s).reshape(
             2 * n_q, -1)
-        if test is not trial:
+        if test.order != trial.order:
             return
         n_b = phi_t.shape[0]
         i, j = np.triu_indices(n_b)
@@ -258,6 +242,13 @@ class _RefPair:
         b01 = np.where(lower, 4 * pair + 2, 4 * pair + 1)
         self.deformation = np.concatenate(
             [4 * pair, b01, b01.T, 4 * pair + 3], axis=None)
+
+
+@functools.cache
+def ref_pair(test_order, trial_order):
+    """Reference tensors of a (test, trial) pair of elements, built once
+    per process."""
+    return _RefPair(ref_element(test_order), ref_element(trial_order))
 
 
 def geometry(mesh):
@@ -335,7 +326,7 @@ def eval_values(field, mesh):
     """Field values at quadrature points: (n_el, n_q) or (n_el, n_q, 2)."""
     geo = geometry(mesh)
     k = field.components
-    values, _ = geo.eval_tables(field.dofmap.order, k)
+    values, _ = eval_tables(field.dofmap.order, k)
     vals = _cell_coefficients(field) @ values
     return vals if k == 1 else vals.reshape(geo.wdet.shape + (k,))
 
@@ -348,7 +339,7 @@ def eval_grads(field, mesh):
     """
     geo = geometry(mesh)
     k = field.components
-    _, grads = geo.eval_tables(field.dofmap.order, k)
+    _, grads = eval_tables(field.dofmap.order, k)
     n_el, n_q = geo.wdet.shape
     g = (_cell_coefficients(field) @ grads).reshape(n_el, n_q * k, 2) @ geo.inv
     return g.reshape((n_el, n_q, 2) if k == 1 else (n_el, n_q, k, 2))
@@ -395,14 +386,13 @@ class Pattern:
     zero stay stored.
     """
 
-    def __init__(self, shape, indptr, indices, slot=None):
+    def __init__(self, shape, indptr, indices, slot):
         self.shape = shape
         self.indptr = indptr
         self.indices = indices
         self.slot = slot
         for arr in (indptr, indices, slot):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def nnz(self):
@@ -506,7 +496,7 @@ def assemble(form, trial, test, mesh, coeff=None):
     ``pattern(form, trial, test, mesh)`` with fresh, read-only data.
     """
     geo = geometry(mesh)
-    ref = geo.pair(test.order, trial.order)
+    ref = ref_pair(test.order, trial.order)
     n_el = geo.det.size
     Ww = (geo.wdet if form == "advection"
           else geo.wdet * _quad_values(coeff, mesh))
@@ -559,7 +549,7 @@ def assemble_vector(functional, test, mesh, coeff):
     vector_source (f . v) on a 2-component test space
     """
     geo = geometry(mesh)
-    ref = geo.ref(test.order)
+    ref = ref_element(test.order)
     W = geo.wdet
 
     if functional == "source":

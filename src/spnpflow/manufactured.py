@@ -68,22 +68,6 @@ class ExactSolution:
         return np.cos(PI * x) * np.cos(PI * y) * np.exp(-t)
 
 
-@dataclass
-class SourceTerms:
-    """Forcing callables derived from the exact solution.
-
-    ``f_sigma`` holds the transport sources divided by the exact
-    concentrations, c+ then c-.
-    """
-
-    f_u: object
-    f_cp: object
-    f_cn: object
-    f_v: object
-    dfv_dt: object
-    f_sigma: list
-
-
 def exact_solution_sec41(params=None):
     """The benchmark exact fields (parameters do not enter the fields)."""
     return ExactSolution()
@@ -230,7 +214,10 @@ def _space_tables(x, y, params):
 
 def source_terms(exact, params):
     """Forcing terms that make the exact fields of ``exact`` (an
-    ``ExactSolution``) solve the full system under ``params``.
+    ``ExactSolution``) solve the full system under ``params``, as the
+    :class:`~spnpflow.scheme.SourcePack` the stepper reads: ``f_c`` holds
+    the transport sources of c+ then c-, ``f_sigma`` the same divided by the
+    exact concentrations.
 
     The callables share one :class:`_SpaceFactors`: each call looks up the
     tables of its points and forms its source from them and exp(-t).
@@ -291,9 +278,9 @@ def source_terms(exact, params):
     def dfv_dt(x, y, t):
         return (-v_coeff * np.exp(-t)) * factors(x, y)["phi0"]
 
-    return SourceTerms(f_u=f_u, f_cp=transport_source(0),
-                       f_cn=transport_source(1), f_v=f_v, dfv_dt=dfv_dt,
-                       f_sigma=[sigma_source(0), sigma_source(1)])
+    return SourcePack(f_u=f_u, f_c=[transport_source(0), transport_source(1)],
+                      f_sigma=[sigma_source(0), sigma_source(1)], f_v=f_v,
+                      dfv_dt=dfv_dt)
 
 
 # ----------------------------------------------------------------------
@@ -316,11 +303,9 @@ class ConvergenceRow:
 
 
 def build_source_pack(exact, sources):
-    """Wire the derived sources for ``exact`` into the scheme's right-hand
-    sides; the log-transformed transport sources are ``sources.f_sigma``."""
-    return SourcePack(f_u=sources.f_u, f_c=[sources.f_cp, sources.f_cn],
-                      f_sigma=list(sources.f_sigma), f_v=sources.f_v,
-                      dfv_dt=sources.dfv_dt)
+    """``sources`` itself, a :func:`source_terms` result.  Nothing in the
+    package calls it; it stays for the benchmark's workloads."""
+    return sources
 
 
 def run_manufactured(n_steps, n_cells, t_final=0.5):
@@ -328,8 +313,7 @@ def run_manufactured(n_steps, n_cells, t_final=0.5):
     params = model.Params(dt=t_final / n_steps, t_final=t_final,
                           **SEC41_PARAMS)
     exact = exact_solution_sec41(params)
-    sources = source_terms(exact, params)
-    pack = build_source_pack(exact, sources)
+    pack = source_terms(exact, params)
     mesh = build_rect_mesh(0.0, 1.0, 0.0, 1.0, n_cells, n_cells)
     # the exact masses are time-independent: the oscillatory part integrates
     # to zero over the unit square

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import PositivityError
+from .errors import NonFiniteError, PositivityError
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,53 +118,57 @@ class DiagnosticsRecord:
 class Concentration:
     """Strictly positive concentration stored as scale * exp(log-field).
 
-    Nodal coefficients are materialized for dof-level access, but every
-    quadrature-point value goes through the log field, so point values stay
-    positive even where a direct quadratic interpolant of a sharp front
-    would undershoot.  ``exp_nodal``, ``sigma_quad`` and ``exp_quad`` are
-    what :func:`exp_log_field` returns, which the caller has already
-    computed to find ``scale``.  The quadrature values ``quad`` and
+    Built from the log field ``sigma`` and the species' ``mass``: sigma is
+    evaluated at the quadrature points and exponentiated, and the scale is
+    ``mass`` over the quadrature integral of exp(sigma).  NonFiniteError is
+    raised if the exponential overflows, PositivityError if ``mass`` or
+    that integral is not positive, so every concentration is checked where
+    it is built.  Nodal coefficients are materialized for dof-level access,
+    but every quadrature-point value goes through the log field, so point
+    values stay positive even where a direct quadratic interpolant of a
+    sharp front would undershoot.  The quadrature values ``quad`` and
     ``log_quad`` = log(scale) + sigma are read-only; the stepper sets
     ``log_quad`` to None when a level becomes the older of its two stored
     levels, since only the newest level's log values are read.
     """
 
-    def __init__(self, sigma, scale, exp_nodal, sigma_quad, exp_quad):
+    def __init__(self, sigma, mass, mesh):
+        sigma_quad = fem.eval_values(sigma, mesh)
+        with np.errstate(over="ignore"):
+            nodal, quad = np.exp(sigma.coefficients), np.exp(sigma_quad)
+        if not (np.all(np.isfinite(nodal)) and np.all(np.isfinite(quad))):
+            raise NonFiniteError("exp(sigma) overflowed")
+        raw_mass = fem.integrate(quad, mesh)
+        if not (mass > 0.0 and raw_mass > 0.0):
+            raise PositivityError(f"concentration mass {mass:.3e} or raw "
+                                  f"mass {raw_mass:.3e} <= 0")
         self.sigma = sigma
-        self.scale = float(scale)
-        self.coefficients = self.scale * exp_nodal
-        self.quad = self.scale * exp_quad
-        self.log_quad = np.log(self.scale) + sigma_quad
+        self.scale = float(mass / raw_mass)
+        # scaled in place, so no quadrature-sized temporary is made
+        nodal *= self.scale
+        quad *= self.scale
+        sigma_quad += np.log(self.scale)
+        self.coefficients, self.quad, self.log_quad = nodal, quad, sigma_quad
         for a in (self.quad, self.log_quad):
             a.setflags(write=False)
-
-
-def exp_log_field(sigma, mesh):
-    """(exp(sigma) at the dofs, sigma and exp(sigma) at the quadrature
-    points); overflow gives inf, which callers check."""
-    sigma_quad = fem.eval_values(sigma, mesh)
-    with np.errstate(over="ignore"):
-        return np.exp(sigma.coefficients), sigma_quad, np.exp(sigma_quad)
 
 
 def concentration_from_callable(fn, dofmap, mesh):
     """Interpolate positive initial data through its logarithm.
 
-    The result is rescaled so its mass matches the quadrature integral of
-    the callable itself; this keeps analytically balanced species balanced
-    to machine precision (the log interpolation alone would not).
+    The mass is the quadrature integral of the callable itself; this keeps
+    analytically balanced species balanced to machine precision (the log
+    interpolation alone would not).
     """
     field = fem.interpolate(fn, dofmap)
     if field.coefficients.min() <= 0.0:
         raise PositivityError("initial concentration must be strictly "
                               "positive at every dof")
     xy = fem.quad_points_physical(mesh)
-    target = fem.integrate(np.broadcast_to(np.asarray(
+    mass = fem.integrate(np.broadcast_to(np.asarray(
         fn(xy[..., 0], xy[..., 1]), dtype=np.float64), xy.shape[:2]), mesh)
-    sigma = fem.Field(dofmap, np.log(field.coefficients))
-    nodal, sigma_quad, quad = exp_log_field(sigma, mesh)
-    raw_mass = fem.integrate(quad, mesh)
-    return Concentration(sigma, target / raw_mass, nodal, sigma_quad, quad)
+    return Concentration(fem.Field(dofmap, np.log(field.coefficients)), mass,
+                         mesh)
 
 
 def conc_values(c, mesh):

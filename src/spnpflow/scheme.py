@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, model
-from .errors import NonFiniteError, PositivityError, StructuralViolation
+from .errors import StructuralViolation
 from .mesh import dof_map
 from .sparse import Factorization, System
 
@@ -452,16 +452,7 @@ class Stepper:
 
     def renormalize_concentration(self, sigma_new, mass_target):
         """Exponentiate pointwise and rescale to the target mass."""
-        if mass_target <= 0.0:
-            raise ValueError("mass target must be positive")
-        nodal, sigma_quad, quad = model.exp_log_field(sigma_new, self.mesh)
-        if not (np.all(np.isfinite(nodal)) and np.all(np.isfinite(quad))):
-            raise NonFiniteError("exp(sigma) overflowed")
-        mbar = fem.integrate(quad, self.mesh)
-        if not mbar > 0.0:
-            raise PositivityError(f"renormalization mass {mbar:.3e} <= 0")
-        return model.Concentration(sigma_new, mass_target / mbar, nodal,
-                                   sigma_quad, quad)
+        return model.Concentration(sigma_new, mass_target, self.mesh)
 
     def _charge(self, c_fields):
         """Charge density sum_i z_i c_i at quadrature points."""

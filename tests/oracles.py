@@ -18,7 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from spnpflow.manufactured import PI, ExactSolution, SourceTerms
+from spnpflow.manufactured import PI, ExactSolution
+from spnpflow.scheme import SourcePack
 
 P1_MONOMIALS = ((0, 0), (1, 0), (0, 1))
 P2_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -495,8 +496,8 @@ def source_terms_reference(exact, params):
         return params.lam * ex.v_lap(x, y, t) \
             - z0 * ex.cp_t(x, y, t) - z1 * ex.cn_t(x, y, t)
 
-    return SourceTerms(
-        f_u=f_u, f_cp=f_cp, f_cn=f_cn, f_v=f_v, dfv_dt=dfv_dt,
+    return SourcePack(
+        f_u=f_u, f_c=[f_cp, f_cn], f_v=f_v, dfv_dt=dfv_dt,
         f_sigma=[lambda x, y, t: f_cp(x, y, t) / ex.cp(x, y, t),
                  lambda x, y, t: f_cn(x, y, t) / ex.cn(x, y, t)])
 
@@ -562,8 +563,8 @@ def validate_sources(exact, sources, params, n_points=100, seed=7, h=5e-4):
         worst = max(worst, float(np.max(np.abs(resid))))
 
     # transport: d_t c + u.grad c - div(c grad g)/Pe = f_c
-    for species, (c_fn, f_fn) in enumerate(((ex.cp, sources.f_cp),
-                                            (ex.cn, sources.f_cn))):
+    for species, (c_fn, f_fn) in enumerate(zip((ex.cp, ex.cn),
+                                               sources.f_c)):
         def flux(a, b, axis):
             if species == 0:
                 c, cx, cy = ex.cp(a, b, t), ex.cp_x(a, b, t), ex.cp_y(a, b, t)

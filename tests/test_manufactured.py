@@ -104,9 +104,9 @@ def test_sources_match_reference_forms(exact, name):
     rng = np.random.default_rng(11)
     x, y = rng.random((2, 40, 12))
     t = rng.uniform(0.0, 2.0, (40, 12))
-    got = mf.build_source_pack(exact, mf.source_terms(exact, params))
-    want = mf.build_source_pack(
-        exact, oracles.source_terms_reference(exact, params))
+    got = mf.source_terms(exact, params)
+    want = oracles.source_terms_reference(exact, params)
+    assert mf.build_source_pack(exact, got) is got
     pairs = {"f_u": (got.f_u, want.f_u), "f_v": (got.f_v, want.f_v),
              "dfv_dt": (got.dfv_dt, want.dfv_dt)}
     for i in range(2):
@@ -130,7 +130,7 @@ def test_sources_match_reference_forms(exact, name):
 def evaluate_all(sources, x, y, t):
     """Every forcing callable of ``sources`` at (x, y, t)."""
     return (list(sources.f_u(x, y, t))
-            + [f(x, y, t) for f in (sources.f_cp, sources.f_cn, sources.f_v,
+            + [f(x, y, t) for f in (*sources.f_c, sources.f_v,
                                     sources.dfv_dt, *sources.f_sigma)])
 
 
@@ -201,7 +201,7 @@ def test_cache_shared_by_steppers_on_equal_meshes(exact, params,
     from spnpflow.mesh import build_rect_mesh
     from spnpflow.scheme import Stepper
 
-    pack = mf.build_source_pack(exact, mf.source_terms(exact, params))
+    pack = mf.source_terms(exact, params)
     runs = []
     for _ in range(2):
         st = Stepper(build_rect_mesh(0.0, 1.0, 0.0, 1.0, 8, 8), params,
@@ -264,7 +264,7 @@ def test_sources_decay_with_time(exact, sources):
     def peak(t):
         fu = sources.f_u(X, Y, t)
         return max(np.abs(fu[0]).max(), np.abs(fu[1]).max(),
-                   np.abs(sources.f_cp(X, Y, t)).max(),
+                   np.abs(sources.f_c[0](X, Y, t)).max(),
                    np.abs(sources.f_v(X, Y, t)).max())
     assert peak(10.0) <= np.exp(-9.0) * peak(0.0)
 
@@ -333,15 +333,15 @@ def test_momentum_forcing_evaluated_once_per_step(monkeypatch):
     # the momentum stage hands its right-hand side to the identity check,
     # so the forcing is evaluated once per step
     calls = []
-    build = mf.build_source_pack
+    build = mf.source_terms
 
-    def counting(exact, sources):
-        pack = build(exact, sources)
+    def counting(exact, params):
+        pack = build(exact, params)
         f_u = pack.f_u
         pack.f_u = lambda x, y, t: calls.append(t) or f_u(x, y, t)
         return pack
 
-    monkeypatch.setattr(mf, "build_source_pack", counting)
+    monkeypatch.setattr(mf, "source_terms", counting)
     mf.run_manufactured(3, 4, t_final=0.15)
     assert np.allclose(calls, [0.05, 0.1, 0.15], rtol=0, atol=1e-12)
 

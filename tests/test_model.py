@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spnpflow import fem, model
+from spnpflow.errors import PositivityError
 from spnpflow.mesh import build_rect_mesh, dof_map
 
 
@@ -103,10 +104,15 @@ def test_carreau_monotone_and_bounded(k, decreasing):
 # chemical potential and energies
 # ----------------------------------------------------------------------
 
+def raw_mass(sigma, mesh):
+    """Quadrature integral of exp(sigma)."""
+    return fem.integrate(np.exp(fem.eval_values(sigma, mesh)), mesh)
+
+
 def const_concs(p2, mesh, values):
     """Constant Concentrations: sigma = 0 and scale = value."""
     sigma = fem.zero_field(p2)
-    return [model.Concentration(sigma, v, *model.exp_log_field(sigma, mesh))
+    return [model.Concentration(sigma, v * raw_mass(sigma, mesh), mesh)
             for v in values]
 
 
@@ -232,8 +238,7 @@ def make_state(p2, p1_map, mesh, u_val=0.0, p_val=0.0, r=1.0):
     u = fem.Field(p2, np.full(2 * p2.n_dofs, u_val), components=2)
     p = fem.Field(p1_map, np.full(p1_map.n_dofs, p_val))
     sig = [fem.zero_field(p2) for _ in range(2)]
-    c = [model.Concentration(s, 1.0, *model.exp_log_field(s, mesh))
-         for s in sig]
+    c = [model.Concentration(s, raw_mass(s, mesh), mesh) for s in sig]
     vb = fem.zero_field(p2)
     return model.State(t=0.0, u=u, p=p, c=c, vbar=vb,
                        v=vb.copy(), mu_q=np.zeros((mesh.n_triangles, 12)),
@@ -301,17 +306,26 @@ def test_species_mass_cosine_background(mesh, p2):
     assert abs(model.min_concentration(c, mesh) - 2.0) <= 0.2
 
 
+def test_concentration_from_callable_rejects_nonpositive_mass():
+    # 1 at every P2 dof of the 1x1 mesh, but its quadrature mass is negative
+    mesh = build_rect_mesh(0, 1, 0, 1, 1, 1)
+    fn = lambda x, y: 1.0 - 50.0 * (np.sin(4 * np.pi * x)
+                                    * np.sin(4 * np.pi * y)) ** 2
+    with pytest.raises(PositivityError):
+        model.concentration_from_callable(fn, dof_map(mesh, 2), mesh)
+
+
 def test_concentration_quad_values_computed_once(mesh, p2):
     rng = np.random.default_rng(4)
     sigma = fem.Field(p2, rng.uniform(-1.0, 1.0, p2.n_dofs))
-    c = model.Concentration(sigma, 0.7, *model.exp_log_field(sigma, mesh))
+    c = model.Concentration(sigma, 0.7 * raw_mass(sigma, mesh), mesh)
     vals = model.conc_values(c, mesh)
-    expected = 0.7 * np.exp(fem.eval_values(sigma, mesh))
+    expected = c.scale * np.exp(fem.eval_values(sigma, mesh))
     assert vals.tobytes() == expected.tobytes()
     assert not vals.flags.writeable
     with pytest.raises(ValueError):
         vals[0, 0] = 1.0
-    logs = np.log(0.7) + fem.eval_values(sigma, mesh)
+    logs = np.log(c.scale) + fem.eval_values(sigma, mesh)
     assert c.log_quad.tobytes() == logs.tobytes()
     assert not c.log_quad.flags.writeable
 

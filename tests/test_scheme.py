@@ -59,8 +59,8 @@ def test_sigma_constant_solution_single_step():
     # same constant
     st = uniform_stepper(n=3)
     sigma = [fem.Field(st.p2, np.full(st.p2.n_dofs, 0.7)) for _ in range(2)]
-    st.curr.c = [model.Concentration(s, 1.0, *model.exp_log_field(s, st.mesh))
-                 for s in sigma]
+    st.curr.c = [model.Concentration(s, fem.integrate(
+        np.exp(fem.eval_values(s, st.mesh)), st.mesh), st.mesh) for s in sigma]
     ws = st.make_workspace()
     out = st.step_sigma(ws, 1.0, sigma_history(st), t_new=st.params.dt)[0]
     assert np.abs(out.coefficients - 0.7).max() <= 1e-11
@@ -91,6 +91,12 @@ def test_renormalize_preserves_target_mass():
     target = 0.737
     c = st.renormalize_concentration(sigma, mass_target=target)
     assert abs(model.species_mass(c, st.mesh) - target) <= 1e-12 * target
+
+
+def test_renormalize_nonpositive_target_raises():
+    st = uniform_stepper(n=3)
+    with pytest.raises(PositivityError):
+        st.renormalize_concentration(fem.zero_field(st.p2), mass_target=0.0)
 
 
 def test_renormalize_overflow_raises():
