@@ -319,6 +319,7 @@ def test_concentration_quad_values_computed_once(mesh, p2):
     rng = np.random.default_rng(4)
     sigma = fem.Field(p2, rng.uniform(-1.0, 1.0, p2.n_dofs))
     c = model.Concentration(sigma, 0.7 * raw_mass(sigma, mesh), mesh)
+    assert c.scale == pytest.approx(0.7, rel=1e-15)
     vals = model.conc_values(c, mesh)
     expected = c.scale * np.exp(fem.eval_values(sigma, mesh))
     assert vals.tobytes() == expected.tobytes()
