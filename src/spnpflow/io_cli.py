@@ -85,6 +85,14 @@ _PARSERS = {"scenario": str, "out_dir": str, "nx": int, "ny": int,
 
 def parse_config(text):
     """Parse a key = value document into a validated RunConfig."""
+    cfg = _read_config(text)
+    build_scenario(cfg)         # checks the values
+    return cfg
+
+
+def _read_config(text):
+    """The RunConfig of a key = value document, its values not yet checked
+    against a scenario."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,9 +112,7 @@ def parse_config(text):
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") \
                 from exc
-    cfg = RunConfig(**values)
-    build_scenario(cfg)         # checks the values
-    return cfg
+    return RunConfig(**values)
 
 
 def _scenario_factory(name):
@@ -358,7 +364,8 @@ def _dispatch(args):
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        cfg = parse_config(text)
+        # run_config checks the values as it builds the scenario
+        cfg = _read_config(text)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
     elif args.command == "scenario":

@@ -28,26 +28,20 @@ class Mesh:
         Unique edges as sorted vertex pairs, in lexicographic order.
     tri_edges : (n_tris, 3) int array
         Edge ids of each triangle in local order (v0,v1), (v1,v2), (v2,v0).
-    boundary_edges : dict
-        Side name ("left", "right", "bottom", "top") -> array of edge ids.
     extents : tuple
         (xmin, xmax, ymin, ymax).
     shape : tuple
         (nx, ny) cell counts.
     """
 
-    def __init__(self, nodes, triangles, edges, tri_edges, boundary_edges,
-                 extents, shape):
+    def __init__(self, nodes, triangles, edges, tri_edges, extents, shape):
         self.nodes = nodes
         self.triangles = triangles
         self.edges = edges
         self.tri_edges = tri_edges
-        self.boundary_edges = boundary_edges
         self.extents = extents
         self.shape = shape
         for arr in (nodes, triangles, edges, tri_edges):
-            arr.setflags(write=False)
-        for arr in boundary_edges.values():
             arr.setflags(write=False)
 
     @property
@@ -71,8 +65,7 @@ class Mesh:
 def build_rect_mesh(xmin, xmax, ymin, ymax, nx, ny):
     """Build the uniform triangulation of [xmin,xmax] x [ymin,ymax].
 
-    Everything is index arithmetic and one sort of the edge keys; an edge
-    met by one triangle only lies on the boundary.
+    Everything is index arithmetic and one sort of the edge keys.
 
     Parameters
     ----------
@@ -107,23 +100,12 @@ def build_rect_mesh(xmin, xmax, ymin, ymax, nx, ny):
     # tri_edges keeps the local order (v0,v1),(v1,v2),(v2,v0)
     n_nodes = nodes.shape[0]
     a, b = tris, np.roll(tris, -1, axis=1)
-    keys, inverse, counts = np.unique(
-        np.minimum(a, b) * n_nodes + np.maximum(a, b),
-        return_inverse=True, return_counts=True)
+    keys, inverse = np.unique(np.minimum(a, b) * n_nodes + np.maximum(a, b),
+                              return_inverse=True)
     edges = np.column_stack([keys // n_nodes, keys % n_nodes])
     tri_edges = inverse.reshape(tris.shape)
 
-    tol = 1e-12 * max(xmax - xmin, ymax - ymin)
-    on_boundary = np.flatnonzero(counts == 1)
-    mids = 0.5 * (nodes[edges[on_boundary, 0]] + nodes[edges[on_boundary, 1]])
-    boundary_edges = {
-        "left": on_boundary[np.abs(mids[:, 0] - xmin) < tol],
-        "right": on_boundary[np.abs(mids[:, 0] - xmax) < tol],
-        "bottom": on_boundary[np.abs(mids[:, 1] - ymin) < tol],
-        "top": on_boundary[np.abs(mids[:, 1] - ymax) < tol],
-    }
-
-    return Mesh(nodes, tris, edges, tri_edges, boundary_edges,
+    return Mesh(nodes, tris, edges, tri_edges,
                 (float(xmin), float(xmax), float(ymin), float(ymax)), (nx, ny))
 
 
@@ -142,10 +124,13 @@ class DofMap:
         P2 local order: vertices v0,v1,v2 then midpoints of (v0,v1), (v1,v2),
         (v2,v0).
     boundary_dofs : int array
-        Sorted dof ids geometrically on the boundary.
+        Sorted dof ids on the boundary.
     boundary_dofs_by_side : dict
         Side name -> sorted dof ids on that side (corners appear on both
-        adjacent sides).
+        adjacent sides).  A dof at half-grid indices (i, j) (see
+        :meth:`grid_indices`) is on the left side when i == 0, on the right
+        when i == 2 nx, on the bottom when j == 0 and on the top when
+        j == 2 ny, so no coordinate is compared.
     """
 
     def __init__(self, mesh, order):
@@ -163,16 +148,11 @@ class DofMap:
                                                  nv + mesh.tri_edges])
             self.cell_to_dofs.setflags(write=False)
 
-        by_side = {}
-        for side in SIDES:
-            eids = mesh.boundary_edges[side]
-            verts = np.unique(mesh.edges[eids].ravel())
-            if order == 1:
-                by_side[side] = verts
-            else:
-                by_side[side] = np.unique(np.concatenate([verts, nv + eids]))
-        self.boundary_dofs_by_side = by_side
-        self.boundary_dofs = np.unique(np.concatenate(list(by_side.values())))
+        (i, j), (nx, ny) = self.grid_indices().T, mesh.shape
+        on_side = (i == 0, i == 2 * nx, j == 0, j == 2 * ny)
+        self.boundary_dofs_by_side = {
+            side: np.flatnonzero(on) for side, on in zip(SIDES, on_side)}
+        self.boundary_dofs = np.flatnonzero(np.logical_or.reduce(on_side))
 
     def grid_indices(self):
         """Integer coordinates of all dofs on the half grid, (n_dofs, 2):

@@ -275,7 +275,7 @@ def species_mass(c, mesh):
     return fem.integrate(c.quad, mesh)
 
 
-def min_concentration(c, mesh):
+def min_concentration(c):
     """Minimum over all dof coefficients and quadrature points."""
     return float(min(c.coefficients.min(), c.quad.min()))
 

@@ -172,7 +172,7 @@ def kinetic_energy(u, mesh):
     return 0.5 * fem.integrate(vals[..., 0] ** 2 + vals[..., 1] ** 2, mesh)
 
 
-def max_charge_imbalance(state, mesh):
+def max_charge_imbalance(state):
     """max |c_p - c_n| over dofs (two-species states)."""
     return float(np.abs(state.c[0].coefficients
                         - state.c[1].coefficients).max())

@@ -345,15 +345,15 @@ class Stepper:
     # ------------------------------------------------------------------
 
     def make_workspace(self):
-        """Extrapolated fields 2 f^n - f^{n-1} for the next step; the
-        bootstrap (no older level yet) weights the older level zero,
-        giving f^n."""
+        """Extrapolated fields 2 f^n - f^o for the next step, where f^o is
+        the older level f^{n-1}, or f^n itself at the bootstrap (no older
+        level yet), where 2 f^n - f^n is f^n exactly."""
         mesh = self.mesh
         n = self.curr
-        o, e = (n, 0.0) if self.prev is None else (self.prev, 1.0)
+        o = n if self.prev is None else self.prev
 
         def extrap(fn, fo):
-            return (1.0 + e) * fn - e * fo
+            return 2.0 * fn - fo
 
         def extrap_field(f, fo):
             return fem.Field(f.dofmap, extrap(f.coefficients, fo.coefficients),
@@ -722,7 +722,7 @@ class Stepper:
         energy pairs it with the level ``old`` before it."""
         mesh = self.mesh
         return (tuple(model.species_mass(c, mesh) for c in new.c),
-                tuple(model.min_concentration(c, mesh) for c in new.c),
+                tuple(model.min_concentration(c) for c in new.c),
                 model.discrete_energy(new, old, self.params, mesh))
 
     def _record(self, new, measured, xi, **values):

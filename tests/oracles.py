@@ -243,6 +243,31 @@ def zero_mean_solve(A, weight, b):
     return sol[:-1], sol[-1]
 
 
+def boundary_sides_by_coords(dofmap):
+    """Side name -> sorted boundary dofs, classified by coordinates: the
+    reference of ``DofMap.boundary_dofs_by_side``.  An edge met by one
+    triangle is on a side when its midpoint lies on that side's line to
+    within 1e-12 of the larger extent; a side holds the vertices of its
+    edges and, for P2, their midpoint dofs."""
+    mesh = dofmap.mesh
+    xmin, xmax, ymin, ymax = mesh.extents
+    tol = 1e-12 * max(xmax - xmin, ymax - ymin)
+    counts = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.n_edges)
+    on_boundary = np.flatnonzero(counts == 1)
+    ends = mesh.edges[on_boundary]
+    mids = 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])
+    lines = {"left": (0, xmin), "right": (0, xmax),
+             "bottom": (1, ymin), "top": (1, ymax)}
+    sides = {}
+    for side, (axis, value) in lines.items():
+        eids = on_boundary[np.abs(mids[:, axis] - value) < tol]
+        dofs = [mesh.edges[eids].ravel()]
+        if dofmap.order == 2:
+            dofs.append(mesh.n_nodes + eids)
+        sides[side] = np.unique(np.concatenate(dofs))
+    return sides
+
+
 def interior_extrema_loop(vals, mesh, rel_floor=1e-6):
     """Strict interior local extrema of a vertex field, vertex by vertex
     over neighbour lists: the reference of the vectorised count."""
@@ -253,10 +278,9 @@ def interior_extrema_loop(vals, mesh, rel_floor=1e-6):
     for a, b in mesh.edges:
         neighbors[a].append(b)
         neighbors[b].append(a)
-    boundary = set()
-    for side_edges in mesh.boundary_edges.values():
-        for e in side_edges:
-            boundary.update(mesh.edges[e])
+    # the edges met by one triangle only are the boundary edges
+    counts = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.n_edges)
+    boundary = set(mesh.edges[counts == 1].ravel())
     count = 0
     for v in range(mesh.n_nodes):
         if v in boundary or abs(vals[v]) < rel_floor * scale:

@@ -229,11 +229,11 @@ def test_criterion_9_charge_neutralization():
     # with dt=2e-3: the same 1000 steps as a T=1 run at dt=1e-3.
     scen = scenario_exponent_k(0.4, nx=20, dt=2e-3, t_final=2.0)
     st = scen.make_stepper()
-    init = max_charge_imbalance(st.curr, st.mesh)
+    init = max_charge_imbalance(st.curr)
     at_t1 = []
     st.run(snapshot_times=(1.0,), snapshot_cb=lambda s, t: at_t1.append(
-        max_charge_imbalance(s, st.mesh) / init))
-    ratio = max_charge_imbalance(st.curr, st.mesh) / init
+        max_charge_imbalance(s) / init))
+    ratio = max_charge_imbalance(st.curr) / init
     print(f"\n[criterion 9b] max|c_p - c_n| at T=1 is {at_t1[0]:.4f} of "
           f"initial (reported, not asserted)")
     report("9b", ratio < 0.05,
@@ -247,9 +247,9 @@ def test_exponent_k_neutral_at_t5_with_single_vortex():
                                     stream_function)
     scen = scenario_exponent_k(0.4, nx=60, dt=1e-3, t_final=5.0)
     st = scen.make_stepper()
-    init = max_charge_imbalance(st.curr, st.mesh)
+    init = max_charge_imbalance(st.curr)
     st.run()
-    ratio = max_charge_imbalance(st.curr, st.mesh) / init
+    ratio = max_charge_imbalance(st.curr) / init
     chi = stream_function(st.curr.u, st.mesh)
     assert ratio < 0.05
     assert count_interior_extrema(chi, st.mesh) == 1

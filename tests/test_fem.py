@@ -596,8 +596,8 @@ def _skewed_mesh(nx, ny, seed):
     nodes = m.nodes.copy()
     rng = np.random.default_rng(seed)
     nodes[interior] += rng.uniform(-h / 8, h / 8, (interior.sum(), 2))
-    mesh = Mesh(nodes, m.triangles, m.edges, m.tri_edges, m.boundary_edges,
-                m.extents, m.shape)
+    mesh = Mesh(nodes, m.triangles, m.edges, m.tri_edges, m.extents,
+                m.shape)
     assert (fem.geometry(mesh).det > 0).all()
     return mesh
 

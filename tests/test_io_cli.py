@@ -503,6 +503,14 @@ def test_scenario_command_builds_its_scenario_once(tmp_path, monkeypatch):
                      "1e-2", "--t-final", "0.01", "--out",
                      str(tmp_path)]) == 0
     assert len(calls) == 1
+    # the run command too, however the document reaches it
+    config = tmp_path / "run.cfg"
+    config.write_text("scenario = energy-decay\nnx = 4\ndt = 1e-2\n"
+                      "t_final = 0.01\n")
+    calls.clear()
+    assert cli_main(["run", "--config", str(config), "--out",
+                     str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
 
 
 def test_snapshot_matches_the_loop_writer(tmp_path):

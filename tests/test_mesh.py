@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+import oracles
 from spnpflow import fem
 from spnpflow.mesh import build_rect_mesh, dof_map
+
+
+def _boundary_edges(m):
+    """Ids of the edges met by one triangle only."""
+    return np.flatnonzero(np.bincount(m.tri_edges.ravel()) == 1)
 
 
 def test_smallest_grid():
     m = build_rect_mesh(0, 1, 0, 1, 1, 1)
     assert m.n_nodes == 4
     assert m.n_triangles == 2
-    assert sum(ids.size for ids in m.boundary_edges.values()) == 4
+    assert _boundary_edges(m).size == 4
 
 
 def test_paper_grid_mesh_size():
@@ -39,11 +45,13 @@ def test_invariants_random_grids(nx, ny):
     assert abs(areas.sum() - m.area) <= 1e-14 * m.area
     # interior edges touch 2 triangles, boundary edges 1
     counts = np.bincount(m.tri_edges.ravel())
-    boundary = np.concatenate(list(m.boundary_edges.values()))
-    assert (counts[boundary] == 1).all()
-    interior = np.setdiff1d(np.arange(m.n_edges), boundary)
-    assert (counts[interior] == 2).all()
+    assert counts.size == m.n_edges
+    assert np.isin(counts, (1, 2)).all()
+    boundary = _boundary_edges(m)
     assert boundary.size == 2 * (nx + ny)
+    # their P2 midpoint dofs are the non-vertex boundary dofs
+    bd = dof_map(m, 2).boundary_dofs
+    assert np.array_equal(bd[bd >= m.n_nodes], m.n_nodes + boundary)
 
 
 def test_bad_arguments():
@@ -112,3 +120,19 @@ def test_p2_midpoint_coords():
     coords = dm.dof_coords()
     mids = 0.5 * (m.nodes[m.edges[:, 0]] + m.nodes[m.edges[:, 1]])
     assert np.allclose(coords[m.n_nodes:], mids)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 5), (3, 2), (7, 3), (40, 40)])
+def test_boundary_sides_match_coordinates(order, nx, ny):
+    m = build_rect_mesh(-1.0, 2.0, 0.5, 1.25, nx, ny)
+    dm = dof_map(m, order)
+    ref = oracles.boundary_sides_by_coords(dm)
+    assert dm.boundary_dofs_by_side.keys() == ref.keys()
+    for side, dofs in ref.items():
+        assert np.array_equal(dm.boundary_dofs_by_side[side], dofs), side
+    assert np.array_equal(dm.boundary_dofs,
+                          np.unique(np.concatenate(list(ref.values()))))
+    n_side = {"left": ny, "right": ny, "bottom": nx, "top": nx}
+    for side, n in n_side.items():
+        assert ref[side].size == order * n + 1

@@ -295,7 +295,7 @@ def test_discrete_energy_independent_norm_oracle(mesh, p2):
 def test_species_mass_constants(mesh, p2):
     c, = const_concs(p2, mesh, [1.0])
     assert abs(model.species_mass(c, mesh) - 1.0) <= 1e-14
-    assert model.min_concentration(c, mesh) == 1.0
+    assert model.min_concentration(c) == 1.0
 
 
 def test_species_mass_cosine_background(mesh, p2):
@@ -303,7 +303,7 @@ def test_species_mass_cosine_background(mesh, p2):
         lambda x, y: 12 + 10 * np.cos(np.pi * x) * np.cos(np.pi * y), p2,
         mesh)
     assert abs(model.species_mass(c, mesh) - 12.0) <= 1e-6
-    assert abs(model.min_concentration(c, mesh) - 2.0) <= 0.2
+    assert abs(model.min_concentration(c) - 2.0) <= 0.2
 
 
 def test_concentration_from_callable_rejects_nonpositive_mass():

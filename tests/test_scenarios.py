@@ -21,7 +21,7 @@ def test_energy_decay_initial_data():
     # zero net charge, so the strict Neumann solve is compatible
     assert abs(model.species_mass(cp, mesh)
                - model.species_mass(cn, mesh)) <= 1e-10
-    assert model.min_concentration(cp, mesh) >= 2.0 - 1e-9
+    assert model.min_concentration(cp) >= 2.0 - 1e-9
     p = scen.params
     assert (p.lam, p.pe, p.re, p.co) == (0.2, 50.0, 1.0, 0.6)
     assert (p.k, p.mu0, p.mu_inf, p.lambda1) == (0.2, 1.5, 0.5, 0.1)
