@@ -155,35 +155,28 @@ def write_diagnostics_csv(records, path):
             fh.write(",".join(_FMT % v for v in row) + "\n")
 
 
-def _refined_cells(mesh):
+def _refined_cells(p2):
     """Split every quadratic triangle into 4 linear cells on its 6 dofs."""
-    nv = mesh.n_nodes
-    tri = mesh.triangles
-    mid = nv + mesh.tri_edges      # dof ids of edge midpoints (m01, m12, m20)
-    cells = np.empty((4 * mesh.n_triangles, 3), dtype=np.int64)
-    cells[0::4] = np.column_stack([tri[:, 0], mid[:, 0], mid[:, 2]])
-    cells[1::4] = np.column_stack([tri[:, 1], mid[:, 1], mid[:, 0]])
-    cells[2::4] = np.column_stack([tri[:, 2], mid[:, 2], mid[:, 1]])
+    v, mid = p2.cell_to_dofs[:, :3], p2.cell_to_dofs[:, 3:]  # m01, m12, m20
+    cells = np.empty((4 * len(v), 3), dtype=np.int64)
+    cells[0::4] = np.column_stack([v[:, 0], mid[:, 0], mid[:, 2]])
+    cells[1::4] = np.column_stack([v[:, 1], mid[:, 1], mid[:, 0]])
+    cells[2::4] = np.column_stack([v[:, 2], mid[:, 2], mid[:, 1]])
     cells[3::4] = mid
     return cells
 
 
-def write_snapshot(state, mesh, path):
+def write_snapshot(state, path):
     """Legacy-VTK unstructured snapshot of c_p, c_n, V, p and u.
 
     Quadratic fields are written at their own dofs on a 4-way refined
     triangulation; the linear pressure is evaluated at the same points
-    (edge midpoints average the endpoint values).
+    (midpoints average the endpoint values).
     """
     p2 = state.vbar.dofmap
     coords = p2.dof_coords()
-    cells = _refined_cells(mesh)
-    nv = mesh.n_nodes
-    p_vals = np.concatenate([
-        state.p.coefficients,
-        0.5 * (state.p.coefficients[mesh.edges[:, 0]]
-               + state.p.coefficients[mesh.edges[:, 1]]),
-    ])
+    cells = _refined_cells(p2)
+    p_vals = p2.vertex_mean(state.p.coefficients)
     scalars = [("c_p", state.c[0].coefficients),
                ("c_n", state.c[1].coefficients),
                ("V", state.v.coefficients),
@@ -220,11 +213,15 @@ def _given(cfg, keys):
 
 def build_scenario(cfg):
     """Scenario object for a config, with overrides applied.  Raises
-    ConfigError for a config that selects no scenario, or for values that
-    the scenario or its ``Params`` reject."""
+    ConfigError for a config that selects no scenario, for a non-finite
+    snapshot time, or for values that the scenario or its ``Params``
+    reject."""
     for key, v in _given(cfg, ("nx", "ny")).items():
         if v < 1:
             raise ConfigError(f"'{key}' must be >= 1, got {v}")
+    if not np.isfinite(cfg.snapshot_times).all():
+        raise ConfigError(f"'snapshot_times' must be finite, got "
+                          f"{cfg.snapshot_times}")
     factory = _scenario_factory(cfg.scenario)
     try:
         scen = factory(**_given(cfg, ("nx", "dt", "t_final")))
@@ -266,7 +263,7 @@ def run_config(cfg):
 
     def snapshot_cb(state, t):
         path = os.path.join(out_dir, f"snapshot_t{t:.6f}.vtk")
-        _output(write_snapshot, state, mesh, path)
+        _output(write_snapshot, state, path)
         snaps.append(path)
 
     records = stepper.run(snapshot_times=scen.snapshot_times,

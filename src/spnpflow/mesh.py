@@ -14,8 +14,9 @@ class Mesh:
     """Triangulation of an axis-aligned rectangle.
 
     Every grid cell is split along the diagonal from its lower-left to its
-    upper-right corner, so the triangulation is deterministic.  Arrays are
-    read-only after construction; derived quantities (geometry tables used by
+    upper-right corner, so the triangulation is deterministic.  Vertex
+    (i, j) of the cell grid is node j (nx + 1) + i.  Arrays are read-only
+    after construction; derived quantities (geometry tables used by
     assembly) are cached lazily by the fem module.
 
     Attributes
@@ -24,24 +25,18 @@ class Mesh:
         Vertex coordinates.
     triangles : (n_tris, 3) int array
         Vertex indices, counterclockwise.
-    edges : (n_edges, 2) int array
-        Unique edges as sorted vertex pairs, in lexicographic order.
-    tri_edges : (n_tris, 3) int array
-        Edge ids of each triangle in local order (v0,v1), (v1,v2), (v2,v0).
     extents : tuple
         (xmin, xmax, ymin, ymax).
     shape : tuple
         (nx, ny) cell counts.
     """
 
-    def __init__(self, nodes, triangles, edges, tri_edges, extents, shape):
+    def __init__(self, nodes, triangles, extents, shape):
         self.nodes = nodes
         self.triangles = triangles
-        self.edges = edges
-        self.tri_edges = tri_edges
         self.extents = extents
         self.shape = shape
-        for arr in (nodes, triangles, edges, tri_edges):
+        for arr in (nodes, triangles):
             arr.setflags(write=False)
 
     @property
@@ -53,10 +48,6 @@ class Mesh:
         return self.triangles.shape[0]
 
     @property
-    def n_edges(self):
-        return self.edges.shape[0]
-
-    @property
     def area(self):
         xmin, xmax, ymin, ymax = self.extents
         return (xmax - xmin) * (ymax - ymin)
@@ -65,7 +56,7 @@ class Mesh:
 def build_rect_mesh(xmin, xmax, ymin, ymax, nx, ny):
     """Build the uniform triangulation of [xmin,xmax] x [ymin,ymax].
 
-    Everything is index arithmetic and one sort of the edge keys.
+    Everything is index arithmetic.
 
     Parameters
     ----------
@@ -96,25 +87,21 @@ def build_rect_mesh(xmin, xmax, ymin, ymax, nx, ny):
     tris = np.stack([n00, n00 + 1, n01 + 1, n00, n01 + 1, n01],
                     axis=1).reshape(-1, 3)
 
-    # unique edges by the key a * n_nodes + b of the sorted pair (a, b);
-    # tri_edges keeps the local order (v0,v1),(v1,v2),(v2,v0)
-    n_nodes = nodes.shape[0]
-    a, b = tris, np.roll(tris, -1, axis=1)
-    keys, inverse = np.unique(np.minimum(a, b) * n_nodes + np.maximum(a, b),
-                              return_inverse=True)
-    edges = np.column_stack([keys // n_nodes, keys % n_nodes])
-    tri_edges = inverse.reshape(tris.shape)
-
-    return Mesh(nodes, tris, edges, tri_edges,
+    return Mesh(nodes, tris,
                 (float(xmin), float(xmax), float(ymin), float(ymax)), (nx, ny))
 
 
 class DofMap:
     """Lagrange degree-of-freedom map on a mesh.
 
-    P1 dofs are the mesh vertices.  P2 dofs are the vertices followed by one
-    dof per edge midpoint; midpoint coordinates are derived on demand rather
-    than stored.
+    Every dof sits on a point of the half grid of the nx x ny cell grid,
+    whose integer coordinates (i, j) run to (2 nx, 2 ny): vertex (i, j) of
+    the cell grid is (2i, 2j), and the midpoint of a triangle side the sum
+    of its ends' cell-grid indices.  P1 dofs are the vertices, numbered as
+    the mesh numbers them.  P2 has one dof on every half-grid point (the
+    vertices, the edge midpoints and the midpoint of each cell's diagonal),
+    numbered j (2 nx + 1) + i.  The rest follows from (i, j) by index
+    arithmetic, so it holds on a mesh whose nodes were moved.
 
     Attributes
     ----------
@@ -127,10 +114,9 @@ class DofMap:
         Sorted dof ids on the boundary.
     boundary_dofs_by_side : dict
         Side name -> sorted dof ids on that side (corners appear on both
-        adjacent sides).  A dof at half-grid indices (i, j) (see
-        :meth:`grid_indices`) is on the left side when i == 0, on the right
-        when i == 2 nx, on the bottom when j == 0 and on the top when
-        j == 2 ny, so no coordinate is compared.
+        adjacent sides).  A dof at half-grid indices (i, j) is on the left
+        side when i == 0, on the right when i == 2 nx, on the bottom when
+        j == 0 and on the top when j == 2 ny, so no coordinate is compared.
     """
 
     def __init__(self, mesh, order):
@@ -138,34 +124,30 @@ class DofMap:
             raise ValueError(f"unsupported element order {order}")
         self.mesh = mesh
         self.order = order
-        nv = mesh.n_nodes
+        nx, ny = mesh.shape
+        self.n_dofs = (order * nx + 1) * (order * ny + 1)
         if order == 1:
-            self.n_dofs = nv
             self.cell_to_dofs = mesh.triangles
         else:
-            self.n_dofs = nv + mesh.n_edges
-            self.cell_to_dofs = np.column_stack([mesh.triangles,
-                                                 nv + mesh.tri_edges])
+            # the id is linear in (i, j), so a side's midpoint has the mean
+            # of its ends' ids
+            j, i = np.divmod(mesh.triangles, nx + 1)
+            v = 2 * (j * (2 * nx + 1) + i)
+            self.cell_to_dofs = np.column_stack(
+                [v, (v + np.roll(v, -1, axis=1)) // 2])
             self.cell_to_dofs.setflags(write=False)
 
-        (i, j), (nx, ny) = self.grid_indices().T, mesh.shape
+        i, j = self.grid_indices().T
         on_side = (i == 0, i == 2 * nx, j == 0, j == 2 * ny)
         self.boundary_dofs_by_side = {
             side: np.flatnonzero(on) for side, on in zip(SIDES, on_side)}
         self.boundary_dofs = np.flatnonzero(np.logical_or.reduce(on_side))
 
     def grid_indices(self):
-        """Integer coordinates of all dofs on the half grid, (n_dofs, 2):
-        vertex (i, j) of the cell grid is (2i, 2j) and an edge midpoint
-        the sum of its ends' grid indices.  They follow from the vertex
-        numbering of :func:`build_rect_mesh`, so they hold on a mesh whose
-        nodes were moved."""
-        mesh = self.mesh
-        j, i = np.divmod(np.arange(mesh.n_nodes), mesh.shape[0] + 1)
-        ij = np.column_stack([i, j])
-        if self.order == 1:
-            return 2 * ij
-        return np.vstack([2 * ij, ij[mesh.edges[:, 0]] + ij[mesh.edges[:, 1]]])
+        """Integer coordinates of all dofs on the half grid, (n_dofs, 2)."""
+        width = self.order * self.mesh.shape[0] + 1
+        j, i = np.divmod(np.arange(self.n_dofs), width)
+        return (2 // self.order) * np.column_stack([i, j])
 
     @cached_property
     def ordering(self):
@@ -175,13 +157,21 @@ class DofMap:
         order.setflags(write=False)
         return order
 
+    def vertex_mean(self, values):
+        """Vertex ``values`` (n_nodes, ...) carried to the dofs: the mean
+        over each dof's two nearest vertices, lo = (i // 2, j // 2) and
+        hi = ((i + 1) // 2, (j + 1) // 2) for half-grid indices (i, j).  A
+        vertex (lo = hi) gets its own value exactly, a side's midpoint the
+        mean of its ends, so on P2 this interpolates a P1 field."""
+        g = self.grid_indices()
+        lo, hi = g // 2, (g + 1) // 2
+        width = self.mesh.shape[0] + 1
+        return 0.5 * (values[lo[:, 1] * width + lo[:, 0]]
+                      + values[hi[:, 1] * width + hi[:, 0]])
+
     def dof_coords(self):
         """Coordinates of all dofs, (n_dofs, 2)."""
-        mesh = self.mesh
-        if self.order == 1:
-            return mesh.nodes.copy()
-        mids = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
-        return np.vstack([mesh.nodes, mids])
+        return self.vertex_mean(self.mesh.nodes)
 
 
 def dof_map(mesh, order):

@@ -148,14 +148,16 @@ def stream_function(u, mesh):
 
 
 def count_interior_extrema(chi, mesh, rel_floor=1e-6):
-    """Strict local extrema of a vertex field over the edge graph.
+    """Strict local extrema of a vertex field over the mesh's edge graph.
 
     Extrema with magnitude below ``rel_floor`` times the field maximum are
     ignored so numerical ripple around zero does not register.
     """
     vals = chi.coefficients
-    # each vertex's neighbour max and min over both ends of every edge
-    ends, others = mesh.edges.ravel(), mesh.edges[:, ::-1].ravel()
+    # each vertex's neighbour max and min over both ends of every side of
+    # every triangle (an interior edge is met twice)
+    a, b = mesh.triangles.ravel(), np.roll(mesh.triangles, -1, axis=1).ravel()
+    ends, others = np.concatenate([a, b]), np.concatenate([b, a])
     nb_max = np.full(mesh.n_nodes, -np.inf)
     nb_min = np.full(mesh.n_nodes, np.inf)
     np.maximum.at(nb_max, ends, vals[others])

@@ -412,23 +412,6 @@ class Stepper:
         grad_sig_star = ws.grad_sigma_star
         c_star_vals = ws.c_star_quad
 
-        # all first-order terms collapse into one transport coefficient
-        b = (ws.u_star_vals
-             - grad_sig_star[species] / pe
-             - (zi / pe) * ws.grad_v_star)
-        for j in range(params.n_species):
-            if w[species, j] != 0.0:
-                b = b - (w[species, j] / pe) \
-                    * c_star_vals[j][..., None] * grad_sig_star[j]
-
-        data = (a0 / dt) * self.M2.data \
-            + fem.assemble("advection", p2, p2, mesh, b).data \
-            + (1.0 / pe) * self.K2.data
-        wii = w[species, species]
-        if wii != 0.0:
-            data += (wii / pe) * fem.assemble(
-                "stiffness", p2, p2, mesh, coeff=c_star_vals[species]).data
-
         rhs = self.M2 @ hist[species] / dt
         rhs -= (zi / pe) * (self.K2 @ ws.v_star.coefficients)
         flux = None
@@ -443,12 +426,38 @@ class Stepper:
             rhs += fem.assemble_vector("source", p2, mesh,
                                        lambda x, y: f(x, y, t_new))
         try:
-            return self._transport.factor(data).solve(rhs)[0]
+            # the summed data are freed before SuperLU runs
+            return self._transport.factor(
+                self._transport_data(ws, species, a0)).solve(rhs)[0]
         except Exception as exc:
             traceback.clear_frames(exc.__traceback__)
             raise
         finally:
             _release_free_memory()
+
+    def _transport_data(self, ws, species, a0):
+        """The data of the transport matrix of ``species``, (a0/dt) M2 +
+        A(b) + K2/Pe plus the steric self-diffusion, on the P2 pattern."""
+        params, p2, mesh = self.params, self.p2, self.mesh
+        pe, w = params.pe, params.w_steric
+        grad_sig_star, c_star_vals = ws.grad_sigma_star, ws.c_star_quad
+        # all first-order terms collapse into one transport coefficient
+        b = (ws.u_star_vals
+             - grad_sig_star[species] / pe
+             - (params.z[species] / pe) * ws.grad_v_star)
+        for j in range(params.n_species):
+            if w[species, j] != 0.0:
+                b = b - (w[species, j] / pe) \
+                    * c_star_vals[j][..., None] * grad_sig_star[j]
+
+        data = (a0 / params.dt) * self.M2.data \
+            + fem.assemble("advection", p2, p2, mesh, b).data \
+            + (1.0 / pe) * self.K2.data
+        wii = w[species, species]
+        if wii != 0.0:
+            data += (wii / pe) * fem.assemble(
+                "stiffness", p2, p2, mesh, coeff=c_star_vals[species]).data
+        return data
 
     def renormalize_concentration(self, sigma_new, mass_target):
         """Exponentiate pointwise and rescale to the target mass."""

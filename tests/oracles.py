@@ -243,28 +243,45 @@ def zero_mean_solve(A, weight, b):
     return sol[:-1], sol[-1]
 
 
+def edge_table(mesh):
+    """The mesh's unique edges as sorted vertex pairs, in lexicographic
+    order, and each triangle's edge ids in local order (v0,v1), (v1,v2),
+    (v2,v0): one sort of the edge keys, built from the triangles alone."""
+    tris, n = mesh.triangles, mesh.n_nodes
+    a, b = tris, np.roll(tris, -1, axis=1)
+    keys, inverse = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                              return_inverse=True)
+    return np.column_stack([keys // n, keys % n]), inverse.reshape(tris.shape)
+
+
+def dofs_at(dofmap, points):
+    """The ids of the dofs whose coordinates equal ``points`` exactly."""
+    index = {tuple(x): k for k, x in enumerate(dofmap.dof_coords())}
+    return np.array([index[tuple(x)] for x in points], dtype=np.int64)
+
+
 def boundary_sides_by_coords(dofmap):
     """Side name -> sorted boundary dofs, classified by coordinates: the
     reference of ``DofMap.boundary_dofs_by_side``.  An edge met by one
     triangle is on a side when its midpoint lies on that side's line to
-    within 1e-12 of the larger extent; a side holds the vertices of its
-    edges and, for P2, their midpoint dofs."""
+    within 1e-12 of the larger extent; a side holds the dofs at the
+    vertices of its edges and, for P2, at their midpoints."""
     mesh = dofmap.mesh
     xmin, xmax, ymin, ymax = mesh.extents
     tol = 1e-12 * max(xmax - xmin, ymax - ymin)
-    counts = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.n_edges)
-    on_boundary = np.flatnonzero(counts == 1)
-    ends = mesh.edges[on_boundary]
-    mids = 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])
+    edges, tri_edges = edge_table(mesh)
+    counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
+    ends = mesh.nodes[edges[counts == 1]]
+    mids = 0.5 * (ends[:, 0] + ends[:, 1])
     lines = {"left": (0, xmin), "right": (0, xmax),
              "bottom": (1, ymin), "top": (1, ymax)}
     sides = {}
     for side, (axis, value) in lines.items():
-        eids = on_boundary[np.abs(mids[:, axis] - value) < tol]
-        dofs = [mesh.edges[eids].ravel()]
+        on = np.abs(mids[:, axis] - value) < tol
+        points = [ends[on].reshape(-1, 2)]
         if dofmap.order == 2:
-            dofs.append(mesh.n_nodes + eids)
-        sides[side] = np.unique(np.concatenate(dofs))
+            points.append(mids[on])
+        sides[side] = np.unique(dofs_at(dofmap, np.concatenate(points)))
     return sides
 
 
@@ -274,13 +291,14 @@ def interior_extrema_loop(vals, mesh, rel_floor=1e-6):
     scale = np.abs(vals).max()
     if scale == 0.0:
         return 0
+    edges, tri_edges = edge_table(mesh)
     neighbors = [[] for _ in range(mesh.n_nodes)]
-    for a, b in mesh.edges:
+    for a, b in edges:
         neighbors[a].append(b)
         neighbors[b].append(a)
     # the edges met by one triangle only are the boundary edges
-    counts = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.n_edges)
-    boundary = set(mesh.edges[counts == 1].ravel())
+    counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
+    boundary = set(edges[counts == 1].ravel())
     count = 0
     for v in range(mesh.n_nodes):
         if v in boundary or abs(vals[v]) < rel_floor * scale:
@@ -295,15 +313,25 @@ def write_snapshot_loop(state, mesh, path):
     """The legacy-VTK snapshot of ``io_cli.write_snapshot`` written value by
     value: the reference of the array writer.  Each triangle (a, b, c) with
     edge midpoints (m01, m12, m20) splits into (a, m01, m20), (b, m12,
-    m01), (c, m20, m12) and (m01, m12, m20)."""
+    m01), (c, m20, m12) and (m01, m12, m20).  A point's id is the dof at
+    its coordinates, and the P1 pressure at a midpoint is the mean of its
+    ends' values."""
     fmt = "%.17g"
     coords = state.vbar.dofmap.dof_coords()
+    index = {tuple(x): k for k, x in enumerate(coords)}
+    nodes, p = mesh.nodes, state.p.coefficients
+    p_vals = [None] * len(coords)
     cells = []
-    for (a, b, c), mids in zip(mesh.triangles, mesh.n_nodes + mesh.tri_edges):
-        m01, m12, m20 = mids
+    for tri in mesh.triangles:
+        ids = []
+        for a in tri:
+            ids.append(index[tuple(nodes[a])])
+            p_vals[ids[-1]] = p[a]
+        for a, b in zip(tri, np.roll(tri, -1)):
+            ids.append(index[tuple(0.5 * (nodes[a] + nodes[b]))])
+            p_vals[ids[-1]] = 0.5 * (p[a] + p[b])
+        a, b, c, m01, m12, m20 = ids
         cells += [(a, m01, m20), (b, m12, m01), (c, m20, m12), (m01, m12, m20)]
-    p = state.p.coefficients
-    p_vals = list(p) + [0.5 * (p[i] + p[j]) for i, j in mesh.edges]
     scalars = [("c_p", state.c[0].coefficients),
                ("c_n", state.c[1].coefficients),
                ("V", state.v.coefficients), ("p", p_vals)]

@@ -7,6 +7,7 @@ Each diagnostics column is compared with rtol=1e-9 and an absolute floor of
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,11 @@ def test_golden_manufactured_errors():
 
 
 def test_diff_status_gates_on_byte_identity(tmp_path, capsys):
-    record.record(tmp_path)
+    # the reference files compare identical to themselves, and one value
+    # one ulp off does not; a change may re-associate sums, so today's
+    # runs need only be within RTOL of them
+    for name in [*record.SCENARIOS, record.MANUFACTURED_FILE]:
+        shutil.copyfile(GOLDEN / name, tmp_path / name)
     assert record.compare(tmp_path) == 0
     path = tmp_path / record.MANUFACTURED_FILE
     errors = json.loads(path.read_text())

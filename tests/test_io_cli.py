@@ -162,7 +162,7 @@ def test_snapshot_two_triangle_counts(tmp_path):
     mesh = build_rect_mesh(0, 1, 0, 1, 1, 1)
     state = make_state(mesh)
     path = tmp_path / "snap.vtk"
-    write_snapshot(state, mesh, path)
+    write_snapshot(state, path)
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     assert "POINTS 9 double" in text
@@ -175,7 +175,7 @@ def test_snapshot_constant_field_values(tmp_path):
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     state = make_state(mesh)
     path = tmp_path / "snap.vtk"
-    write_snapshot(state, mesh, path)
+    write_snapshot(state, path)
     lines = path.read_text().splitlines()
     i = lines.index("SCALARS c_p double 1")
     n_pts = dof_map(mesh, 2).n_dofs
@@ -188,7 +188,7 @@ def test_snapshot_parses_as_vtk(tmp_path):
     mesh = build_rect_mesh(0, 1, 0, 1, 3, 2)
     state = make_state(mesh)
     path = tmp_path / "snap.vtk"
-    write_snapshot(state, mesh, path)
+    write_snapshot(state, path)
     lines = path.read_text().splitlines()
     n_pts = int([l for l in lines if l.startswith("POINTS")][0].split()[1])
     cells_line = [l for l in lines if l.startswith("CELLS")][0]
@@ -480,6 +480,21 @@ def test_build_scenario_rejects_bad_sizes_and_values():
             build_scenario(cfg)
 
 
+@pytest.mark.parametrize("times", ["nan, 0.01, 0.02", "0.01, inf",
+                                   "-inf", "0.01, nan"])
+def test_non_finite_snapshot_times_are_config_errors(times, tmp_path, capsys):
+    # a NaN sorted first would stop every snapshot after it
+    text = f"scenario = energy-decay\nnx = 4\nsnapshot_times = {times}\n"
+    with pytest.raises(ConfigError, match="'snapshot_times' must be finite"):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "'snapshot_times' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_and_run_commands_write_the_same_csv(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["scenario", "energy-decay", "--nx", "5", "--dt",
@@ -522,7 +537,7 @@ def test_snapshot_matches_the_loop_writer(tmp_path):
     mesh = scen.build_mesh()
     stepper = scen.make_stepper(mesh=mesh)
     stepper.run(n_steps=2)
-    write_snapshot(stepper.curr, mesh, tmp_path / "array.vtk")
+    write_snapshot(stepper.curr, tmp_path / "array.vtk")
     oracles.write_snapshot_loop(stepper.curr, mesh, tmp_path / "loop.vtk")
     assert (tmp_path / "array.vtk").read_bytes() \
         == (tmp_path / "loop.vtk").read_bytes()

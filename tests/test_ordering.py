@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import oracles
 from spnpflow import fem
 from spnpflow.mesh import bisection_paths, build_rect_mesh, dof_map
 from spnpflow.sparse import System
@@ -124,7 +125,14 @@ def test_nonsymmetric_transport_matrix_solves_like_spsolve():
     A = fem.pattern("mass", p2, p2, mesh).csr(M.data + C.data
                                                + 1e-2 * K.data)
     assert abs(A - A.T).max() > 1e-3 * abs(A).max()
-    b = rng.standard_normal(p2.n_dofs)
+    # b drawn vertex by vertex, then midpoint by midpoint of the edges in
+    # oracles.edge_table order, the layout its residual bound was set on
+    edges, _ = oracles.edge_table(mesh)
+    ends = mesh.nodes[edges]
+    drawn = oracles.dofs_at(p2, np.concatenate(
+        [mesh.nodes, 0.5 * (ends[:, 0] + ends[:, 1])]))
+    b = np.empty(p2.n_dofs)
+    b[drawn] = rng.standard_normal(p2.n_dofs)
     lu = System(A, p2.ordering).factor(A.data)
     x, report = lu.solve(b)
     expected = spla.spsolve(A.tocsc(), b)

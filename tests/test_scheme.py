@@ -448,6 +448,33 @@ def test_step_factors_released_on_their_own_thread(monkeypatch):
     released_where_made(log)
 
 
+def test_step_frees_summed_data_before_superlu(monkeypatch):
+    # System.factor drops the data of a transport or momentum matrix
+    # before SuperLU runs: no caller keeps a reference to it
+    from spnpflow.scenarios import scenario_energy_decay
+    from spnpflow.sparse import Factorization, System
+
+    st = scenario_energy_decay(nx=6).make_stepper()
+    st.bootstrap_first_step()
+    handed, seen = {}, []
+    real_matrix, real_init = System.matrix, Factorization.__init__
+
+    def matrix(self, data):
+        handed[threading.get_ident()] = weakref.ref(data)
+        return real_matrix(self, data)
+
+    def init(self, Ac, order):
+        ref = handed.pop(threading.get_ident())
+        seen.append((Ac.shape[0], ref() is None))
+        real_init(self, Ac, order)
+
+    monkeypatch.setattr(System, "matrix", matrix)
+    monkeypatch.setattr(Factorization, "__init__", init)
+    st.step()
+    n2 = st.p2.n_dofs
+    assert sorted(seen) == [(n2, True), (n2, True), (2 * n2, True)]
+
+
 def test_worker_error_reaches_step_and_releases_its_factor(monkeypatch):
     from spnpflow.errors import SolverError
     from spnpflow.scenarios import scenario_energy_decay
