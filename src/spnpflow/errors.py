@@ -10,10 +10,8 @@ class SingularMatrixError(SolverError):
 
 
 class CompatibilityError(Exception):
-    """Pure-Neumann right-hand side is not orthogonal to constants.
-
-    For the potential solve this signals a net-charge imbalance.
-    """
+    """The zero-mean potential's net charge exceeds a fixed fraction of
+    the ion content, in a run that does not let it."""
 
 
 class PositivityError(Exception):

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CompatibilityError
 from .sparse import System
 
 # Symmetric 12-point rule on the reference triangle, exact through degree 6.
@@ -38,8 +37,6 @@ from .sparse import System
 _W1, _A1 = 0.11678627572638316, 0.24928674517090793
 _W2, _A2 = 0.050844906370207305, 0.06308901449150253
 _W3, _A3, _B3 = 0.08285107561837142, 0.31035245103378606, 0.05314504984481544
-
-COMP_RTOL = 1e-8   # allowed pairing of a zero-mean rhs with constants / sum|b|
 
 
 @dataclass
@@ -609,25 +606,15 @@ class ZeroMeanSolver:
         self._pin = System(A, order, fixed=order[-1:])
         self._lu = self._pin.factor(A.data)
 
-    def solve(self, b, subtract_mean=False):
+    def solve(self, b):
         """Solve for right-hand side ``b``; returns (x, multiplier, report).
 
-        The compatibility pairing of ``b`` with the constant function is
-        ``sum(b)``; when it exceeds ``COMP_RTOL * sum(|b|)`` and
-        ``subtract_mean`` is False a CompatibilityError is raised (for the
-        potential equation this signals a net-charge imbalance).  With
-        ``subtract_mean=True`` the multiplier absorbs the imbalance.  The
-        scale ``sum(|b|)`` bounds the quadrature error of a pairing that is
-        zero analytically and, unlike ``||b||``, does not shrink with h.
+        The multiplier absorbs the pairing ``sum(b)`` of ``b`` with the
+        constant function, so every right-hand side has a solution; a
+        caller for which that pairing must vanish checks the multiplier.
         """
         b = np.asarray(b, dtype=np.float64)
-        imbalance = float(np.sum(b))
-        tol = COMP_RTOL * np.sum(np.abs(b))
-        if not subtract_mean and abs(imbalance) > tol:
-            raise CompatibilityError(
-                f"right-hand side pairing with constants is {imbalance:.3e} "
-                f"(tolerance {tol:.3e}); net-charge imbalance")
-        multiplier = imbalance / self._area
+        multiplier = float(np.sum(b)) / self._area
         y, report = self._lu.solve(self._pin.rhs(b - multiplier * self._weight))
         return y - (self._weight @ y) / self._area, multiplier, report
 

@@ -51,13 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, model
-from .errors import StructuralViolation
+from .errors import CompatibilityError, StructuralViolation
 from .mesh import dof_map
 from .sparse import Factorization, System
 
 MASS_RTOL = 1e-10
 ENERGY_RTOL = 1e-10
 ZETA2_FLOOR = -1e-12
+CHARGE_RTOL = 1e-8
 
 
 def _libc_function(name, argtypes):
@@ -191,8 +192,8 @@ class Stepper:
         "dirichlet_lr" (potential fixed to 1 at x=xmin and 0 at x=xmax,
         natural elsewhere).
     neutralize_net_charge : bool
-        Let the potential solve absorb a net-charge imbalance into its
-        multiplier (recorded per step) instead of raising.
+        Let the zero-mean potential's net charge (its multiplier, recorded
+        per step) exceed CHARGE_RTOL of the ion content sum_i |z_i| int c_i.
     check_mass / check_energy : bool
         Per-step structure assertions; manufactured runs disable the mass
         check because renormalization follows the forced exact mass.
@@ -484,8 +485,17 @@ class Stepper:
             rhs += fem.assemble_vector("source", self.p2, self.mesh,
                                        lambda x, y: fv(x, y, t))
         if self.bc_mode == "zero_mean":
-            subtract = self.neutralize_net_charge or self.sources is not None
-            sol, mult, _ = self._pot_solver.solve(rhs, subtract_mean=subtract)
+            sol, mult, _ = self._pot_solver.solve(rhs)
+            if not (self.neutralize_net_charge or self.sources is not None):
+                # the net charge mult * area against the ion content, which
+                # the mass renormalisation holds fixed
+                net, tol = abs(mult) * self.mesh.area, CHARGE_RTOL * sum(
+                    abs(zi) * model.species_mass(c, self.mesh)
+                    for zi, c in zip(self.params.z, c_fields))
+                if net > tol:
+                    raise CompatibilityError(
+                        f"net charge {net:.3e} exceeds {tol:.3e}, "
+                        f"{CHARGE_RTOL:g} of the ion content")
             return fem.Field(self.p2, sol), mult
         rhs = self._pot_bc.rhs(rhs, self._pot_lift)
         sol, _ = self._pot_solver.solve(rhs)
@@ -611,7 +621,7 @@ class Stepper:
     def pressure_poisson(self, u_tilde, a0):
         """Zero-mean pressure increment from the projection step."""
         rhs = (a0 / self.params.dt) * (self.G.T @ u_tilde.coefficients)
-        sol, _, _ = self._psi_solver.solve(rhs, subtract_mean=True)
+        sol, _, _ = self._psi_solver.solve(rhs)
         return fem.Field(self.p1, sol)
 
     def correct(self, psi, a0, mv_ut):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import oracles
 from spnpflow import fem
-from spnpflow.errors import CompatibilityError
 from spnpflow.fem import (Field, RefElement, apply_dirichlet, assemble,
                           assemble_vector, basis_integrals, error_norm_l2,
                           interpolate, quad_rule, ZeroMeanSolver)
@@ -409,27 +408,12 @@ def test_zero_mean_pinned_matches_bordered(order, n, compatible):
     K = assemble("stiffness", dofs, dofs, mesh)
     w = basis_integrals(dofs, mesh)
     b = _zero_mean_rhs(dofs, mesh, compatible)
-    x, mult, _ = ZeroMeanSolver(K, w, dofs.ordering).solve(
-        b, subtract_mean=not compatible)
+    x, mult, _ = ZeroMeanSolver(K, w, dofs.ordering).solve(b)
     x_ref, mult_ref = oracles.zero_mean_solve(K, w, b)
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     # the multiplier's scale is that of b, also where it is zero
     assert abs(mult - mult_ref) <= 1e-12 * np.sum(np.abs(b)) / np.sum(w)
     assert abs(w @ x) <= 1e-14 * np.sum(np.abs(w * x))
-
-
-@pytest.mark.parametrize("order", [1, 2])
-def test_zero_mean_compatibility_threshold(order):
-    mesh = build_rect_mesh(0, 1, 0, 1, 3, 3)
-    dofs = dof_map(mesh, order)
-    w = basis_integrals(dofs, mesh)
-    solver = ZeroMeanSolver(assemble("stiffness", dofs, dofs, mesh), w,
-                            dofs.ordering)
-    b = _zero_mean_rhs(dofs, mesh, compatible=True)
-    scale = fem.COMP_RTOL * np.sum(np.abs(b))
-    solver.solve(b + 0.99 * scale * w / np.sum(w))
-    with pytest.raises(CompatibilityError):
-        solver.solve(b + 1.01 * scale * w / np.sum(w))
 
 
 def test_solve_zero_mean_incompatible_rhs(unit_mesh):
@@ -438,11 +422,10 @@ def test_solve_zero_mean_incompatible_rhs(unit_mesh):
     b = assemble_vector("source", p1, unit_mesh, 1.0)   # constant rhs
     solver = ZeroMeanSolver(K, basis_integrals(p1, unit_mesh),
                             p1.ordering)
-    with pytest.raises(CompatibilityError):
-        solver.solve(b)
-    # mean subtraction absorbs the imbalance into the multiplier
-    x, mult, _ = solver.solve(b, subtract_mean=True)
+    # the multiplier absorbs the whole of a constant right-hand side
+    x, mult, _ = solver.solve(b)
     assert abs(mult - 1.0) <= 1e-10   # multiplier = imbalance / area
+    assert np.abs(x).max() <= 1e-12
 
 
 # ----------------------------------------------------------------------

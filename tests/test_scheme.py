@@ -146,6 +146,24 @@ def test_potential_net_charge_raises_in_strict_mode():
                              lambda x, y: 1.0 + 0 * x])
 
 
+def test_potential_net_charge_threshold():
+    # uniform c+ = 1 + d and c- = 1 carry the net charge d against the ion
+    # content 2 + d, so the rule's edge is d = 1e-8 (2 + d), about 2e-8
+    mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    edge = scheme.CHARGE_RTOL * 2.0
+    for factor, raises in ((0.99, False), (1.01, True)):
+        stepper = Stepper(mesh, make_params())
+        c0 = [lambda x, y: 1.0 + factor * edge + 0 * x,
+              lambda x, y: 1.0 + 0 * x]
+        if raises:
+            with pytest.raises(CompatibilityError):
+                stepper.set_initial(c0)
+        else:
+            stepper.set_initial(c0)
+            assert stepper.records[0].multiplier == pytest.approx(
+                factor * edge, rel=1e-6)
+
+
 def test_potential_net_charge_neutralized_logs_multiplier():
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
     stepper = Stepper(mesh, make_params(), neutralize_net_charge=True)
