@@ -145,8 +145,9 @@ def test_cavity_keeps_the_guarantees_at_large_steps(dt):
 
 
 @pytest.mark.xfail(strict=True, raises=errors.StructuralViolation,
-                   reason="CHANGES.md FOUND on exp(sigma) underflow at large "
-                          "steps: sigma falls below -745 at step 3, so the "
+                   reason="CHANGES.md FOUND on exp underflow at large "
+                          "steps: at step 3 sigma spans [-679, 283], so "
+                          "log c = sigma + log(scale) falls below -745, the "
                           "concentration's minimum reads 0.0 and the "
                           "positivity check raises")
 def test_large_step_keeps_sigma_above_exp_underflow():
