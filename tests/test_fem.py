@@ -416,6 +416,26 @@ def test_zero_mean_pinned_matches_bordered(order, n, compatible):
     assert abs(w @ x) <= 1e-14 * np.sum(np.abs(w * x))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_zero_mean_compatibility_threshold(order):
+    # a caller's net-charge rule compares multiplier * area with a tolerance
+    # of order 1e-8 of b's scale; on either side of such an edge the
+    # multiplier must resolve the added pairing and leave x untouched
+    mesh = build_rect_mesh(0, 1, 0, 1, 3, 3)
+    dofs = dof_map(mesh, order)
+    w = basis_integrals(dofs, mesh)
+    solver = ZeroMeanSolver(assemble("stiffness", dofs, dofs, mesh), w,
+                            dofs.ordering)
+    b = _zero_mean_rhs(dofs, mesh, compatible=True)
+    x0, mult0, _ = solver.solve(b)
+    assert abs(mult0) * np.sum(w) <= 1e-14 * np.sum(np.abs(b))
+    scale = 1e-8 * np.sum(np.abs(b))
+    for factor in (0.99, 1.01):
+        x, mult, _ = solver.solve(b + factor * scale * w / np.sum(w))
+        assert mult * np.sum(w) == pytest.approx(factor * scale, rel=1e-6)
+        assert np.abs(x - x0).max() <= 1e-12 * np.abs(x0).max()
+
+
 def test_solve_zero_mean_incompatible_rhs(unit_mesh):
     p1 = dof_map(unit_mesh, 1)
     K = assemble("stiffness", p1, p1, unit_mesh)
